@@ -58,11 +58,9 @@ def _write_report(out_dir: Path, task: str, resolved: dict, result: dict) -> Non
 
 
 def _task_eval(problem, doc):
-    from .yang_mills import action, gradient, grad_norm, vacuum_residuals
+    from .yang_mills import evaluate, grad_norm
 
-    bd = action(problem.init, problem.riem)
-    res = vacuum_residuals(problem.init, problem.riem)
-    gn = grad_norm(gradient(problem.init, problem.riem))
+    bd, grad = evaluate(problem.init, problem.riem)
     return EXIT_OK, {
         "action": {
             "horizontal": bd.s_horizontal,
@@ -70,8 +68,8 @@ def _task_eval(problem, doc):
             "vertical": bd.s_vertical,
             "total": bd.s_total,
         },
-        "vacuum_residuals": list(res),
-        "grad_norm": gn,
+        "vacuum_residuals": list(bd.residuals),
+        "grad_norm": grad_norm(grad),
     }
 
 
@@ -83,7 +81,7 @@ def _task_solve(problem, doc, out_dir):
     state, report, trace = solve_vacuum(problem.init, problem.riem, opts)
     save_trace_csv(out_dir / "trace.csv", trace)
     if doc["snapshots"]:
-        save_report(out_dir / "state.json", _pyify_snapshot(state))
+        save_report(out_dir / "state.json", state_snapshot(state))
     result = {
         "converged": report.converged,
         "iterations": report.iterations,
@@ -98,12 +96,6 @@ def _task_solve(problem, doc, out_dir):
     }
     code = EXIT_OK if report.converged else EXIT_NO_CONVERGE
     return code, result
-
-
-def _pyify_snapshot(state):
-    from .serialize import state_snapshot
-
-    return state_snapshot(state)
 
 
 def _task_classify(problem, doc):
@@ -156,12 +148,10 @@ def _task_geom_check(problem, doc):
     for ov in man.overlaps:
         x = grid_points(man.chart(ov.src))
         pts = x[ov.in_overlap(x)]
-        for ov2 in man.overlaps:
-            if ov2.src == ov.dst and ov2.dst == ov.src:
-                round_trip = max(
-                    round_trip,
-                    float(np.max(np.abs(ov2.point_map(ov.point_map(pts)) - pts))),
-                )
+        back = man.overlap(ov.dst, ov.src)
+        round_trip = max(
+            round_trip, float(np.max(np.abs(back.point_map(ov.point_map(pts)) - pts)))
+        )
     from .connections import gluing_residuals
 
     gluing = gluing_residuals(problem.conn) if man.overlaps else {}

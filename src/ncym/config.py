@@ -8,9 +8,7 @@ the exact inputs that produced it.
 """
 
 import copy
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -32,7 +30,7 @@ from .geometry import build_torus, flat_metric, round_sphere_metric
 from .lie_core import build_representation, build_su, build_u1
 from .metric import assemble
 
-__all__ = ["ExperimentConfig", "load_config", "resolve", "build_problem", "SCHEMA"]
+__all__ = ["ExperimentConfig", "resolve", "build_problem", "SCHEMA"]
 
 TASKS = ["eval", "solve", "classify", "chern", "lc-check", "geom-check", "selfcheck"]
 
@@ -234,18 +232,6 @@ def resolve(doc: dict) -> ExperimentConfig:
     resolved = _defaults_for(doc)
     _cross_check(resolved)
     return ExperimentConfig(task=resolved["task"], resolved=resolved)
-
-
-def load_config(path) -> ExperimentConfig:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return resolve(doc)
 
 
 def _cross_check(doc: dict) -> None:

@@ -391,18 +391,23 @@ def gluing_residuals(conn: OrdinaryConnection) -> dict:
     return out
 
 
-def _check_group_valued(basis: LieBasis, U: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Validate a pointwise structure-group field; re-project small drift."""
-    n = basis.n
-    if U.shape[-2:] != (n, n):
-        raise ShapeError(f"group field must be {n} x {n} valued")
-    eye = np.eye(n)
+def _check_unitary_field(k: int, U: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """Validate a pointwise k x k unitary field; re-project small drift."""
+    if U.shape[-2:] != (k, k):
+        raise ShapeError(f"gauge field must be {k} x {k} valued")
+    eye = np.eye(k)
     drift = np.max(np.abs(np.swapaxes(np.conj(U), -1, -2) @ U - eye))
     if drift > tol:
-        raise ShapeError(f"field is not unitary (drift {drift:.2e})")
+        raise ShapeError(f"gauge field is not unitary (drift {drift:.2e})")
     if drift > 1e-14:
         uu, _, vh = np.linalg.svd(U)
         U = uu @ vh
+    return U
+
+
+def _check_group_valued(basis: LieBasis, U: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """Validate a pointwise structure-group field: unitary, unit determinant."""
+    U = _check_unitary_field(basis.n, U, tol)
     det = np.linalg.det(U)
     if np.max(np.abs(det - 1.0)) > 1e-8:
         raise ShapeError("group field must have unit determinant")
@@ -631,19 +636,6 @@ def nc_curvature_via_forms(ncc: NCConnection, name: str) -> MixedForm:
 # ---------------------------------------------------------------------------
 # gauge actions
 # ---------------------------------------------------------------------------
-
-
-def _check_unitary_field(k: int, U: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    if U.shape[-2:] != (k, k):
-        raise ShapeError(f"gauge field must be {k} x {k} valued")
-    eye = np.eye(k)
-    drift = np.max(np.abs(np.swapaxes(np.conj(U), -1, -2) @ U - eye))
-    if drift > tol:
-        raise ShapeError(f"gauge field is not unitary (drift {drift:.2e})")
-    if drift > 1e-14:
-        uu, _, vh = np.linalg.svd(U)
-        U = uu @ vh
-    return U
 
 
 def gauge_transform(ncc: NCConnection, U: dict) -> NCConnection:

@@ -129,21 +129,6 @@ def christoffel(riem) -> ChristoffelTable:
     return ChristoffelTable(half_structure=0.5 * C, **out)
 
 
-def _check_curvature(riem, order):
-    """Field strength with the diagnostic stencil order."""
-    C = riem.conn.basis.structure
-    out = {}
-    for ch in riem.man.charts:
-        A = riem.conn.A[ch.name]
-        dA = np.stack(
-            [partial_derivative(A, ch, mu, order=order) for mu in range(ch.dim)],
-            axis=-3,
-        )
-        F = dA - np.swapaxes(dA, -3, -2)
-        out[ch.name] = F + np.einsum("...mb,...nc,bca->...mna", A, A, C)
-    return out
-
-
 def torsion_residual(riem, table: ChristoffelTable | None = None,
                      check_order: int = CHECK_ORDER) -> float:
     """max |D_X Y - D_Y X - [X, Y]| over frame pairs, componentwise.
@@ -154,7 +139,7 @@ def torsion_residual(riem, table: ChristoffelTable | None = None,
     """
     table = table or christoffel(riem)
     worst = 0.0
-    bracket_F = _check_curvature(riem, check_order)
+    bracket_F = curvature_F(riem.conn, order=check_order)
     for ch in riem.man.charts:
         name = ch.name
         pieces = [
@@ -225,7 +210,7 @@ def koszul_residual(riem, table: ChristoffelTable | None = None,
     over all frame triples, as a max componentwise mismatch."""
     table = table or christoffel(riem)
     worst = 0.0
-    bracket_F = _check_curvature(riem, check_order)
+    bracket_F = curvature_F(riem.conn, order=check_order)
     for ch in riem.man.charts:
         name = ch.name
         gM = riem.base.g[name]

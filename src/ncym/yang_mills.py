@@ -7,6 +7,11 @@ into a horizontal (field-strength), mixed (covariant scalar derivative)
 and vertical (scalar potential) term, each a positive integral.  Gradients
 are exact discrete adjoints of the curvature map, so finite-difference
 directional derivatives of the action reproduce them to solver precision.
+
+The action and the gradient share one curvature evaluation: the curvature
+with its indices raised and the integration weight applied is contracted
+with the curvature for the action, and fed to the adjoint for the gradient,
+so :func:`evaluate` returns both from a single call of ``nc_curvature``.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .connections import NCConnection, nc_curvature, nc_curvature_via_forms
+from .connections import NCConnection, _comm, nc_curvature, nc_curvature_via_forms
 from .errors import ClassificationRefused, ShapeError
 from .geometry import adjoint_partial_derivative
 from .lie_core import LieBasis
@@ -39,6 +44,14 @@ class ActionBreakdown:
     @property
     def s_total(self) -> float:
         return self.s_horizontal + self.s_mixed + self.s_vertical
+
+    @property
+    def residuals(self) -> tuple:
+        """Square roots of the (vertical, mixed, horizontal) terms."""
+        return tuple(
+            float(np.sqrt(max(s, 0.0)))
+            for s in (self.s_vertical, self.s_mixed, self.s_horizontal)
+        )
 
 
 @dataclass(frozen=True)
@@ -81,22 +94,42 @@ def _check_shared_reference(ncc: NCConnection, riem) -> None:
         )
 
 
-def _weight(man, riem, name):
-    ch = man.chart(name)
-    return man.weights[name] * riem.sqrtg[name] * ch.cell_volume
+def _evaluate(ncc: NCConnection, riem):
+    """One curvature evaluation: the action and the raised tensors.
 
-
-def _raised_tensors(ncc, riem, name):
-    """Curvature with all indices raised, times the integration weight."""
-    O = nc_curvature(ncc)[name]
+    Per chart the curvature blocks are raised with the inverse-metric blocks
+    and multiplied by the integration weight (partition of unity, metric
+    density, cell volume), giving ``T_hh, T_hv, T_vv``.  The action terms are
+    ``1/2 Re<O_hh, T_hh>``, ``Re<O_hv, T_hv>`` and ``1/2 Re<O_vv, T_vv>``, and
+    the gradient is the adjoint of the curvature map applied to ``T``.
+    """
+    _check_shared_reference(ncc, riem)
     man = ncc.ref.man
-    W = _weight(man, riem, name)[..., None, None, None, None]
-    hb = riem.hbase[name]
-    hi = riem.hint[name]
-    Thh = W * np.einsum("...mr,...ns,...rsij->...mnij", hb, hb, O["hh"])
-    Thv = W * np.einsum("...mn,...bc,...ncij->...mbij", hb, hi, O["hv"])
-    Tvv = W * np.einsum("...ac,...bd,...cdij->...abij", hi, hi, O["vv"])
-    return O, Thh, Thv, Tvv
+    curv = nc_curvature(ncc)
+    s_h = s_m = s_v = 0.0
+    densities, raised = {}, {}
+    for ch in man.charts:
+        name = ch.name
+        O = curv[name]
+        hb = riem.hbase[name]
+        hi = riem.hint[name]
+        w = man.weights[name] * riem.sqrtg[name] * ch.cell_volume
+        W = w[..., None, None, None, None]
+        T = (
+            W * np.einsum("...mr,...ns,...rsij->...mnij", hb, hb, O["hh"]),
+            W * np.einsum("...mn,...bc,...ncij->...mbij", hb, hi, O["hv"]),
+            W * np.einsum("...ac,...bd,...cdij->...abij", hi, hi, O["vv"]),
+        )
+        dens = np.stack([
+            half * np.einsum("...xyij,...xyij->...", np.conj(O[block]), t).real
+            for block, t, half in zip(("hh", "hv", "vv"), T, (0.5, 1.0, 0.5))
+        ]) / ch.cell_volume
+        densities[name] = dens
+        raised[name] = T
+        s_h += float(np.sum(dens[0]) * ch.cell_volume)
+        s_m += float(np.sum(dens[1]) * ch.cell_volume)
+        s_v += float(np.sum(dens[2]) * ch.cell_volume)
+    return ActionBreakdown(s_h, s_m, s_v, densities), raised
 
 
 def action(ncc: NCConnection, riem) -> ActionBreakdown:
@@ -106,32 +139,7 @@ def action(ncc: NCConnection, riem) -> ActionBreakdown:
     blocks and the hermitian trace, integrated with the metric density.  All
     three are non-negative; their sum is the squared curvature norm.
     """
-    _check_shared_reference(ncc, riem)
-    man = ncc.ref.man
-    curv = nc_curvature(ncc)
-    s_h = s_m = s_v = 0.0
-    densities = {}
-    for ch in man.charts:
-        name = ch.name
-        O = curv[name]
-        hb = riem.hbase[name]
-        hi = riem.hint[name]
-        w = man.weights[name] * riem.sqrtg[name]
-        dh = 0.5 * np.einsum(
-            "...mr,...ns,...mnij,...rsij->...", hb, hb, np.conj(O["hh"]), O["hh"]
-        )
-        dm = np.einsum(
-            "...mn,...bc,...mbij,...ncij->...", hb, hi, np.conj(O["hv"]), O["hv"]
-        )
-        dv = 0.5 * np.einsum(
-            "...ac,...bd,...abij,...cdij->...", hi, hi, np.conj(O["vv"]), O["vv"]
-        )
-        dens = w * np.stack([dh.real, dm.real, dv.real])
-        densities[name] = dens
-        s_h += float(np.sum(dens[0]) * ch.cell_volume)
-        s_m += float(np.sum(dens[1]) * ch.cell_volume)
-        s_v += float(np.sum(dens[2]) * ch.cell_volume)
-    return ActionBreakdown(s_h, s_m, s_v, densities)
+    return _evaluate(ncc, riem)[0]
 
 
 def action_via_cycle(ncc: NCConnection, riem) -> float:
@@ -150,6 +158,12 @@ def action_via_cycle(ncc: NCConnection, riem) -> float:
 # --------------------------------------------------------------- gradient
 
 
+def evaluate(ncc: NCConnection, riem) -> tuple:
+    """``(action breakdown, gradient)`` from a single curvature evaluation."""
+    bd, raised = _evaluate(ncc, riem)
+    return bd, _adjoint(ncc, raised)
+
+
 def gradient(ncc: NCConnection, riem) -> dict:
     """Exact gradient of the discrete action in the flat real pairing.
 
@@ -158,14 +172,17 @@ def gradient(ncc: NCConnection, riem) -> dict:
     grid points and indices, so a finite-difference directional derivative
     of :func:`action` along ``d`` matches ``pairing(gradient, d)``.
     """
-    _check_shared_reference(ncc, riem)
+    return evaluate(ncc, riem)[1]
+
+
+def _adjoint(ncc: NCConnection, raised: dict) -> dict:
+    """The adjoint of the curvature map applied to the raised tensors."""
     man = ncc.ref.man
-    rep = ncc.ref.rep
     C = ncc.ref.basis.structure
     out_a, out_p = {}, {}
     for ch in man.charts:
         name = ch.name
-        O, Thh, Thv, Tvv = _raised_tensors(ncc, riem, name)
+        Thh, Thv, Tvv = raised[name]
         a = ncc.a[name]
         phi = ncc.phi[name]
         A = ncc.ref.A[name]
@@ -177,20 +194,17 @@ def gradient(ncc: NCConnection, riem) -> dict:
         ga = np.zeros_like(a)
         gp = np.zeros_like(phi)
 
-        def brk(x, y):
-            return x @ y - y @ x
-
         for nu in range(d):
             acc = np.zeros_like(a[..., 0, :, :])
             for mu in range(d):
                 T = Thh[..., mu, nu, :, :]
                 acc = acc + 2.0 * (
                     adjoint_partial_derivative(T, ch, mu)
-                    - brk(RA[..., mu, :, :], T)
-                    - brk(a[..., mu, :, :], T)
+                    - _comm(RA[..., mu, :, :], T)
+                    - _comm(a[..., mu, :, :], T)
                 )
             for b in range(m):
-                acc = acc + 2.0 * brk(phi[..., b, :, :], Thv[..., nu, b, :, :])
+                acc = acc + 2.0 * _comm(phi[..., b, :, :], Thv[..., nu, b, :, :])
             ga[..., nu, :, :] = acc
 
         mixed = np.einsum("...ma,abc,...mbij->...cij", A, C, Thv)
@@ -201,12 +215,12 @@ def gradient(ncc: NCConnection, riem) -> dict:
                 T = Thv[..., mu, c, :, :]
                 acc = acc + 2.0 * (
                     adjoint_partial_derivative(T, ch, mu)
-                    - brk(RA[..., mu, :, :], T)
-                    - brk(a[..., mu, :, :], T)
+                    - _comm(RA[..., mu, :, :], T)
+                    - _comm(a[..., mu, :, :], T)
                 )
             acc = acc - 2.0 * mixed[..., c, :, :]
             for aa in range(m):
-                acc = acc - 2.0 * brk(phi[..., aa, :, :], Tvv[..., aa, c, :, :])
+                acc = acc - 2.0 * _comm(phi[..., aa, :, :], Tvv[..., aa, c, :, :])
             acc = acc - struct[..., c, :, :]
             gp[..., c, :, :] = acc
         out_a[name] = ga
@@ -247,12 +261,7 @@ def vacuum_residuals(ncc: NCConnection, riem) -> tuple:
     field-strength matching equation.  Each is the square root of the
     corresponding action term, hence zero exactly on solutions.
     """
-    br = action(ncc, riem)
-    return (
-        float(np.sqrt(max(br.s_vertical, 0.0))),
-        float(np.sqrt(max(br.s_mixed, 0.0))),
-        float(np.sqrt(max(br.s_horizontal, 0.0))),
-    )
+    return action(ncc, riem).residuals
 
 
 def _dict_map(fn, *dicts):
@@ -271,6 +280,30 @@ def _step(ncc: NCConnection, direction: dict, eta: float, project: bool) -> NCCo
         a=_dict_map(upd, ncc.a, direction["a"]),
         phi=_dict_map(upd, ncc.phi, direction["phi"]),
     )
+
+
+def _fields_map(fn, fields: dict) -> dict:
+    return {p: _dict_map(fn, fields[p]) for p in ("a", "phi")}
+
+
+def _steepest(g: dict, gn: float) -> tuple:
+    """Plain steepest descent: direction -g, velocity reset to g, slope -|g|^2."""
+    return _fields_map(np.negative, g), _fields_map(np.copy, g), -gn * gn
+
+
+def _line_search(state, S, direction, slope, eta, riem, opts):
+    """Armijo backtracking from step ``eta``.
+
+    Returns ``(candidate, its action, accepted eta)``, or None when
+    ``opts.max_backtracks`` shrinks find no sufficient decrease.
+    """
+    for _ in range(opts.max_backtracks):
+        cand = _step(state, direction, eta, opts.project)
+        S_new = action(cand, riem).s_total
+        if S_new <= S + opts.armijo * eta * slope:
+            return cand, S_new, eta
+        eta *= opts.shrink
+    return None
 
 
 def solve_vacuum(init: NCConnection, riem, opts: SolverOptions | None = None):
@@ -302,50 +335,32 @@ def solve_vacuum(init: NCConnection, riem, opts: SolverOptions | None = None):
             converged = True
             break
         if vel is None:
-            vel = {p: {k: v.copy() for k, v in g[p].items()} for p in ("a", "phi")}
+            vel = _fields_map(np.copy, g)
         else:
             vel = {
                 p: _dict_map(lambda v, gg: opts.momentum * v + gg, vel[p], g[p])
                 for p in ("a", "phi")
             }
-        direction = {p: _dict_map(np.negative, vel[p]) for p in ("a", "phi")}
+        direction = _fields_map(np.negative, vel)
         slope = pairing(g, direction)
         if slope >= 0.0:
-            direction = {p: _dict_map(np.negative, g[p]) for p in ("a", "phi")}
-            vel = {p: {k: v.copy() for k, v in g[p].items()} for p in ("a", "phi")}
-            slope = -gn * gn
+            direction, vel, slope = _steepest(g, gn)
         eta = min(2.0 * eta, 64.0 * opts.step)
-        accepted = False
-        for _ in range(opts.max_backtracks):
-            cand = _step(state, direction, eta, opts.project)
-            S_new = action(cand, riem).s_total
-            if S_new <= S + opts.armijo * eta * slope:
-                state, S, accepted = cand, S_new, True
-                break
-            eta *= opts.shrink
-        if not accepted:
-            if slope != -gn * gn:
-                # momentum direction failed entirely: drop it and retry once
-                direction = {p: _dict_map(np.negative, g[p]) for p in ("a", "phi")}
-                vel = {p: {k: v.copy() for k, v in g[p].items()} for p in ("a", "phi")}
-                slope = -gn * gn
-                eta = opts.step
-                for _ in range(opts.max_backtracks):
-                    cand = _step(state, direction, eta, opts.project)
-                    S_new = action(cand, riem).s_total
-                    if S_new <= S + opts.armijo * eta * slope:
-                        state, S, accepted = cand, S_new, True
-                        break
-                    eta *= opts.shrink
-            if not accepted:
-                break  # stalled at line-search resolution
+        found = _line_search(state, S, direction, slope, eta, riem, opts)
+        if found is None and slope != -gn * gn:
+            # momentum direction failed entirely: drop it and retry once
+            direction, vel, slope = _steepest(g, gn)
+            found = _line_search(state, S, direction, slope, opts.step, riem, opts)
+        if found is None:
+            break  # stalled at line-search resolution
+        state, S, eta = found
     report = _report(state, riem, converged, it)
     return state, report, trace
 
 
 def _report(ncc: NCConnection, riem, converged: bool, iterations: int) -> VacuumReport:
-    res = vacuum_residuals(ncc, riem)
-    S = action(ncc, riem).s_total
+    bd = action(ncc, riem)
+    res, S = bd.residuals, bd.s_total
     try:
         cls = classify_vacuum(ncc.phi, ncc.ref.basis, hint=riem.hint)
         return VacuumReport(
@@ -398,12 +413,14 @@ def classify_vacuum(
         closure = comm - np.swapaxes(comm, -4, -3) - np.einsum(
             "abc,...cij->...abij", C, f
         )
-        worst = max(worst, float(np.max(np.abs(closure))))
-        if worst > residual_tol:
+        resid = float(np.max(np.abs(closure)))
+        # written so that a NaN residual refuses too
+        if not resid <= residual_tol:
             raise ClassificationRefused(
-                f"closure residual {worst:.3e} exceeds {residual_tol:.1e} on "
+                f"closure residual {resid:.3e} exceeds {residual_tol:.1e} on "
                 f"chart {name!r}; fields are not a representation"
             )
+        worst = max(worst, resid)
         if hint is None:
             h = np.eye(m)
         elif isinstance(hint, dict):

@@ -131,9 +131,15 @@ def test_geom_check_task(tmp_path):
 
 
 def test_invalid_config_exits_2(tmp_path, capsys):
-    assert main(["run", _write(tmp_path, {"task": "eval"})]) == 2
-    assert "ncym:" in capsys.readouterr().err
-    assert main(["run", str(tmp_path / "missing.json")]) == 2
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    for path, message in (
+        (_write(tmp_path, {"task": "eval"}), "ncym:"),
+        (str(tmp_path / "missing.json"), "cannot read config"),
+        (str(bad), "not valid JSON"),
+    ):
+        assert main(["run", path]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_budget_exhaustion_exits_3(tmp_path):
@@ -148,6 +154,19 @@ def test_budget_exhaustion_exits_3(tmp_path):
     # partial artifacts still land
     assert (tmp_path / "out" / "report.json").exists()
     assert (tmp_path / "out" / "trace.csv").exists()
+
+
+def test_non_finite_solve_is_refused(tmp_path):
+    """Fields that overflow to NaN are refused, never classified."""
+    doc = _solve_doc(tmp_path / "out")
+    doc["initial"]["amplitude"] = 1e200
+    doc["solver"]["max_iters"] = 2
+    with np.errstate(all="ignore"):
+        main(["run", _write(tmp_path, doc)])
+    res = json.loads((tmp_path / "out" / "report.json").read_text())["result"]
+    assert res["refused"] is not None
+    assert res["commutant_dim"] is None
+    assert res["casimir_spectrum"] is None
 
 
 def test_seed_flag_overrides(tmp_path):

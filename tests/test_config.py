@@ -1,11 +1,9 @@
 """Config schema, defaults, cross checks, and problem assembly."""
 
-import json
-
 import numpy as np
 import pytest
 
-from ncym.config import build_problem, load_config, resolve
+from ncym.config import build_problem, resolve
 from ncym.errors import ConfigError
 
 
@@ -119,16 +117,3 @@ def test_build_random_initial_is_seeded():
     p2 = build_problem(resolve(doc))
     name = p1.man.charts[0].name
     assert np.array_equal(p1.init.phi[name], p2.init.phi[name])
-
-
-def test_load_config_file(tmp_path):
-    path = tmp_path / "exp.json"
-    path.write_text(json.dumps(_torus()))
-    cfg = load_config(path)
-    assert cfg.task == "eval"
-    with pytest.raises(ConfigError):
-        load_config(tmp_path / "missing.json")
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(ConfigError):
-        load_config(bad)

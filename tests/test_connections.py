@@ -183,6 +183,18 @@ def test_ordinary_gauge_transform_conjugates_curvature():
     assert np.max(np.abs(m1 - conj)) < 0.05 * scale  # stencil-level agreement
 
 
+def test_ordinary_gauge_transform_rejects_non_group_fields(torus_su2):
+    man, lb, rep = torus_su2
+    conn = zero_connection(man, lb, rep)
+    ch = man.charts[0]
+    eye = np.broadcast_to(np.eye(2, dtype=complex), ch.shape + (2, 2))
+    with pytest.raises(ShapeError, match="not unitary"):
+        gauge_transform_ordinary(conn, {ch.name: 1.5 * eye})
+    # unitary, but det = -1 lies outside SU(2)
+    with pytest.raises(ShapeError, match="unit determinant"):
+        gauge_transform_ordinary(conn, {ch.name: 1j * eye})
+
+
 # ------------------------------------------------------- omega bookkeeping
 
 

@@ -1,9 +1,13 @@
 """Yang-Mills functional: action terms, gradient, vacuum solver, classification."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ncym.yang_mills as ym
+from ncym.cli import main
 from ncym.connections import (
     bpst_connection,
     canonical_ncc,
@@ -23,6 +27,7 @@ from ncym.yang_mills import (
     action_via_cycle,
     classify_vacuum,
     criticality_probe,
+    evaluate,
     gradient,
     grad_norm,
     pairing,
@@ -40,6 +45,15 @@ def torus():
     rep = build_representation(lb, "fundamental")
     ref = zero_connection(man, lb, rep)
     riem = assemble(flat_metric(man), np.eye(3), ref)
+    return man, lb, rep, ref, riem
+
+
+@pytest.fixture(scope="module")
+def instanton8():
+    """The two-chart instanton background at N=8, laid out like ``torus``."""
+    man, lb, rep = instanton_bundle(8)
+    ref = bpst_connection(man, lb, rep, rho=1.0)
+    riem = assemble(round_sphere_metric(man), np.eye(3), ref)
     return man, lb, rep, ref, riem
 
 
@@ -185,14 +199,20 @@ def test_instanton_residuals_split(bpst16):
 # ------------------------------------------------------------- gradient
 
 
-def test_gradient_matches_finite_differences(torus):
-    man, lb, rep, ref, riem = torus
-    ncc = random_ncc(ref, seed=3, amplitude=0.4, x_dependent=True)
+@pytest.mark.parametrize(
+    "bundle, amplitude, directions",
+    # the instanton adds partition-of-unity weights, sqrt(g) and two charts
+    [("torus", 0.4, 20), ("instanton8", 0.2, 3)],
+    ids=["torus", "instanton8"],
+)
+def test_gradient_matches_finite_differences(request, bundle, amplitude, directions):
+    man, lb, rep, ref, riem = request.getfixturevalue(bundle)
+    ncc = random_ncc(ref, seed=3, amplitude=amplitude, x_dependent=True)
     g = gradient(ncc, riem)
     rng = np.random.default_rng(0)
     k = rep.k
     eps = 1e-5
-    for _ in range(20):
+    for _ in range(directions):
         da, dphi = {}, {}
         for ch in man.charts:
             za = rng.normal(size=ch.shape + (ch.dim, k, k)) + 1j * rng.normal(
@@ -216,6 +236,38 @@ def test_gradient_matches_finite_differences(torus):
         fd = (plus - minus) / (2.0 * eps)
         analytic = pairing(g, {"a": da, "phi": dphi})
         assert analytic == pytest.approx(fd, rel=1e-5, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "bundle, kind", [("torus", "torus"), ("instanton8", "instanton")], ids=["torus", "instanton8"]
+)
+def test_one_curvature_evaluation_per_state(request, bundle, kind, monkeypatch, tmp_path):
+    *_, ref, riem = request.getfixturevalue(bundle)
+    calls = []
+    curvature = ym.nc_curvature
+    monkeypatch.setattr(ym, "nc_curvature", lambda ncc: calls.append(1) or curvature(ncc))
+    ncc = random_ncc(ref, seed=3, amplitude=0.2, x_dependent=True)
+    for fn in (evaluate, gradient, action, vacuum_residuals):
+        calls.clear()
+        fn(ncc, riem)
+        assert len(calls) == 1, fn.__name__
+
+    # an exactly flat start: the initial action, one gradient, the final report
+    calls.clear()
+    _, report, _ = solve_vacuum(canonical_ncc(ref), riem)
+    assert report.converged and report.iterations == 1
+    assert len(calls) == 3
+
+    doc = {
+        "task": "eval",
+        "bundle": {"kind": kind, "npts": 8},
+        "initial": {"kind": "random", "seed": 3, "amplitude": 0.2, "x_dependent": True},
+    }
+    path = tmp_path / "eval.json"
+    path.write_text(json.dumps(doc))
+    calls.clear()
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
 
 
 def test_gradient_anti_hermitian(torus):
@@ -390,6 +442,14 @@ def test_classify_refuses_non_representation(torus):
     _, lb, rep, _, _ = torus
     phi = 0.5 * np.broadcast_to(rep.matrices, (6, 3, 2, 2)).copy()
     with pytest.raises(ClassificationRefused):
+        classify_vacuum(phi, lb)
+
+
+def test_classify_refuses_non_finite_fields(torus):
+    _, lb, rep, _, _ = torus
+    phi = np.broadcast_to(rep.matrices, (6, 3, 2, 2)).copy()
+    phi[2, 1, 0, 0] = np.nan
+    with pytest.raises(ClassificationRefused, match="nan"):
         classify_vacuum(phi, lb)
 
 
