@@ -19,9 +19,9 @@ import math
 
 import numpy as np
 
-from .connections import OrdinaryConnection, _interp_components, curvature_F
+from .connections import OrdinaryConnection, curvature_F
 from .errors import InvalidRank
-from .geometry import grid_points, partial_derivative
+from .geometry import grid_points, interp_chart, partial_derivative
 from .nc_forms import _perm_sign
 
 __all__ = ["ChernForm", "chern_form", "closedness_residual", "chern_number"]
@@ -52,13 +52,21 @@ class ChernForm:
     def degree(self) -> int:
         return 2 * self.q
 
-
-def _traces(conn: OrdinaryConnection, name: str):
-    """Matrix field strength, its trace, and pair traces on one chart."""
-    F = curvature_F(conn, order=STENCIL_ORDER)[name]
-    Fm = np.einsum("...mna,aij->...mnij", F, conn.rep.matrices)
-    trF = np.trace(Fm, axis1=-2, axis2=-1)
-    return Fm, trF
+    def integral(self) -> float:
+        """Integral of the top-degree form over the base.  It is topological:
+        no metric enters, only the partition of unity, the chart orientations
+        and the cell volumes."""
+        man = self.man
+        if self.degree != man.dim:
+            raise InvalidRank(
+                f"degree-{self.degree} form cannot saturate a {man.dim}-dimensional base"
+            )
+        key = tuple(range(man.dim))
+        total = 0.0
+        for ch in man.charts:
+            comp = man.weights[ch.name] * self.comps[ch.name][key]
+            total += ch.orientation * float(np.sum(comp)) * ch.cell_volume
+        return total
 
 
 def chern_form(conn: OrdinaryConnection, q: int) -> ChernForm:
@@ -78,26 +86,23 @@ def chern_form(conn: OrdinaryConnection, q: int) -> ChernForm:
     if q > 2:
         raise InvalidRank("characteristic classes shipped through degree 4")
     comps = {}
+    F = curvature_F(conn, order=STENCIL_ORDER)
     for ch in conn.man.charts:
-        Fm, trF = _traces(conn, ch.name)
+        # pair-major: Fm[mu, nu] is the (..., k, k) matrix field of F_mu_nu
+        Fm = np.moveaxis(conn.rep.contract(F[ch.name]), (-4, -3), (0, 1))
+        trF = np.trace(Fm, axis1=-2, axis2=-1)
         here = {}
         for key in itertools.combinations(range(d), 2 * q):
             acc = 0.0
             for perm in itertools.permutations(range(2 * q)):
-                sign = _perm_sign([key[p] for p in perm])
                 idx = [key[p] for p in perm]
+                sign = _perm_sign(idx)
                 if q == 1:
-                    acc = acc + sign * trF[..., idx[0], idx[1]]
+                    acc = acc + sign * trF[idx[0], idx[1]]
                 else:
-                    t1 = trF[..., idx[0], idx[1]]
-                    t2 = trF[..., idx[2], idx[3]]
-                    pair = np.trace(
-                        Fm[..., idx[0], idx[1], :, :]
-                        @ Fm[..., idx[2], idx[3], :, :],
-                        axis1=-2,
-                        axis2=-1,
-                    )
-                    acc = acc + sign * (t1 * t2 - pair)
+                    i, j, k, l = idx
+                    pair = np.einsum("...ab,...ba->...", Fm[i, j], Fm[k, l])
+                    acc = acc + sign * (trF[i, j] * trF[k, l] - pair)
             # 1 / 2^q collapses the permutation sum to the shuffle sum of the
             # wedge; the extra 1/2 below is the determinant-expansion factor.
             acc = acc * (1j / TWO_PI) ** q / 2**q
@@ -149,7 +154,7 @@ def closedness_residual(cf: ChernForm) -> float:
         mapped = ov.point_map(pts)
         det = np.linalg.det(ov.jacobian(pts))
         c_src = cf.comps[ov.src][key][mask]
-        c_dst = _interp_components(dst, cf.comps[ov.dst][key], mapped)
+        c_dst = interp_chart(dst, cf.comps[ov.dst][key], mapped)
         scale = max(float(np.max(np.abs(cf.comps[ov.src][key]))), 1e-30)
         worst = max(worst, float(np.max(np.abs(c_src - c_dst * det)) / scale))
     return worst
@@ -158,19 +163,7 @@ def closedness_residual(cf: ChernForm) -> float:
 def chern_number(conn: OrdinaryConnection, q: int, riem=None) -> float:
     """Integral of the top characteristic form over the base.
 
-    The value is topological: no metric enters (``riem`` is accepted for
-    interface uniformity with the other evaluators and ignored), only the
-    partition of unity, the chart orientations, and the cell volumes.
+    ``riem`` is accepted for interface uniformity with the other evaluators
+    and ignored: see :meth:`ChernForm.integral`.
     """
-    man = conn.man
-    if 2 * q != man.dim:
-        raise InvalidRank(
-            f"degree-{2 * q} form cannot saturate a {man.dim}-dimensional base"
-        )
-    cf = chern_form(conn, q)
-    key = tuple(range(man.dim))
-    total = 0.0
-    for ch in man.charts:
-        w = man.weights[ch.name]
-        total += ch.orientation * float(np.sum(w * cf.comps[ch.name][key])) * ch.cell_volume
-    return total
+    return chern_form(conn, q).integral()

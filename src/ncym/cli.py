@@ -7,8 +7,9 @@ requested.  Exit codes: 0 success, 2 validation failure, 3 the solver ran
 out of budget (partial artifacts are still written).
 
 `--threads` (or the NCYM_THREADS environment variable) is a parallelism
-hint handed to the BLAS runtime before the numerical modules load; it never
-changes results, only wall time.
+hint handed to the BLAS runtime before the numerical modules load; it changes
+wall time, and results only within the determinism contract stated in
+:mod:`ncym.serialize`.
 """
 
 import argparse
@@ -32,15 +33,16 @@ def _apply_threads_hint(threads: int | None) -> None:
 
 
 def _pyify(obj):
-    """Plain-Python mirror of a result tree so report JSON is canonical."""
+    """Plain-Python mirror of a result tree, so report JSON is canonical and strict."""
     import numpy as np
+    from .serialize import json_float
 
     if isinstance(obj, dict):
         return {str(k): _pyify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_pyify(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        return json_float(obj)
     if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
         return int(obj)
     if isinstance(obj, np.ndarray):
@@ -112,17 +114,17 @@ def _task_classify(problem, doc):
 
 
 def _task_chern(problem, doc):
-    from .chern_weil import chern_form, chern_number, closedness_residual
+    from .chern_weil import chern_form, closedness_residual
 
     q = doc["chern"]["degree"]
-    value = chern_number(problem.conn, q, riem=problem.riem)
-    residual = closedness_residual(chern_form(problem.conn, q))
+    cf = chern_form(problem.conn, q)
+    value = cf.integral()
     return EXIT_OK, {
         "q": q,
         "value": value,
         "grid": doc["bundle"]["npts"],
         "estimated_error": abs(value - round(value)),
-        "gluing_residual": residual,
+        "gluing_residual": closedness_residual(cf),
     }
 
 

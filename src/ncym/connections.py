@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import GluingError, ShapeError
 from .geometry import (
-    ChartGrid,
     Manifold,
     build_sphere_two_charts,
     grid_points,
@@ -139,7 +138,7 @@ def curvature_F(conn: OrdinaryConnection, order: int = 2) -> dict:
             axis=-3,
         )  # shape + (mu, nu, a)
         F = dA - np.swapaxes(dA, -3, -2)
-        F = F + np.einsum("...mb,...nc,bca->...mna", A, A, C)
+        F = F + np.einsum("...mb,...nc,bca->...mna", A, A, C, optimize=True)
         out[ch.name] = F
     return out
 
@@ -331,13 +330,6 @@ def monopole_connection(
 # ---------------------------------------------------------------------------
 
 
-def _interp_components(chart: ChartGrid, arr: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    trail = arr.shape[chart.dim:]
-    flat = arr.reshape(chart.shape + (-1,))
-    vals = interp_chart(chart, flat, pts)
-    return vals.reshape(pts.shape[:-1] + trail)
-
-
 def gluing_residuals(conn: OrdinaryConnection) -> dict:
     """Cross-chart consistency of the potential and field strength.
 
@@ -361,8 +353,8 @@ def gluing_residuals(conn: OrdinaryConnection) -> dict:
 
         A_src = conn.basis.contract(conn.A[ov.src])  # shape + (d, n, n)
         A_dst = conn.basis.contract(conn.A[ov.dst])
-        A_dst_at = _interp_components(dst, A_dst, mapped)
-        lhs_A = np.einsum("pmij,pmn->pnij", A_dst_at, jac)
+        A_dst_at = interp_chart(dst, A_dst, mapped)
+        lhs_A = np.einsum("pmij,pmn->pnij", A_dst_at, jac, optimize=True)
 
         t_grid = ov.transition(x)
         tinv_grid = np.conj(np.swapaxes(t_grid, -1, -2))
@@ -372,16 +364,16 @@ def gluing_residuals(conn: OrdinaryConnection) -> dict:
         )
         t = t_grid[mask]
         tinv = tinv_grid[mask]
-        inhom = np.einsum("pij,pmjk->pmik", t, dtinv[mask])
-        rhs_A = np.einsum("pij,pmjk,pkl->pmil", t, A_src[mask], tinv) + inhom
+        inhom = np.einsum("pij,pmjk->pmik", t, dtinv[mask], optimize=True)
+        rhs_A = np.einsum("pij,pmjk,pkl->pmil", t, A_src[mask], tinv, optimize=True) + inhom
         scale_A = max(np.max(np.abs(A_src)), 1e-30)
         res_A = float(np.max(np.abs(lhs_A - rhs_A)) / scale_A)
 
         F_src = conn.basis.contract(conn.curvature()[ov.src])
         F_dst = conn.basis.contract(conn.curvature()[ov.dst])
-        F_dst_at = _interp_components(dst, F_dst, mapped)
-        lhs_F = np.einsum("pmnij,pmr,pns->prsij", F_dst_at, jac, jac)
-        rhs_F = np.einsum("pij,pmnjk,pkl->pmnil", t, F_src[mask], tinv)
+        F_dst_at = interp_chart(dst, F_dst, mapped)
+        lhs_F = np.einsum("pmnij,pmr,pns->prsij", F_dst_at, jac, jac, optimize=True)
+        rhs_F = np.einsum("pij,pmnjk,pkl->pmnil", t, F_src[mask], tinv, optimize=True)
         scale_F = max(np.max(np.abs(F_src)), 1e-30)
         res_F = float(np.max(np.abs(lhs_F - rhs_F)) / scale_F)
 

@@ -428,17 +428,12 @@ def interp_chart(chart: ChartGrid, arr: np.ndarray, pts: np.ndarray, method: str
     """Sample a per-chart array at arbitrary coordinates.
 
     ``arr`` has shape ``chart.shape + extra``; ``pts`` is (..., dim).  Extra
-    axes are interpolated independently.  Points outside the grid hull raise.
+    axes are interpolated independently, by one interpolator over all of
+    them.  Points outside the grid hull raise.
     """
     from scipy.interpolate import RegularGridInterpolator
 
-    extra = arr.shape[chart.dim :]
-    flat = arr.reshape(chart.shape + (-1,))
-    out = np.empty(pts.shape[:-1] + (flat.shape[-1],), dtype=arr.dtype)
-    for j in range(flat.shape[-1]):
-        rgi = RegularGridInterpolator(chart.coords, flat[..., j], method=method)
-        out[..., j] = rgi(pts)
-    return out.reshape(pts.shape[:-1] + extra)
+    return RegularGridInterpolator(chart.coords, arr, method=method)(pts)
 
 
 def expm_antihermitian(x: np.ndarray) -> np.ndarray:

@@ -33,6 +33,15 @@ TABLE_ORDER = 2
 CHECK_ORDER = 4
 
 
+def _einsum(subscripts, *operands):
+    """einsum along an optimized path: ~10x faster here, equal up to rounding."""
+    return np.einsum(subscripts, *operands, optimize=True)
+
+
+def _sup(arr) -> float:
+    return float(np.max(np.abs(arr)))
+
+
 @dataclass(frozen=True)
 class ChristoffelTable:
     """Coefficients of the metric connection in the adapted frame.
@@ -76,7 +85,7 @@ def _grad_field(arr, ch, order):
 
 def _nabla_g_int(gI, dgI, N):
     """nabla_mu g_ab = del_mu g_ab - N_mu_a^f g_fb - N_mu_b^f g_af."""
-    rot = np.einsum("...maf,...fb->...mab", N, gI)
+    rot = _einsum("...maf,...fb->...mab", N, gI)
     return dgI - rot - np.swapaxes(rot, -1, -2)
 
 
@@ -105,27 +114,27 @@ def christoffel(riem) -> ChristoffelTable:
 
         dgM = _grad_field(gM, ch, TABLE_ORDER)  # [..., mu, nu, rho]
         sym = dgM + np.swapaxes(dgM, -3, -2) - np.moveaxis(dgM, -3, -1)
-        out["hh_h"][name] = 0.5 * np.einsum("...sr,...mnr->...mns", hM, sym)
+        out["hh_h"][name] = 0.5 * _einsum("...sr,...mnr->...mns", hM, sym)
         out["hh_v"][name] = np.zeros(ch.shape + (d, d, m))
         out["half_curvature"][name] = 0.5 * F
 
-        lowered = np.einsum("...mre,...eb->...mbr", F, gI)  # F^e_{mu rho} g_eb
-        out["hv_h"][name] = -0.5 * np.einsum("...sr,...mbr->...mbs", hM, lowered)
+        lowered = _einsum("...mre,...eb->...mbr", F, gI)  # F^e_{mu rho} g_eb
+        out["hv_h"][name] = -0.5 * _einsum("...sr,...mbr->...mbs", hM, lowered)
         out["vh_h"][name] = np.swapaxes(out["hv_h"][name], -3, -2)
 
-        N = np.einsum("...me,ebf->...mbf", A, C)
+        N = _einsum("...me,ebf->...mbf", A, C)
         out["mixed_rotation"][name] = N
         dgI = _grad_field(gI, ch, TABLE_ORDER)
         nab = _nabla_g_int(gI, dgI, N)
         out["nabla_g_int"][name] = nab
-        out["hv_v"][name] = 0.5 * np.einsum("...dc,...mbc->...mbd", hI, nab)
+        out["hv_v"][name] = 0.5 * _einsum("...dc,...mbc->...mbd", hI, nab)
         out["vh_v"][name] = np.swapaxes(out["hv_v"][name], -3, -2)
-        out["vv_h"][name] = -0.5 * np.einsum("...sr,...rab->...abs", hM, nab)
+        out["vv_h"][name] = -0.5 * _einsum("...sr,...rab->...abs", hM, nab)
 
-        lie = -np.einsum("cae,...eb->...cab", C, gI)
+        lie = -_einsum("cae,...eb->...cab", C, gI)
         lie = lie + np.swapaxes(lie, -1, -2)
         out["lie_g_int"][name] = lie
-        out["vv_v"][name] = -0.5 * np.einsum("...dc,...cab->...abd", hI, lie)
+        out["vv_v"][name] = -0.5 * _einsum("...dc,...cab->...abd", hI, lie)
     return ChristoffelTable(half_structure=0.5 * C, **out)
 
 
@@ -153,8 +162,7 @@ def torsion_residual(riem, table: ChristoffelTable | None = None,
             table.vv_h[name] - np.swapaxes(table.vv_h[name], -3, -2),
             table.vv_v[name] - np.swapaxes(table.vv_v[name], -3, -2),
         ]
-        for p in pieces:
-            worst = max(worst, float(np.max(np.abs(p))))
+        worst = max([worst] + [_sup(p) for p in pieces])
     return worst
 
 
@@ -173,32 +181,29 @@ def metricity_residual(riem, table: ChristoffelTable | None = None,
         gI = riem.internal[name]
         dgM = _grad_field(gM, ch, check_order)
         dgI = _grad_field(gI, ch, check_order)
-        halfF = table.half_curvature[name]
         N = table.mixed_rotation[name]
-        halfC = table.half_structure
+        # each piece is reduced as soon as it is formed, so that few arrays
+        # are alive at once: this check sets the memory peak of `lc-check`
+        low = _einsum("...mns,...sr->...mnr", table.hh_h[name], gM)
+        worst = max(worst, _sup(dgM - low - np.swapaxes(low, -1, -2)))
 
-        low_hh = np.einsum("...mns,...sr->...mnr", table.hh_h[name], gM)
-        m1 = dgM - low_hh - np.swapaxes(low_hh, -1, -2)
+        low = _einsum("...mne,...ec->...mnc", table.half_curvature[name], gI)
+        cross = _einsum("...mcs,...sn->...mcn", table.hv_h[name], gM)
+        worst = max(worst, _sup(low + np.swapaxes(cross, -1, -2)))
 
-        halfF_low = np.einsum("...mne,...ec->...mnc", halfF, gI)
-        hvh_low = np.einsum("...mcs,...sn->...mcn", table.hv_h[name], gM)
-        m2 = -(halfF_low + np.swapaxes(hvh_low, -1, -2))
+        low = _einsum("...mbf,...fc->...mbc", N + table.hv_v[name], gI)
+        worst = max(worst, _sup(dgI - low - np.swapaxes(low, -1, -2)))
 
-        dv = np.einsum("...mbf,...fc->...mbc", N + table.hv_v[name], gI)
-        m3 = dgI - dv - np.swapaxes(dv, -1, -2)
+        low = _einsum("...ans,...sr->...anr", table.vh_h[name], gM)
+        worst = max(worst, _sup(low + np.swapaxes(low, -1, -2)))
 
-        vhh_low = np.einsum("...ans,...sr->...anr", table.vh_h[name], gM)
-        m4 = -(vhh_low + np.swapaxes(vhh_low, -1, -2))
+        low = _einsum("...and,...dc->...anc", table.vh_v[name], gI)
+        cross = _einsum("...acs,...sn->...acn", table.vv_h[name], gM)
+        worst = max(worst, _sup(low + np.swapaxes(cross, -1, -2)))
 
-        vhv_low = np.einsum("...and,...dc->...anc", table.vh_v[name], gI)
-        vvh_low = np.einsum("...acs,...sn->...acn", table.vv_h[name], gM)
-        m5 = -(vhv_low + np.swapaxes(vvh_low, -1, -2))
-
-        dvv = np.einsum("...abe,...ec->...abc", halfC + table.vv_v[name], gI)
-        m6 = -(dvv + np.swapaxes(dvv, -1, -2))
-
-        for p in (m1, m2, m3, m4, m5, m6):
-            worst = max(worst, float(np.max(np.abs(p))))
+        half_vv = table.half_structure + table.vv_v[name]
+        low = _einsum("...abe,...ec->...abc", half_vv, gI)
+        worst = max(worst, _sup(low + np.swapaxes(low, -1, -2)))
     return worst
 
 
@@ -222,65 +227,59 @@ def koszul_residual(riem, table: ChristoffelTable | None = None,
         C = riem.conn.basis.structure
 
         # lift, lift; lift
-        lhs = 2.0 * np.einsum("...mns,...sr->...mnr", table.hh_h[name], gM)
+        lhs = 2.0 * _einsum("...mns,...sr->...mnr", table.hh_h[name], gM)
         rhs = dgM + np.swapaxes(dgM, -3, -2) - np.moveaxis(dgM, -3, -1)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        worst = max(worst, _sup(lhs - rhs))
 
         # lift, lift; inner
-        lhs = 2.0 * np.einsum("...mne,...ec->...mnc", table.half_curvature[name], gI)
-        rhs = np.einsum("...mne,...ec->...mnc", Ft, gI)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        lhs = 2.0 * _einsum("...mne,...ec->...mnc", table.half_curvature[name], gI)
+        rhs = _einsum("...mne,...ec->...mnc", Ft, gI)
+        worst = max(worst, _sup(lhs - rhs))
 
         # lift, inner; lift
-        lhs = 2.0 * np.einsum("...mbs,...sn->...mbn", table.hv_h[name], gM)
-        rhs = -np.einsum("...mne,...eb->...mbn", Ft, gI)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        lhs = 2.0 * _einsum("...mbs,...sn->...mbn", table.hv_h[name], gM)
+        rhs = -_einsum("...mne,...eb->...mbn", Ft, gI)
+        worst = max(worst, _sup(lhs - rhs))
 
         # lift, inner; inner
-        lhs = 2.0 * np.einsum(
-            "...mbf,...fc->...mbc", N + table.hv_v[name], gI
-        )
-        rot = np.einsum("...mbf,...fc->...mbc", N, gI)
+        lhs = 2.0 * _einsum("...mbf,...fc->...mbc", N + table.hv_v[name], gI)
+        rot = _einsum("...mbf,...fc->...mbc", N, gI)
         rhs = dgI + rot - np.swapaxes(rot, -1, -2)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        worst = max(worst, _sup(lhs - rhs))
 
         # inner, lift; lift
-        lhs = 2.0 * np.einsum("...ans,...sr->...anr", table.vh_h[name], gM)
-        rhs = -np.einsum("...nre,...ea->...anr", Ft, gI)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        lhs = 2.0 * _einsum("...ans,...sr->...anr", table.vh_h[name], gM)
+        rhs = -_einsum("...nre,...ea->...anr", Ft, gI)
+        worst = max(worst, _sup(lhs - rhs))
 
         # inner, lift; inner
-        lhs = 2.0 * np.einsum("...and,...dc->...anc", table.vh_v[name], gI)
-        rot = np.einsum("...naf,...fc->...nac", N, gI)
-        rhs = np.moveaxis(dgI, -3, -2) - np.moveaxis(rot, -3, -2) - np.einsum(
-            "...ncf,...fa->...anc", N, gI
-        )
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        lhs = 2.0 * _einsum("...and,...dc->...anc", table.vh_v[name], gI)
+        rot = _einsum("...naf,...fc->...nac", N, gI)
+        rhs = np.moveaxis(dgI, -3, -2) - np.moveaxis(rot, -3, -2)
+        rhs = rhs - _einsum("...ncf,...fa->...anc", N, gI)
+        worst = max(worst, _sup(lhs - rhs))
 
         # inner, inner; lift
-        lhs = 2.0 * np.einsum("...abs,...sr->...abr", table.vv_h[name], gM)
+        lhs = 2.0 * _einsum("...abs,...sr->...abr", table.vv_h[name], gM)
         rhs = -np.moveaxis(_nabla_g_int(gI, dgI, N), -3, -1)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        worst = max(worst, _sup(lhs - rhs))
 
         # inner, inner; inner
-        lhs = 2.0 * np.einsum(
-            "...abe,...ec->...abc", table.half_structure + table.vv_v[name], gI
-        )
+        half_vv = table.half_structure + table.vv_v[name]
+        lhs = 2.0 * _einsum("...abe,...ec->...abc", half_vv, gI)
         rhs = (
-            np.einsum("abe,...ec->...abc", C, gI)
-            - np.einsum("ace,...eb->...abc", C, gI)
-            - np.einsum("bce,...ea->...abc", C, gI)
+            _einsum("abe,...ec->...abc", C, gI)
+            - _einsum("ace,...eb->...abc", C, gI)
+            - _einsum("bce,...ea->...abc", C, gI)
         )
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        worst = max(worst, _sup(lhs - rhs))
     return worst
 
 
 def residual_table(riem) -> dict:
     """The diagnostic summary used by the command-line `lc check`."""
     table = christoffel(riem)
-    gamma_hh_v = max(
-        float(np.max(np.abs(table.hh_v[ch.name]))) for ch in riem.man.charts
-    )
+    gamma_hh_v = max(_sup(table.hh_v[ch.name]) for ch in riem.man.charts)
     return {
         "torsion": torsion_residual(riem, table),
         "metricity": metricity_residual(riem, table),

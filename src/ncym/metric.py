@@ -33,7 +33,6 @@ __all__ = [
     "assemble",
     "extract_connection",
     "decompose_metric",
-    "invert",
     "identity_residuals",
     "orthogonality_residual",
 ]
@@ -190,15 +189,6 @@ def decompose_metric(
         Ag = np.einsum("...ma,...ab->...mb", A, gI)
         gM[ch.name] = G[..., :d, :d] - np.einsum("...ma,...na->...mn", Ag, A)
     return BaseMetric(man, gM), internal, conn
-
-
-def invert(riem: RiemannianStructure) -> dict:
-    """The inverse blocks per chart: h^mu_nu, h_Int^ab and the full matrix."""
-    return {
-        "hbase": riem.hbase,
-        "hint": riem.hint,
-        "full": {ch.name: riem.full_inverse(ch.name) for ch in riem.man.charts},
-    }
 
 
 def identity_residuals(riem: RiemannianStructure) -> dict:

@@ -7,6 +7,7 @@ first class on a traceless algebra.  The suite exists so a deployed copy can
 vouch for itself without the development test harness.
 """
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    seconds: float  # wall time of the check
 
 
 def _su2_torus(npts=8):
@@ -310,11 +312,13 @@ def run_selfcheck(module_filter: str | None = None) -> list:
     for module, name, fn in _CHECKS:
         if module_filter is not None and module_filter != module:
             continue
+        t0 = time.perf_counter()
         try:
             passed, detail = fn()
         except Exception as exc:  # a crashed check is a failed check
             passed, detail = False, f"{type(exc).__name__}: {exc}"
-        results.append(CheckResult(module, name, bool(passed), detail))
+        seconds = time.perf_counter() - t0
+        results.append(CheckResult(module, name, bool(passed), detail, seconds))
     return results
 
 
@@ -325,7 +329,8 @@ def format_table(results) -> str:
     for r in results:
         flag = "pass" if r.passed else "FAIL"
         lines.append(
-            f"{r.module:<{wide_mod}}  {r.name:<{wide_name}}  {flag}  {r.detail}"
+            f"{r.module:<{wide_mod}}  {r.name:<{wide_name}}  {flag}  "
+            f"{r.seconds:6.2f}s  {r.detail}"
         )
     bad = sum(1 for r in results if not r.passed)
     lines.append(f"{len(results)} checks, {bad} failed")

@@ -8,11 +8,24 @@ serializes to its chart metadata (name, shape, spacing, periodicity,
 orientation) plus the constructor kind and parameters, which is enough to
 rebuild the shipped manifolds exactly.  Reports are emitted through
 :func:`dumps_canonical`, which fixes key order and separators so identical
-results produce bytewise-identical files.
+results produce bytewise-identical files.  Every file is strict JSON: a
+non-finite float is written as the string ``"NaN"``, ``"Infinity"`` or
+``"-Infinity"`` (see :func:`json_float`), never as a bare token.
+
+Determinism
+-----------
+A rerun of the same config is bitwise identical on the same machine with the
+same BLAS thread count.  Across machines and BLAS builds, which may order
+floating-point sums differently, evaluations agree to 1e-12 relative, and
+quantities at roundoff level (residuals of exact identities) to 1e-14
+absolute.  Solves are not bound across machines: the iteration amplifies
+rounding differences, so a 1e-15 change per matrix product can move the final
+residuals by 1e-3 relative.
 """
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +39,17 @@ __all__ = [
     "manifold_meta",
     "connection_snapshot",
     "state_snapshot",
+    "json_float",
     "dumps_canonical",
     "save_report",
     "save_trace_csv",
 ]
+
+
+def json_float(v):
+    """A float for strict JSON: non-finite values become "NaN", "Infinity" or "-Infinity"."""
+    v = float(v)
+    return v if math.isfinite(v) else json.dumps(v)
 
 
 def array_to_json(arr: np.ndarray) -> dict:
@@ -37,10 +57,10 @@ def array_to_json(arr: np.ndarray) -> dict:
     arr = np.asarray(arr)
     if np.iscomplexobj(arr):
         flat = arr.ravel(order="C")
-        values = [[float(v.real), float(v.imag)] for v in flat]
+        values = [[json_float(v.real), json_float(v.imag)] for v in flat]
         kind = "complex"
     else:
-        values = [float(v) for v in arr.ravel(order="C")]
+        values = [json_float(v) for v in arr.ravel(order="C")]
         kind = "real"
     return {"shape": list(arr.shape), "kind": kind, "values": values}
 
@@ -49,7 +69,7 @@ def json_to_array(obj: dict) -> np.ndarray:
     shape = tuple(obj["shape"])
     if obj["kind"] == "complex":
         vals = np.array(
-            [complex(re, im) for re, im in obj["values"]], dtype=complex
+            [complex(float(re), float(im)) for re, im in obj["values"]], dtype=complex
         )
     elif obj["kind"] == "real":
         vals = np.array(obj["values"], dtype=float)
@@ -106,8 +126,10 @@ def state_snapshot(ncc: NCConnection) -> dict:
 
 
 def dumps_canonical(obj) -> str:
-    """Deterministic JSON text: sorted keys, fixed separators, newline end."""
-    return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+    """Deterministic strict JSON text: sorted keys, fixed separators, newline
+    end; a bare non-finite float raises ValueError instead of writing NaN."""
+    text = json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": "), allow_nan=False)
+    return text + "\n"
 
 
 def save_report(path, obj) -> None:

@@ -1,9 +1,14 @@
 """Characteristic forms and numbers: instanton charge, monopole charge,
 closedness, gluing consistency, and gauge invariance."""
 
+import json
+
 import numpy as np
 import pytest
 
+import ncym.chern_weil as cw
+import ncym.connections as connections
+import ncym.levi_civita as lc
 from ncym.chern_weil import ChernForm, chern_form, chern_number, closedness_residual
 from ncym.connections import (
     OrdinaryConnection,
@@ -15,6 +20,7 @@ from ncym.connections import (
 )
 from ncym.errors import InvalidRank
 from ncym.geometry import build_torus, grid_points
+from ncym.cli import main
 from ncym.lie_core import Representation, build_u1
 
 
@@ -185,3 +191,26 @@ def test_form_degree_and_keys(bpst16_form):
     for comp in bpst16_form.comps.values():
         assert set(comp.keys()) == {TOP4}
         assert comp[TOP4].dtype == np.float64
+
+
+def test_one_field_strength_and_one_form_per_chern_task(monkeypatch, tmp_path):
+    calls = {"curvature_F": 0, "chern_form": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    # every binding site of each function
+    field_strength = counted("curvature_F", connections.curvature_F)
+    for module in (connections, cw, lc):
+        monkeypatch.setattr(module, "curvature_F", field_strength)
+    monkeypatch.setattr(cw, "chern_form", counted("chern_form", cw.chern_form))
+
+    doc = {"task": "chern", "bundle": {"kind": "instanton", "npts": 8}}
+    path = tmp_path / "chern.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 0
+    assert calls == {"curvature_F": 1, "chern_form": 1}

@@ -2,11 +2,14 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ncym.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _write(tmp_path, doc, name="exp.json"):
@@ -163,7 +166,14 @@ def test_non_finite_solve_is_refused(tmp_path):
     doc["solver"]["max_iters"] = 2
     with np.errstate(all="ignore"):
         main(["run", _write(tmp_path, doc)])
-    res = json.loads((tmp_path / "out" / "report.json").read_text())["result"]
+    text = (tmp_path / "out" / "report.json").read_text()
+
+    def refuse(token):
+        raise AssertionError(f"bare {token} in report.json")
+
+    res = json.loads(text, parse_constant=refuse)["result"]
+    assert res["action"] == "NaN"
+    assert res["residuals"] == ["NaN"] * 3
     assert res["refused"] is not None
     assert res["commutant_dim"] is None
     assert res["casimir_spectrum"] is None
@@ -227,3 +237,31 @@ def test_plot_without_trace_exits_2(tmp_path, capsys):
     (tmp_path / "empty").mkdir()
     assert main(["plot", str(tmp_path / "empty"), "--what", "trace"]) == 2
     capsys.readouterr()
+
+
+def _agree(got, want, path="report"):
+    """Mismatches between two report trees under the determinism contract:
+    numbers to 1e-12 relative with a 1e-14 absolute floor, the rest exactly."""
+    if isinstance(want, dict):
+        if not isinstance(got, dict) or set(got) != set(want):
+            return [f"{path}: keys differ"]
+        return [m for k in want for m in _agree(got[k], want[k], f"{path}.{k}")]
+    if isinstance(want, list):
+        if not isinstance(got, list) or len(got) != len(want):
+            return [f"{path}: lengths differ"]
+        return [m for i, pair in enumerate(zip(got, want)) for m in _agree(*pair, f"{path}[{i}]")]
+    if isinstance(want, float) and isinstance(got, (int, float)):
+        ok = abs(got - want) <= 1e-12 * abs(want) + 1e-14
+        return [] if ok else [f"{path}: {got!r} != {want!r}"]
+    return [] if got == want else [f"{path}: {got!r} != {want!r}"]
+
+
+@pytest.mark.parametrize("name", ["torus_lc_check", "bpst_chern"])
+def test_shipped_configs_reproduce_committed_runs(name, tmp_path):
+    """The determinism contract across machines and BLAS builds: a rerun of a
+    shipped config agrees with its committed report within tolerance."""
+    out = tmp_path / name
+    assert main(["run", str(ROOT / "configs" / f"{name}.json"), "--output-dir", str(out)]) == 0
+    got = json.loads((out / "report.json").read_text())
+    want = json.loads((ROOT / "runs" / name / "report.json").read_text())
+    assert _agree(got, want) == []

@@ -238,6 +238,32 @@ def test_interp_chart_matches_smooth_field():
     assert np.max(np.abs(vals - exact)) < 5e-3
 
 
+def test_interp_chart_interpolates_trailing_axes_together():
+    """One interpolator over the value axes equals one per component."""
+    from scipy.interpolate import RegularGridInterpolator
+
+    man = build_sphere_two_charts(4, 8, 1.0)
+    ch = man.chart("south")
+    rng = np.random.default_rng(5)
+    extra = (4, 2, 2)
+    arr = rng.normal(size=ch.shape + extra) + 1j * rng.normal(size=ch.shape + extra)
+    pts = rng.uniform(-1.4, 1.4, size=(3, 7, 4))
+    vals = interp_chart(ch, arr, pts)
+    assert vals.shape == (3, 7) + extra
+    assert vals.dtype == arr.dtype
+
+    flat = arr.reshape(ch.shape + (-1,))
+    oracle = np.stack(
+        [RegularGridInterpolator(ch.coords, flat[..., j])(pts) for j in range(flat.shape[-1])],
+        axis=-1,
+    ).reshape(vals.shape)
+    assert np.max(np.abs(vals - oracle)) <= 1e-15
+
+    outside = np.array([[0.0, 0.0, 0.0, 1.59]])  # beyond the last cell centre
+    with pytest.raises(ValueError):
+        interp_chart(ch, arr, outside)
+
+
 def test_su_log_round_trip_and_tracelessness():
     lb = build_su(2)
     rng = np.random.default_rng(3)

@@ -1,5 +1,7 @@
 """The runtime invariant suite passes, filters, and contains failures."""
 
+import re
+
 import ncym.selfcheck as sc
 
 
@@ -35,3 +37,8 @@ def test_format_table_summarizes():
     text = sc.format_table(results)
     assert "pass" in text
     assert text.strip().endswith("0 failed")
+    # every check row carries its wall time
+    assert all(r.seconds >= 0.0 for r in results)
+    rows = text.splitlines()[:-1]
+    assert len(rows) == len(results)
+    assert all(re.search(r"  (pass|FAIL) +\d+\.\d{2}s  ", row) for row in rows)

@@ -15,6 +15,7 @@ from ncym.serialize import (
     array_to_json,
     connection_snapshot,
     dumps_canonical,
+    json_float,
     json_to_array,
     manifold_meta,
     save_trace_csv,
@@ -112,6 +113,27 @@ def test_dumps_canonical_is_order_independent():
     b = {"c": {"x": 1e-17, "y": 2.0}, "a": [1, 2], "b": 1.5}
     assert dumps_canonical(a) == dumps_canonical(b)
     assert dumps_canonical(a).endswith("\n")
+
+
+def _strict(text):
+    def refuse(token):
+        raise ValueError(f"bare {token} in JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_non_finite_values_are_strict_json():
+    assert [json_float(v) for v in (np.nan, np.inf, -np.inf, 0.5)] == [
+        "NaN", "Infinity", "-Infinity", 0.5,
+    ]
+    with pytest.raises(ValueError):
+        dumps_canonical({"action": float("nan")})
+    arr = np.array([[np.nan, 1.0], [np.inf, -np.inf]])
+    cplx = arr.astype(complex)
+    cplx.imag = arr[::-1]
+    for values in (arr, cplx):
+        back = json_to_array(_strict(dumps_canonical(array_to_json(values))))
+        np.testing.assert_array_equal(back, values)
 
 
 def test_trace_csv_columns(tmp_path):
