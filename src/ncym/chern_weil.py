@@ -35,6 +35,10 @@ TWO_PI = 2.0 * np.pi
 # everywhere keeps d(dA) telescoping to rounding noise on abelian bundles.
 STENCIL_ORDER = 4
 
+# The pairings of the 2q slots of a degree-2q key, one ordering each, written
+# flat as (a0, b0, a1, b1, ...) with a_i < b_i and a0 < a1 < ...
+PAIRINGS = {1: ((0, 1),), 2: ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))}
+
 
 class ChernForm:
     """Real scalar components of a degree-2q form on the base, per chart.
@@ -74,9 +78,11 @@ def chern_form(conn: OrdinaryConnection, q: int) -> ChernForm:
 
     q = 1: (i / 2 pi) tr F.
     q = 2: the determinant-expansion class ((i/2pi)^2 / 2) (tr F tr F
-    - tr(F F)), antisymmetrized over the four base slots.  The permutation
-    sum is divided by 2^q, which collapses it to the shuffle sum defining
-    the wedge of q two-forms.
+    - tr(F F)), antisymmetrized over the four base slots: the permutation
+    sum divided by 2^q, the shuffle sum defining the wedge of q two-forms.
+    The summand is antisymmetric within each slot pair and symmetric under
+    exchanging pairs, so that sum is q! times the signed sum over the
+    pairings of the slots, which is what is evaluated.
     """
     d = conn.man.dim
     if q < 1:
@@ -94,8 +100,8 @@ def chern_form(conn: OrdinaryConnection, q: int) -> ChernForm:
         here = {}
         for key in itertools.combinations(range(d), 2 * q):
             acc = 0.0
-            for perm in itertools.permutations(range(2 * q)):
-                idx = [key[p] for p in perm]
+            for pairing in PAIRINGS[q]:
+                idx = [key[p] for p in pairing]
                 sign = _perm_sign(idx)
                 if q == 1:
                     acc = acc + sign * trF[idx[0], idx[1]]
@@ -103,9 +109,9 @@ def chern_form(conn: OrdinaryConnection, q: int) -> ChernForm:
                     i, j, k, l = idx
                     pair = np.einsum("...ab,...ba->...", Fm[i, j], Fm[k, l])
                     acc = acc + sign * (trF[i, j] * trF[k, l] - pair)
-            # 1 / 2^q collapses the permutation sum to the shuffle sum of the
-            # wedge; the extra 1/2 below is the determinant-expansion factor.
-            acc = acc * (1j / TWO_PI) ** q / 2**q
+            # q! turns the pairing sum into the shuffle sum of the wedge; the
+            # extra 1/2 below is the determinant-expansion factor.
+            acc = acc * math.factorial(q) * (1j / TWO_PI) ** q
             if q == 2:
                 acc = acc * 0.5
             if np.max(np.abs(acc.imag)) > 1e-10 * max(np.max(np.abs(acc.real)), 1.0):
@@ -160,10 +166,7 @@ def closedness_residual(cf: ChernForm) -> float:
     return worst
 
 
-def chern_number(conn: OrdinaryConnection, q: int, riem=None) -> float:
-    """Integral of the top characteristic form over the base.
-
-    ``riem`` is accepted for interface uniformity with the other evaluators
-    and ignored: see :meth:`ChernForm.integral`.
-    """
+def chern_number(conn: OrdinaryConnection, q: int) -> float:
+    """Integral of the top characteristic form over the base; metric-free,
+    see :meth:`ChernForm.integral`."""
     return chern_form(conn, q).integral()

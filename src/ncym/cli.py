@@ -3,8 +3,10 @@
 One run per process.  A run reads a JSON config, dispatches its task, and
 writes artifacts into the output directory: `report.json` always (carrying
 the resolved config verbatim), `trace.csv` for solves, field snapshots when
-requested.  Exit codes: 0 success, 2 validation failure, 3 the solver ran
-out of budget (partial artifacts are still written).
+requested.  Exit codes: 0 success, 1 a selfcheck failed, 2 validation
+failure; a solve that did not converge still writes its artifacts and exits
+3 when it ran out of iterations, 4 when the line search stalled, 5 when the
+action or the gradient became non-finite.
 
 `--threads` (or the NCYM_THREADS environment variable) is a parallelism
 hint handed to the BLAS runtime before the numerical modules load; it changes
@@ -21,7 +23,8 @@ from pathlib import Path
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_NO_CONVERGE = 3
+# VacuumReport.stop_reason -> exit code of a solve
+EXIT_SOLVE = {"converged": EXIT_OK, "budget": 3, "stalled": 4, "non_finite": 5}
 
 
 def _apply_threads_hint(threads: int | None) -> None:
@@ -96,8 +99,7 @@ def _task_solve(problem, doc, out_dir):
         "commutant_dim": report.commutant_dim,
         "refused": report.refused,
     }
-    code = EXIT_OK if report.converged else EXIT_NO_CONVERGE
-    return code, result
+    return EXIT_SOLVE[report.stop_reason], result
 
 
 def _task_classify(problem, doc):
@@ -136,7 +138,8 @@ def _task_lc_check(problem, doc):
 
 def _task_geom_check(problem, doc):
     import numpy as np
-    from .geometry import grid_points
+    from .connections import gluing_residuals
+    from .geometry import overlap_round_trip
 
     man = problem.man
     base = problem.riem.base
@@ -146,20 +149,10 @@ def _task_geom_check(problem, doc):
             float(np.sum(man.weights[ch.name] * base.sqrt_det[ch.name]))
             * ch.cell_volume
         )
-    round_trip = 0.0
-    for ov in man.overlaps:
-        x = grid_points(man.chart(ov.src))
-        pts = x[ov.in_overlap(x)]
-        back = man.overlap(ov.dst, ov.src)
-        round_trip = max(
-            round_trip, float(np.max(np.abs(back.point_map(ov.point_map(pts)) - pts)))
-        )
-    from .connections import gluing_residuals
-
     gluing = gluing_residuals(problem.conn) if man.overlaps else {}
     return EXIT_OK, {
         "volume": volume,
-        "overlap_round_trip": round_trip,
+        "overlap_round_trip": overlap_round_trip(man),
         "potential_gluing": gluing,
     }
 

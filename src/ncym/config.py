@@ -8,7 +8,7 @@ the exact inputs that produced it.
 """
 
 import copy
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import jsonschema
 import numpy as np
@@ -29,6 +29,7 @@ from .errors import ConfigError
 from .geometry import build_torus, flat_metric, round_sphere_metric
 from .lie_core import build_representation, build_su, build_u1
 from .metric import assemble
+from .yang_mills import SolverOptions
 
 __all__ = ["ExperimentConfig", "resolve", "build_problem", "SCHEMA"]
 
@@ -203,18 +204,7 @@ def _defaults_for(doc: dict) -> dict:
         init.setdefault("seed", doc.get("seed", 0))
         init.setdefault("amplitude", 0.5)
         init.setdefault("x_dependent", False)
-    doc.setdefault("solver", {})
-    for key, val in (
-        ("max_iters", 400),
-        ("tol", 1e-8),
-        ("step", 0.25),
-        ("momentum", 0.85),
-        ("armijo", 1e-4),
-        ("shrink", 0.5),
-        ("max_backtracks", 30),
-        ("project", True),
-    ):
-        doc["solver"].setdefault(key, val)
+    doc["solver"] = {**asdict(SolverOptions()), **doc.get("solver", {})}
     if doc["task"] == "chern":
         doc.setdefault("chern", {})
         doc["chern"].setdefault("degree", 2 if kind == "instanton" else 1)

@@ -36,6 +36,7 @@ __all__ = [
     "flat_metric",
     "round_sphere_metric",
     "grid_points",
+    "overlap_round_trip",
     "transition_conjugate",
 ]
 
@@ -129,6 +130,18 @@ def grid_points(chart: ChartGrid) -> np.ndarray:
     """Coordinates of every grid point, shape ``chart.shape + (dim,)``."""
     mesh = np.meshgrid(*chart.coords, indexing="ij")
     return np.stack(mesh, axis=-1)
+
+
+def overlap_round_trip(man: Manifold) -> float:
+    """Worst coordinate error of mapping each overlap's grid points across and
+    back; 0.0 on a one-chart manifold."""
+    worst = 0.0
+    for ov in man.overlaps:
+        x = grid_points(man.chart(ov.src))
+        pts = x[ov.in_overlap(x)]
+        back = man.overlap(ov.dst, ov.src)
+        worst = max(worst, float(np.max(np.abs(back.point_map(ov.point_map(pts)) - pts))))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +437,8 @@ def build_sphere_two_charts(
 # ---------------------------------------------------------------------------
 
 
-def interp_chart(chart: ChartGrid, arr: np.ndarray, pts: np.ndarray, method: str = "linear"):
-    """Sample a per-chart array at arbitrary coordinates.
+def interp_chart(chart: ChartGrid, arr: np.ndarray, pts: np.ndarray):
+    """Sample a per-chart array at arbitrary coordinates, linearly.
 
     ``arr`` has shape ``chart.shape + extra``; ``pts`` is (..., dim).  Extra
     axes are interpolated independently, by one interpolator over all of
@@ -433,7 +446,7 @@ def interp_chart(chart: ChartGrid, arr: np.ndarray, pts: np.ndarray, method: str
     """
     from scipy.interpolate import RegularGridInterpolator
 
-    return RegularGridInterpolator(chart.coords, arr, method=method)(pts)
+    return RegularGridInterpolator(chart.coords, arr)(pts)
 
 
 def expm_antihermitian(x: np.ndarray) -> np.ndarray:

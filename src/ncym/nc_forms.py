@@ -57,7 +57,6 @@ __all__ = [
     "dagger_form",
     "horizontal_part",
     "vertical_part",
-    "reassemble",
     "hodge_star",
     "metric_pairing",
     "fiber_integrate",
@@ -288,10 +287,6 @@ def vertical_part(w: MixedForm) -> MixedForm:
         w.degree, w.chart, w.ref,
         {k: v.copy() for k, v in w.comps.items() if any(x >= d for x in k)},
     )
-
-
-def reassemble(horiz: MixedForm, vert: MixedForm) -> MixedForm:
-    return horiz + vert
 
 
 # ---------------------------------------------------------------------------

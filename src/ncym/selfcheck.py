@@ -26,7 +26,15 @@ from .connections import (
     zero_connection,
     zero_ncc,
 )
-from .geometry import build_sphere_two_charts, build_torus, flat_metric, grid_points, partial_derivative, round_sphere_metric
+from .geometry import (
+    build_sphere_two_charts,
+    build_torus,
+    flat_metric,
+    grid_points,
+    overlap_round_trip,
+    partial_derivative,
+    round_sphere_metric,
+)
 from .levi_civita import christoffel, residual_table
 from .lie_core import Representation, build_representation, build_su, build_u1
 from .metric import assemble, identity_residuals
@@ -107,14 +115,7 @@ def _check_sphere_area():
 
 
 def _check_overlap_round_trip():
-    man = build_sphere_two_charts(2, 12, 1.0, 1.6)
-    worst = 0.0
-    for ov in man.overlaps:
-        x = grid_points(man.chart(ov.src))
-        mask = ov.in_overlap(x)
-        pts = x[mask]
-        back = man.overlap(ov.dst, ov.src)
-        worst = max(worst, float(np.max(np.abs(back.point_map(ov.point_map(pts)) - pts))))
+    worst = overlap_round_trip(build_sphere_two_charts(2, 12, 1.0, 1.6))
     return worst < 1e-12, _detail(worst, 1e-12)
 
 

@@ -73,17 +73,24 @@ class VacuumReport:
     ``residuals`` are the integrated norms of the three vacuum equations in
     the order (vertical, mixed, horizontal): the scalar fields closing on
     the structure constants, the covariantly-constant scalars, and the
-    field-strength matching condition.
+    field-strength matching condition.  ``stop_reason`` says why the solver
+    stopped: ``converged`` (the gradient norm fell to ``tol``), ``budget``
+    (``max_iters`` ran out), ``stalled`` (the line search found no decrease)
+    or ``non_finite`` (the action or the gradient norm was not finite).
     """
 
     residuals: tuple
     action: float
-    converged: bool
+    stop_reason: str
     iterations: int
     casimir_spectrum: tuple | None = None
     casimir_deviation: float | None = None
     commutant_dim: int | None = None
     refused: str | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
 
 def _check_shared_reference(ncc: NCConnection, riem) -> None:
@@ -316,7 +323,8 @@ def solve_vacuum(init: NCConnection, riem, opts: SolverOptions | None = None):
 
     Returns ``(terminal connection, VacuumReport, trace)`` where ``trace`` is
     the per-iteration list of ``(action, gradient norm)``.  Non-convergence
-    within the budget is reported through the flag, never as an exception.
+    within the budget is reported through ``stop_reason``, never as an
+    exception.
     """
     opts = opts or SolverOptions()
     state = replace(init, a={k: v.copy() for k, v in init.a.items()},
@@ -325,14 +333,17 @@ def solve_vacuum(init: NCConnection, riem, opts: SolverOptions | None = None):
     S = action(state, riem).s_total
     eta = opts.step
     trace = []
-    converged = False
+    stop = "budget"
     it = 0
     for it in range(1, opts.max_iters + 1):
         g = gradient(state, riem)
         gn = grad_norm(g)
         trace.append((S, gn))
+        if not (np.isfinite(S) and np.isfinite(gn)):
+            stop = "non_finite"
+            break
         if gn <= opts.tol:
-            converged = True
+            stop = "converged"
             break
         if vel is None:
             vel = _fields_map(np.copy, g)
@@ -352,13 +363,14 @@ def solve_vacuum(init: NCConnection, riem, opts: SolverOptions | None = None):
             direction, vel, slope = _steepest(g, gn)
             found = _line_search(state, S, direction, slope, opts.step, riem, opts)
         if found is None:
-            break  # stalled at line-search resolution
+            stop = "stalled"  # at line-search resolution
+            break
         state, S, eta = found
-    report = _report(state, riem, converged, it)
+    report = _report(state, riem, stop, it)
     return state, report, trace
 
 
-def _report(ncc: NCConnection, riem, converged: bool, iterations: int) -> VacuumReport:
+def _report(ncc: NCConnection, riem, stop_reason: str, iterations: int) -> VacuumReport:
     bd = action(ncc, riem)
     res, S = bd.residuals, bd.s_total
     try:
@@ -366,7 +378,7 @@ def _report(ncc: NCConnection, riem, converged: bool, iterations: int) -> Vacuum
         return VacuumReport(
             residuals=res,
             action=S,
-            converged=converged,
+            stop_reason=stop_reason,
             iterations=iterations,
             casimir_spectrum=cls["casimir_spectrum"],
             casimir_deviation=cls["casimir_deviation"],
@@ -376,7 +388,7 @@ def _report(ncc: NCConnection, riem, converged: bool, iterations: int) -> Vacuum
         return VacuumReport(
             residuals=res,
             action=S,
-            converged=converged,
+            stop_reason=stop_reason,
             iterations=iterations,
             refused=str(err),
         )

@@ -180,11 +180,6 @@ def test_degree_guards(bpst16, torus_u1):
         chern_number(conn2, 2)
 
 
-def test_metric_argument_is_inert(torus_u1):
-    _, _, _, conn = torus_u1
-    assert chern_number(conn, 1, riem=object()) == chern_number(conn, 1)
-
-
 def test_form_degree_and_keys(bpst16_form):
     assert isinstance(bpst16_form, ChernForm)
     assert bpst16_form.degree == 4

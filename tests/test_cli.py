@@ -159,13 +159,28 @@ def test_budget_exhaustion_exits_3(tmp_path):
     assert (tmp_path / "out" / "trace.csv").exists()
 
 
+def test_stalled_solve_exits_4(tmp_path):
+    """A line search that finds no decrease is a stall, not a spent budget."""
+    doc = {
+        "task": "solve",
+        "bundle": {"kind": "torus", "npts": 8},
+        "initial": {"kind": "random", "seed": 3, "amplitude": 0.5},
+        "solver": {"step": 1e3, "max_backtracks": 1},
+        "output_dir": str(tmp_path / "out"),
+    }
+    assert main(["run", _write(tmp_path, doc)]) == 4
+    res = json.loads((tmp_path / "out" / "report.json").read_text())["result"]
+    assert res["converged"] is False and res["iterations"] == 1
+
+
 def test_non_finite_solve_is_refused(tmp_path):
-    """Fields that overflow to NaN are refused, never classified."""
+    """Fields that overflow to NaN stop the solve at once with exit code 5,
+    and are refused, never classified."""
     doc = _solve_doc(tmp_path / "out")
     doc["initial"]["amplitude"] = 1e200
     doc["solver"]["max_iters"] = 2
     with np.errstate(all="ignore"):
-        main(["run", _write(tmp_path, doc)])
+        assert main(["run", _write(tmp_path, doc)]) == 5
     text = (tmp_path / "out" / "report.json").read_text()
 
     def refuse(token):

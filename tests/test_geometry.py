@@ -16,6 +16,7 @@ from ncym.geometry import (
     grid_points,
     integrate,
     interp_chart,
+    overlap_round_trip,
     partial_derivative,
     rep_of_group,
     round_sphere_metric,
@@ -160,6 +161,13 @@ def test_point_map_round_trip():
     mask = ov.in_overlap(x)
     back = ov.point_map(ov.point_map(x[mask]))
     assert np.max(np.abs(back - x[mask])) < 1e-12
+
+
+def test_overlap_round_trip_both_directions():
+    assert overlap_round_trip(build_torus(2, 8)) == 0.0
+    man = build_sphere_two_charts(2, 16, 1.5)
+    assert {(ov.src, ov.dst) for ov in man.overlaps} == {("north", "south"), ("south", "north")}
+    assert overlap_round_trip(man) < 1e-12
 
 
 def test_pou_small_perturbation_insensitivity():

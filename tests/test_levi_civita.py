@@ -1,9 +1,14 @@
 """Metric connection table: symbol families, torsion/metricity/Koszul checks."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ncym.connections as connections
+import ncym.levi_civita as lc
+from ncym.cli import main
 from ncym.connections import OrdinaryConnection, constant_connection, zero_connection
 from ncym.geometry import (
     BaseMetric,
@@ -181,3 +186,22 @@ def test_residual_table_contract(su2):
     assert set(out) == {"torsion", "metricity", "koszul", "vertical_lift_lift_symbol"}
     for v in out.values():
         assert isinstance(v, float) and v >= 0.0
+
+
+def test_one_check_order_field_strength_per_lc_check(monkeypatch, tmp_path):
+    """The table takes the field strength at its own order, the three
+    residuals share one at the check order."""
+    orders = []
+
+    def counted(conn, order=2):
+        orders.append(order)
+        return field_strength(conn, order=order)
+
+    field_strength = connections.curvature_F
+    for module in (connections, lc):
+        monkeypatch.setattr(module, "curvature_F", counted)
+    doc = {"task": "lc-check", "bundle": {"kind": "instanton", "npts": 8}}
+    path = tmp_path / "lc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 0
+    assert sorted(orders) == [lc.TABLE_ORDER, lc.CHECK_ORDER]

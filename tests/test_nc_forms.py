@@ -80,11 +80,11 @@ def test_bad_letter_rejected(setup):
 
 
 def test_split_reassembles_bitwise(setup):
-    from ncym.nc_forms import horizontal_part, reassemble, vertical_part
+    from ncym.nc_forms import horizontal_part, vertical_part
 
     man, lb, rep, ref, riem = setup
     w = random_form(ref, man.charts[0], 2, seed=3)
-    back = reassemble(horizontal_part(w), vertical_part(w))
+    back = horizontal_part(w) + vertical_part(w)
     assert set(back.comps) == set(w.comps)
     for key in w.comps:
         assert np.array_equal(back.comps[key], w.comps[key])
