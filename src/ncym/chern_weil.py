@@ -130,6 +130,7 @@ def closedness_residual(cf: ChernForm) -> float:
     a chart's component and the neighbor's component pulled back through the
     transition Jacobian, relative to the peak magnitude of the source
     component (the same normalization as the potential-gluing diagnostic).
+    A NaN anywhere makes the residual NaN.
     """
     man = cf.man
     d = man.dim
@@ -145,7 +146,7 @@ def closedness_residual(cf: ChernForm) -> float:
                     val = val + (-1.0) ** j * partial_derivative(
                         here[rest], ch, axis=mu, order=STENCIL_ORDER
                     )
-                worst = max(worst, float(np.max(np.abs(val))))
+                worst = float(np.maximum(worst, np.max(np.abs(val))))
         return worst
     if len(man.charts) == 1:
         return 0.0
@@ -162,7 +163,8 @@ def closedness_residual(cf: ChernForm) -> float:
         c_src = cf.comps[ov.src][key][mask]
         c_dst = interp_chart(dst, cf.comps[ov.dst][key], mapped)
         scale = max(float(np.max(np.abs(cf.comps[ov.src][key]))), 1e-30)
-        worst = max(worst, float(np.max(np.abs(c_src - c_dst * det)) / scale))
+        err = np.max(np.abs(c_src - c_dst * det)) / scale
+        worst = float(np.maximum(worst, err))
     return worst
 
 

@@ -6,7 +6,9 @@ the resolved config verbatim), `trace.csv` for solves, field snapshots when
 requested.  Exit codes: 0 success, 1 a selfcheck failed, 2 validation
 failure; a solve that did not converge still writes its artifacts and exits
 3 when it ran out of iterations, 4 when the line search stalled, 5 when the
-action or the gradient became non-finite.
+action or the gradient became non-finite.  An `lc-check` whose residuals are
+not all finite writes its report (non-finite values as the strings "NaN",
+"Infinity", "-Infinity") and exits 5 as well.
 
 `--threads` (or the NCYM_THREADS environment variable) is a parallelism
 hint handed to the BLAS runtime before the numerical modules load; it changes
@@ -23,8 +25,11 @@ from pathlib import Path
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
+EXIT_NON_FINITE = 5
 # VacuumReport.stop_reason -> exit code of a solve
-EXIT_SOLVE = {"converged": EXIT_OK, "budget": 3, "stalled": 4, "non_finite": 5}
+EXIT_SOLVE = {
+    "converged": EXIT_OK, "budget": 3, "stalled": 4, "non_finite": EXIT_NON_FINITE,
+}
 
 
 def _apply_threads_hint(threads: int | None) -> None:
@@ -131,9 +136,12 @@ def _task_chern(problem, doc):
 
 
 def _task_lc_check(problem, doc):
+    import math
     from .levi_civita import residual_table
 
-    return EXIT_OK, {"residuals": residual_table(problem.riem)}
+    residuals = residual_table(problem.riem)
+    finite = all(math.isfinite(v) for v in residuals.values())
+    return (EXIT_OK if finite else EXIT_NON_FINITE), {"residuals": residuals}
 
 
 def _task_geom_check(problem, doc):

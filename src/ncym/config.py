@@ -157,6 +157,17 @@ SCHEMA = {
 }
 
 
+def _compile(schema: dict):
+    """The validator ``jsonschema.validate`` builds on every call, with the
+    schema checked against its meta-schema once."""
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+_VALIDATOR = _compile(SCHEMA)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated, fully-resolved experiment description."""
@@ -215,10 +226,10 @@ def _defaults_for(doc: dict) -> dict:
 
 def resolve(doc: dict) -> ExperimentConfig:
     """Validate a raw document and fill in the defaults."""
-    try:
-        jsonschema.validate(doc, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config rejected: {exc.message}") from exc
+    # the error jsonschema.validate would raise, without re-checking SCHEMA
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
+    if error is not None:
+        raise ConfigError(f"config rejected: {error.message}") from error
     resolved = _defaults_for(doc)
     _cross_check(resolved)
     return ExperimentConfig(task=resolved["task"], resolved=resolved)

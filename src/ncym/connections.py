@@ -85,7 +85,8 @@ class OrdinaryConnection:
     """Per-chart gauge potential A^a_mu with its Lie basis and representation.
 
     ``A[name]`` has shape chart.shape + (d, m), real components in the basis
-    E_a.  Caches the field strength and the representation image R(A_mu).
+    E_a.  Caches the field strength, the representation image R(A_mu) and
+    whether a chart's potential is exactly zero.
     """
 
     man: Manifold
@@ -94,6 +95,7 @@ class OrdinaryConnection:
     A: dict
     _F: dict = field(default_factory=dict, repr=False)
     _repA: dict = field(default_factory=dict, repr=False)
+    _zero: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         for ch in self.man.charts:
@@ -115,6 +117,13 @@ class OrdinaryConnection:
         if name not in self._repA:
             self._repA[name] = self.rep.contract(self.A[name])
         return self._repA[name]
+
+    def zero_potential(self, name: str) -> bool:
+        """Whether A has no non-zero entry on the chart, so that R(A), F and
+        every term linear in A vanish there identically."""
+        if name not in self._zero:
+            self._zero[name] = not self.A[name].any()
+        return self._zero[name]
 
     def fund_potential(self, name: str) -> np.ndarray:
         """A_mu contracted with the defining basis matrices, shape + (d, n, n)."""
@@ -558,42 +567,63 @@ def _comm(x, y):
     return x @ y - y @ x
 
 
+def _comm_pairs(x):
+    """[x_i, x_j] for every ordered pair of a stack x of shape (..., n, k, k).
+
+    One product P_ij = x_i x_j per ordered pair, and the commutator is
+    P - P^T in (i, j): each block is the same product on the same data as in
+    ``_comm(x[..., :, None, :, :], x[..., None, :, :, :])``, so the result is
+    bitwise equal to it, at half the block products.
+    """
+    P = x[..., :, None, :, :] @ x[..., None, :, :, :]
+    return P - np.swapaxes(P, -4, -3)
+
+
 def nc_curvature(ncc: NCConnection) -> dict:
     """Curvature components per chart from the closed formulas.
 
     Returns {name: {"hh": shape+(d,d,k,k), "hv": shape+(d,m,k,k),
     "vv": shape+(m,m,k,k)}} with hh and vv antisymmetric.
+
+    On a chart whose reference potential is exactly zero (the trivial
+    bundle's reference, ``OrdinaryConnection.zero_potential``) the terms in
+    R(A), A and F vanish identically and are not formed; every other chart
+    evaluates them in the same order, so both give the same bits.  The
+    self-commutators [a_mu, a_nu] and [phi_a, phi_b] take one block product
+    per ordered pair (``_comm_pairs``).
     """
     ref = ncc.ref
     C = ref.basis.structure
-    R = ref.rep.matrices
     out = {}
     for ch in ref.man.charts:
         name = ch.name
-        d, m = ch.dim, ref.basis.dim
+        d = ch.dim
         a = ncc.a[name]
         phi = ncc.phi[name]
-        A = ref.A[name]
-        F = ref.curvature()[name]
-        RA = ref.rep_potential(name)
 
         # covariant derivatives of a and phi along the frame
         da = np.stack([partial_derivative(a, ch, mu) for mu in range(d)], axis=-4)
         dphi = np.stack([partial_derivative(phi, ch, mu) for mu in range(d)], axis=-4)
-        cov_a = da + _comm(RA[..., :, None, :, :], a[..., None, :, :, :])
-        cov_phi = dphi + _comm(RA[..., :, None, :, :], phi[..., None, :, :, :])
-        cov_phi = cov_phi - np.einsum(
-            "...ma,abc,...cij->...mbij", A, C, phi
-        )
-
-        RF = ref.rep.contract(F)
-        phiF = np.einsum("...mna,...aij->...mnij", F, phi)
-        hh = RF - phiF + cov_a - np.swapaxes(cov_a, -4, -3)
-        hh = hh + _comm(a[..., :, None, :, :], a[..., None, :, :, :])
+        if ref.zero_potential(name):
+            hh = da - np.swapaxes(da, -4, -3)
+            cov_phi = dphi
+        else:
+            A = ref.A[name]
+            F = ref.curvature()[name]
+            RA = ref.rep_potential(name)
+            cov_a = da + _comm(RA[..., :, None, :, :], a[..., None, :, :, :])
+            cov_phi = dphi + _comm(RA[..., :, None, :, :], phi[..., None, :, :, :])
+            cov_phi = cov_phi - np.einsum(
+                "...ma,abc,...cij->...mbij", A, C, phi
+            )
+            RF = ref.rep.contract(F)
+            phiF = np.einsum("...mna,...aij->...mnij", F, phi)
+            hh = RF - phiF + cov_a - np.swapaxes(cov_a, -4, -3)
+        hh = hh + _comm_pairs(a)
 
         hv = cov_phi + _comm(a[..., :, None, :, :], phi[..., None, :, :, :])
 
-        vv = _comm(phi[..., :, None, :, :], phi[..., None, :, :, :])
+        vv = _comm_pairs(phi)
         vv = vv - np.einsum("abc,...cij->...abij", C, phi)
 
         out[name] = {"hh": hh, "hv": hv, "vv": vv}

@@ -134,13 +134,14 @@ def grid_points(chart: ChartGrid) -> np.ndarray:
 
 def overlap_round_trip(man: Manifold) -> float:
     """Worst coordinate error of mapping each overlap's grid points across and
-    back; 0.0 on a one-chart manifold."""
+    back; 0.0 on a one-chart manifold, NaN if any error is NaN."""
     worst = 0.0
     for ov in man.overlaps:
         x = grid_points(man.chart(ov.src))
         pts = x[ov.in_overlap(x)]
         back = man.overlap(ov.dst, ov.src)
-        worst = max(worst, float(np.max(np.abs(back.point_map(ov.point_map(pts)) - pts))))
+        err = np.max(np.abs(back.point_map(ov.point_map(pts)) - pts))
+        worst = float(np.maximum(worst, err))
     return worst
 
 

@@ -134,12 +134,13 @@ def christoffel(riem) -> ChristoffelTable:
 
 
 def _residuals(riem, table: ChristoffelTable) -> dict:
-    """Torsion, metricity and Koszul mismatches in one pass over the charts."""
+    """Torsion, metricity and Koszul mismatches in one pass over the charts;
+    a NaN piece makes its mismatch NaN."""
     worst = {"torsion": 0.0, "metricity": 0.0, "koszul": 0.0}
     bracket_F = curvature_F(riem.conn, order=CHECK_ORDER)
     for ch in riem.man.charts:
         for key, value in _chart_residuals(riem, table, ch, bracket_F[ch.name]):
-            worst[key] = max(worst[key], value)
+            worst[key] = float(np.maximum(worst[key], value))
     return worst
 
 

@@ -67,10 +67,17 @@ def _check_spd(name: str, block: np.ndarray, what: str):
     ev = np.linalg.eigvalsh(block)
     if np.min(ev) <= 0:
         idx = np.unravel_index(int(np.argmin(ev[..., 0])), ev[..., 0].shape)
-        raise SingularMetric(f"{what} on {name} not positive definite at {idx}")
+        where = f" at {idx}" if idx else ""
+        raise SingularMetric(f"{what} on {name} not positive definite{where}")
     cond = float(np.max(ev) / np.min(ev))
     if cond > _COND_WARN:
         warnings.warn(f"{what} on {name}: condition number {cond:.3e}")
+
+
+def _fiber_inverse(name: str, gI: np.ndarray) -> tuple:
+    """Checked inverse and square-root determinant of fiber-metric blocks."""
+    _check_spd(name, gI, "fiber metric")
+    return np.linalg.inv(gI), np.sqrt(np.linalg.det(gI))
 
 
 @dataclass
@@ -124,18 +131,30 @@ class RiemannianStructure:
 
 
 def assemble(base: BaseMetric, internal, conn: OrdinaryConnection) -> RiemannianStructure:
-    """Build the Riemannian structure from (g^M, g_ab, A)."""
+    """Build the Riemannian structure from (g^M, g_ab, A).
+
+    A constant fiber metric, one (m, m) block, is checked and inverted once
+    and its inverse and density broadcast over every chart; the per-point
+    results are the same bits.
+    """
     man = conn.man
     if base.man is not man:
         raise ShapeError("base metric and connection live on different manifolds")
     m = conn.basis.dim
     blocks = _expand_internal(man, internal, m)
     riem = RiemannianStructure(man, base, blocks, conn)
+    single = not (isinstance(internal, dict) or callable(internal)) and (
+        np.shape(internal) == (m, m)
+    )
+    if single:
+        hint, sqrt_det = _fiber_inverse("every chart", np.asarray(internal, dtype=float))
     for ch in man.charts:
         gI = blocks[ch.name]
-        _check_spd(ch.name, gI, "fiber metric")
-        riem.hint[ch.name] = np.linalg.inv(gI)
-        riem.sqrt_det_int[ch.name] = np.sqrt(np.linalg.det(gI))
+        if single:
+            riem.hint[ch.name] = np.broadcast_to(hint, gI.shape).copy()
+            riem.sqrt_det_int[ch.name] = np.full(ch.shape, sqrt_det)
+        else:
+            riem.hint[ch.name], riem.sqrt_det_int[ch.name] = _fiber_inverse(ch.name, gI)
         riem.hbase[ch.name] = base.inv[ch.name]
         riem.sqrtg[ch.name] = base.sqrt_det[ch.name] * riem.sqrt_det_int[ch.name]
     return riem
@@ -239,7 +258,7 @@ def orthogonality_residual(
 
     With no second argument, evaluates the assembled structure (zero up to
     rounding); given full blocks and a connection, measures how well that
-    connection orthogonalizes them.
+    connection orthogonalizes them.  A NaN anywhere makes the residual NaN.
     """
     if g_full is None:
         riem = riem_or_conn
@@ -257,5 +276,5 @@ def orthogonality_residual(
         mixed = np.swapaxes(G[..., :d, d:], -1, -2)  # g_b_mu
         A = conn.A[ch.name]
         resid = mixed + np.einsum("...ba,...ma->...bm", gI, A)
-        worst = max(worst, float(np.max(np.abs(resid))))
+        worst = float(np.maximum(worst, np.max(np.abs(resid))))
     return worst

@@ -182,8 +182,23 @@ def gradient(ncc: NCConnection, riem) -> dict:
     return evaluate(ncc, riem)[1]
 
 
+def _cov_adjoint(T, ch, mu, a, RA):
+    """The adjoint of T -> D_mu T = partial_mu T + [R(A_mu) + a_mu, T],
+    with ``RA`` None on a chart whose reference potential is zero."""
+    out = adjoint_partial_derivative(T, ch, mu)
+    if RA is not None:
+        out = out - _comm(RA[..., mu, :, :], T)
+    return out - _comm(a[..., mu, :, :], T)
+
+
 def _adjoint(ncc: NCConnection, raised: dict) -> dict:
-    """The adjoint of the curvature map applied to the raised tensors."""
+    """The adjoint of the curvature map applied to the raised tensors.
+
+    As in ``nc_curvature``, a chart whose reference potential is exactly
+    zero skips the R(A), A and F terms, which vanish there identically; the
+    remaining terms run in the same order on every chart, so the gradient
+    has the same bits either way.
+    """
     man = ncc.ref.man
     C = ncc.ref.basis.structure
     out_a, out_p = {}, {}
@@ -192,9 +207,8 @@ def _adjoint(ncc: NCConnection, raised: dict) -> dict:
         Thh, Thv, Tvv = raised[name]
         a = ncc.a[name]
         phi = ncc.phi[name]
-        A = ncc.ref.A[name]
-        F = ncc.ref.curvature()[name]
-        RA = ncc.ref.rep_potential(name)
+        zero = ncc.ref.zero_potential(name)
+        RA = None if zero else ncc.ref.rep_potential(name)
         d = man.dim
         m = ncc.ref.basis.dim
 
@@ -205,27 +219,22 @@ def _adjoint(ncc: NCConnection, raised: dict) -> dict:
             acc = np.zeros_like(a[..., 0, :, :])
             for mu in range(d):
                 T = Thh[..., mu, nu, :, :]
-                acc = acc + 2.0 * (
-                    adjoint_partial_derivative(T, ch, mu)
-                    - _comm(RA[..., mu, :, :], T)
-                    - _comm(a[..., mu, :, :], T)
-                )
+                acc = acc + 2.0 * _cov_adjoint(T, ch, mu, a, RA)
             for b in range(m):
                 acc = acc + 2.0 * _comm(phi[..., b, :, :], Thv[..., nu, b, :, :])
             ga[..., nu, :, :] = acc
 
-        mixed = np.einsum("...ma,abc,...mbij->...cij", A, C, Thv)
+        if not zero:
+            F = ncc.ref.curvature()[name]
+            mixed = np.einsum("...ma,abc,...mbij->...cij", ncc.ref.A[name], C, Thv)
         struct = np.einsum("abc,...abij->...cij", C, Tvv)
         for c in range(m):
-            acc = -np.einsum("...mn,...mnij->...ij", F[..., c], Thh)
+            acc = 0.0 if zero else -np.einsum("...mn,...mnij->...ij", F[..., c], Thh)
             for mu in range(d):
                 T = Thv[..., mu, c, :, :]
-                acc = acc + 2.0 * (
-                    adjoint_partial_derivative(T, ch, mu)
-                    - _comm(RA[..., mu, :, :], T)
-                    - _comm(a[..., mu, :, :], T)
-                )
-            acc = acc - 2.0 * mixed[..., c, :, :]
+                acc = acc + 2.0 * _cov_adjoint(T, ch, mu, a, RA)
+            if not zero:
+                acc = acc - 2.0 * mixed[..., c, :, :]
             for aa in range(m):
                 acc = acc - 2.0 * _comm(phi[..., aa, :, :], Tvv[..., aa, c, :, :])
             acc = acc - struct[..., c, :, :]

@@ -156,6 +156,21 @@ def test_closedness_telescopes_below_top_degree():
     assert closedness_residual(cf) < 1e-14
 
 
+def test_closedness_residual_propagates_nan():
+    # below top degree: the exterior derivative of a 2-form on the 3-torus
+    man = build_torus(3, 8)
+    x = grid_points(man.charts[0])
+    keys = ((0, 1), (0, 2), (1, 2))
+    comps = {key: np.sin(x[..., key[0]] + 2.0 * x[..., key[1]]) for key in keys}
+    comps[(1, 2)][4, 1, 6] = np.nan
+    assert np.isnan(closedness_residual(ChernForm(man, 1, {"t0": comps})))
+    # top degree on a glued base: the overlap mismatch
+    man, _, _ = monopole_bundle(12, 1)
+    comps = {ch.name: {(0, 1): np.ones(ch.shape)} for ch in man.charts}
+    comps["south"][(0, 1)][:] = np.nan
+    assert np.isnan(closedness_residual(ChernForm(man, 1, comps)))
+
+
 def test_trivial_torus_bundle(torus_u1):
     _, _, _, conn = torus_u1
     # the potential is periodic, so the total flux is a lattice total

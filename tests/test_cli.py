@@ -194,6 +194,21 @@ def test_non_finite_solve_is_refused(tmp_path):
     assert res["casimir_spectrum"] is None
 
 
+def test_non_finite_lc_check_exits_5(tmp_path):
+    """Residuals of overflowed fields are reported as NaN, never as the
+    largest finite piece, and the check exits 5."""
+    doc = {
+        "task": "lc-check",
+        "bundle": {"kind": "torus", "dim": 2, "npts": 16},
+        "connection": {"kind": "random", "amplitude": 1e200},
+        "output_dir": str(tmp_path / "out"),
+    }
+    with np.errstate(all="ignore"):
+        assert main(["run", _write(tmp_path, doc)]) == 5
+    res = json.loads((tmp_path / "out" / "report.json").read_text())["result"]
+    assert {res["residuals"][k] for k in ("torsion", "metricity", "koszul")} == {"NaN"}
+
+
 def test_seed_flag_overrides(tmp_path):
     doc = {
         "task": "classify",
@@ -271,7 +286,7 @@ def _agree(got, want, path="report"):
     return [] if got == want else [f"{path}: {got!r} != {want!r}"]
 
 
-@pytest.mark.parametrize("name", ["torus_lc_check", "bpst_chern"])
+@pytest.mark.parametrize("name", ["torus_lc_check", "bpst_chern", "bpst_eval"])
 def test_shipped_configs_reproduce_committed_runs(name, tmp_path):
     """The determinism contract across machines and BLAS builds: a rerun of a
     shipped config agrees with its committed report within tolerance."""

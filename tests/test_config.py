@@ -1,9 +1,10 @@
 """Config schema, defaults, cross checks, and problem assembly."""
 
+import jsonschema
 import numpy as np
 import pytest
 
-from ncym.config import build_problem, resolve
+from ncym.config import SCHEMA, build_problem, resolve
 from ncym.errors import ConfigError
 
 
@@ -68,6 +69,26 @@ def test_seed_flows_into_sub_seeds():
 def test_rejections(doc):
     with pytest.raises(ConfigError):
         resolve(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"task": "mystery", "bundle": {"kind": "torus", "npts": 8}},
+        {"task": "eval"},
+        _torus(bundle={"kind": "torus", "npts": 4}),
+        _torus(surprise=1),
+        _torus(solver={"momentum": 1.5}),
+        _torus(representation={"kind": "spin"}),
+        _torus(representation={"kind": "sum", "parts": [{"kind": "spin"}]}),
+    ],
+)
+def test_schema_rejections_keep_the_jsonschema_message(doc):
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(doc, SCHEMA)
+    with pytest.raises(ConfigError) as got:
+        resolve(doc)
+    assert str(got.value) == f"config rejected: {want.value.message}"
 
 
 def test_resolved_document_validates_again():

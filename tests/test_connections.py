@@ -10,6 +10,8 @@ from ncym.errors import GluingError, ShapeError
 from ncym.geometry import build_torus, expm_antihermitian, grid_points
 from ncym.lie_core import build_su, build_u1, build_representation
 from ncym.connections import (
+    _comm,
+    _comm_pairs,
     bpst_connection,
     canonical_ncc,
     constant_connection,
@@ -58,6 +60,32 @@ def test_zero_potential_zero_curvature(torus_su2):
     man, lb, rep = torus_su2
     conn = zero_connection(man, lb, rep)
     assert np.max(np.abs(conn.curvature()["t0"])) == 0.0
+
+
+def test_zero_potential_flag_reads_the_data(torus_su2):
+    man, lb, rep = torus_su2
+    assert zero_connection(man, lb, rep).zero_potential("t0")
+    tiny = np.zeros((D, M))
+    tiny[1, 2] = 1e-300
+    assert not constant_connection(man, lb, rep, tiny).zero_potential("t0")
+    nan = zero_connection(man, lb, rep)
+    nan.A["t0"][0, 0, 0, 0] = np.nan
+    assert not nan.zero_potential("t0")
+    man4, lb4, rep4 = instanton_bundle(8)
+    bpst = bpst_connection(man4, lb4, rep4)
+    assert not any(bpst.zero_potential(ch.name) for ch in man4.charts)
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 2), (8, 8, 3, 2, 2), (5, 4, 3, 3)])
+def test_comm_pairs_is_per_pair_comm_bitwise(shape):
+    rng = np.random.default_rng(len(shape))
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    got = _comm_pairs(x)
+    assert np.array_equal(got, _comm(x[..., :, None, :, :], x[..., None, :, :, :]))
+    n = shape[-3]
+    for i in range(n):
+        for j in range(n):
+            assert np.array_equal(got[..., i, j, :, :], _comm(x[..., i, :, :], x[..., j, :, :]))
 
 
 def test_constant_single_generator_is_flat(torus_su2):

@@ -170,6 +170,12 @@ def test_overlap_round_trip_both_directions():
     assert overlap_round_trip(man) < 1e-12
 
 
+def test_overlap_round_trip_propagates_nan():
+    man = build_sphere_two_charts(2, 8, 1.5)
+    bad = replace(man.overlaps[0], point_map=lambda p: p + np.nan)
+    assert np.isnan(overlap_round_trip(replace(man, overlaps=(bad,) + man.overlaps[1:])))
+
+
 def test_pou_small_perturbation_insensitivity():
     # a smooth perturbation of the weights (still summing to one) moves the
     # integral by at most the perturbation size times the quadrature error

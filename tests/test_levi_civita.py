@@ -188,6 +188,17 @@ def test_residual_table_contract(su2):
         assert isinstance(v, float) and v >= 0.0
 
 
+def test_residuals_propagate_nan(su2):
+    """A NaN in the reference potential makes every residual NaN, not the
+    largest finite piece."""
+    lb, rep = su2
+    man = build_torus(2, 8)
+    conn = zero_connection(man, lb, rep)
+    conn.A["t0"][2, 6, 0, 1] = np.nan
+    out = residual_table(assemble(flat_metric(man), np.eye(3), conn))
+    assert all(np.isnan(out[key]) for key in ("torsion", "metricity", "koszul"))
+
+
 def test_one_check_order_field_strength_per_lc_check(monkeypatch, tmp_path):
     """The table takes the field strength at its own order, the three
     residuals share one at the check order."""

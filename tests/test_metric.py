@@ -234,3 +234,35 @@ def test_x_dependent_internal_metric(stage):
     res = identity_residuals(riem)
     assert all(v < 1e-10 for v in res.values())
     assert orthogonality_residual(riem) < 1e-12
+
+
+def test_orthogonality_residual_propagates_nan(stage):
+    man, lb, rep = stage
+    conn = zero_connection(man, lb, rep)
+    conn.A["t0"][3, 5, 1, 2] = np.nan
+    assert np.isnan(orthogonality_residual(assemble(flat_metric(man), np.eye(M), conn)))
+
+
+@pytest.mark.parametrize(
+    "internal", [np.eye(M), [[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 1.5]]]
+)
+def test_constant_fiber_metric_matches_per_point_path(stage, internal):
+    """One (m, m) block is checked and inverted once; the broadcast results
+    are the bits the per-point path computes."""
+    man, lb, rep = stage
+    conn = random_connection(man, lb, rep, seed=2)
+    once = assemble(flat_metric(man), internal, conn)
+    full = np.broadcast_to(np.asarray(internal, dtype=float), man.charts[0].shape + (M, M))
+    per_point = assemble(flat_metric(man), {"t0": full.copy()}, conn)
+    for field in ("internal", "hint", "sqrt_det_int", "sqrtg"):
+        got, want = getattr(once, field)["t0"], getattr(per_point, field)["t0"]
+        assert got.shape == want.shape and np.array_equal(got, want), field
+
+
+def test_constant_fiber_metric_still_checked(stage):
+    man, lb, rep = stage
+    conn = zero_connection(man, lb, rep)
+    with pytest.raises(SingularMetric, match="not positive definite$"):
+        assemble(flat_metric(man), -np.eye(M), conn)
+    with pytest.raises(SingularMetric, match="symmetric"):
+        assemble(flat_metric(man), np.eye(M) + np.triu(np.ones((M, M)), 1), conn)

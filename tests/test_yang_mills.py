@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 import ncym.yang_mills as ym
 from ncym.cli import main
 from ncym.connections import (
+    OrdinaryConnection,
     bpst_connection,
     canonical_ncc,
     gauge_transform,
     instanton_bundle,
+    nc_curvature,
     random_ncc,
     zero_connection,
     zero_ncc,
@@ -268,6 +270,42 @@ def test_one_curvature_evaluation_per_state(request, bundle, kind, monkeypatch, 
     calls.clear()
     assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 0
     assert len(calls) == 1
+
+
+@pytest.fixture(scope="module")
+def zero_instanton8():
+    """The two-chart instanton bundle at N=8 over the zero reference."""
+    man, lb, rep = instanton_bundle(8)
+    ref = zero_connection(man, lb, rep)
+    riem = assemble(round_sphere_metric(man), np.eye(3), ref)
+    return man, lb, rep, ref, riem
+
+
+def _evaluations(ncc, riem):
+    bd, g = evaluate(ncc, riem)
+    return nc_curvature(ncc), bd, g
+
+
+@pytest.mark.parametrize("bundle", ["torus", "zero_instanton8"])
+def test_zero_reference_skip_is_bitwise(request, bundle, monkeypatch):
+    """Skipping the terms that vanish with the reference potential changes no
+    bit of the curvature, the action breakdown or the gradient."""
+    man, _, rep, ref, riem = request.getfixturevalue(bundle)
+    assert all(ref.zero_potential(ch.name) for ch in man.charts)
+    ncc = random_ncc(ref, seed=9, amplitude=0.3, x_dependent=True)
+    for ch in man.charts:
+        ncc.phi[ch.name] = ncc.phi[ch.name] + rep.matrices
+    curv, bd, g = _evaluations(ncc, riem)
+    monkeypatch.setattr(OrdinaryConnection, "zero_potential", lambda self, name: False)
+    curv0, bd0, g0 = _evaluations(ncc, riem)
+    for ch in man.charts:
+        for block in ("hh", "hv", "vv"):
+            assert np.array_equal(curv[ch.name][block], curv0[ch.name][block])
+        assert np.array_equal(bd.densities[ch.name], bd0.densities[ch.name])
+        for part in ("a", "phi"):
+            assert np.array_equal(g[part][ch.name], g0[part][ch.name])
+    assert (bd.s_horizontal, bd.s_mixed, bd.s_vertical) == (
+        bd0.s_horizontal, bd0.s_mixed, bd0.s_vertical)
 
 
 def test_gradient_anti_hermitian(torus):
