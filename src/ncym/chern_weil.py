@@ -21,7 +21,7 @@ import numpy as np
 
 from .connections import OrdinaryConnection, curvature_F
 from .errors import InvalidRank
-from .geometry import grid_points, interp_chart, partial_derivative
+from .geometry import interp_chart, partial_derivative
 from .nc_forms import _perm_sign
 
 __all__ = ["ChernForm", "chern_form", "closedness_residual", "chern_number"]
@@ -153,15 +153,9 @@ def closedness_residual(cf: ChernForm) -> float:
     key = tuple(range(d))
     worst = 0.0
     for ov in man.overlaps:
-        src = man.chart(ov.src)
-        dst = man.chart(ov.dst)
-        x = grid_points(src)
-        mask = ov.in_overlap(x)
-        pts = x[mask]
-        mapped = ov.point_map(pts)
-        det = np.linalg.det(ov.jacobian(pts))
-        c_src = cf.comps[ov.src][key][mask]
-        c_dst = interp_chart(dst, cf.comps[ov.dst][key], mapped)
+        det = np.linalg.det(ov.jac)
+        c_src = cf.comps[ov.src][key][ov.mask]
+        c_dst = interp_chart(man.chart(ov.dst), cf.comps[ov.dst][key], ov.y)
         scale = max(float(np.max(np.abs(cf.comps[ov.src][key]))), 1e-30)
         err = np.max(np.abs(c_src - c_dst * det)) / scale
         worst = float(np.maximum(worst, err))

@@ -6,9 +6,9 @@ the resolved config verbatim), `trace.csv` for solves, field snapshots when
 requested.  Exit codes: 0 success, 1 a selfcheck failed, 2 validation
 failure; a solve that did not converge still writes its artifacts and exits
 3 when it ran out of iterations, 4 when the line search stalled, 5 when the
-action or the gradient became non-finite.  An `lc-check` whose residuals are
-not all finite writes its report (non-finite values as the strings "NaN",
-"Infinity", "-Infinity") and exits 5 as well.
+action or the gradient became non-finite.  Every other task whose result
+holds a non-finite number writes its report (non-finite values as the
+strings "NaN", "Infinity", "-Infinity") and exits 5 as well.
 
 `--threads` (or the NCYM_THREADS environment variable) is a parallelism
 hint handed to the BLAS runtime before the numerical modules load; it changes
@@ -56,6 +56,19 @@ def _pyify(obj):
     if isinstance(obj, np.ndarray):
         return [_pyify(v) for v in obj.tolist()]
     return obj
+
+
+def _non_finite(obj) -> bool:
+    """Whether a result tree holds a NaN or an infinity."""
+    import numpy as np
+
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return any(_non_finite(v) for v in obj.values())
+    if isinstance(obj, (list, tuple)):
+        return any(_non_finite(v) for v in obj)
+    return isinstance(obj, (float, np.floating)) and not np.isfinite(obj)
 
 
 def _write_report(out_dir: Path, task: str, resolved: dict, result: dict) -> None:
@@ -121,6 +134,7 @@ def _task_classify(problem, doc):
 
 
 def _task_chern(problem, doc):
+    import numpy as np
     from .chern_weil import chern_form, closedness_residual
 
     q = doc["chern"]["degree"]
@@ -130,18 +144,15 @@ def _task_chern(problem, doc):
         "q": q,
         "value": value,
         "grid": doc["bundle"]["npts"],
-        "estimated_error": abs(value - round(value)),
+        "estimated_error": abs(value - np.round(value)),
         "gluing_residual": closedness_residual(cf),
     }
 
 
 def _task_lc_check(problem, doc):
-    import math
     from .levi_civita import residual_table
 
-    residuals = residual_table(problem.riem)
-    finite = all(math.isfinite(v) for v in residuals.values())
-    return (EXIT_OK if finite else EXIT_NON_FINITE), {"residuals": residuals}
+    return EXIT_OK, {"residuals": residual_table(problem.riem)}
 
 
 def _task_geom_check(problem, doc):
@@ -228,6 +239,8 @@ def cmd_run(args) -> int:
         print(f"ncym: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    if code == EXIT_OK and _non_finite(result):
+        code = EXIT_NON_FINITE
     _write_report(Path(out_dir), cfg.task, resolved, result)
     print(f"{cfg.task}: report written to {out_dir / 'report.json'}")
     return code

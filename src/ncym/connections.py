@@ -354,18 +354,14 @@ def gluing_residuals(conn: OrdinaryConnection) -> dict:
             continue
         src = conn.man.chart(ov.src)
         dst = conn.man.chart(ov.dst)
-        x = grid_points(src)
-        mask = ov.in_overlap(x)
-        pts = x[mask]
-        mapped = ov.point_map(pts)
-        jac = ov.jacobian(pts)  # J[i, j] = d y^i / d x^j
+        mask, jac = ov.mask, ov.jac  # J[i, j] = d y^i / d x^j
 
         A_src = conn.basis.contract(conn.A[ov.src])  # shape + (d, n, n)
         A_dst = conn.basis.contract(conn.A[ov.dst])
-        A_dst_at = interp_chart(dst, A_dst, mapped)
+        A_dst_at = interp_chart(dst, A_dst, ov.y)
         lhs_A = np.einsum("pmij,pmn->pnij", A_dst_at, jac, optimize=True)
 
-        t_grid = ov.transition(x)
+        t_grid = ov.transition(grid_points(src))
         tinv_grid = np.conj(np.swapaxes(t_grid, -1, -2))
         dtinv = np.stack(
             [partial_derivative(tinv_grid, src, mu) for mu in range(src.dim)],
@@ -380,7 +376,7 @@ def gluing_residuals(conn: OrdinaryConnection) -> dict:
 
         F_src = conn.basis.contract(conn.curvature()[ov.src])
         F_dst = conn.basis.contract(conn.curvature()[ov.dst])
-        F_dst_at = interp_chart(dst, F_dst, mapped)
+        F_dst_at = interp_chart(dst, F_dst, ov.y)
         lhs_F = np.einsum("pmnij,pmr,pns->prsij", F_dst_at, jac, jac, optimize=True)
         rhs_F = np.einsum("pij,pmnjk,pkl->pmnil", t, F_src[mask], tinv, optimize=True)
         scale_F = max(np.max(np.abs(F_src)), 1e-30)

@@ -1,10 +1,13 @@
 """Charts, grids, finite differences, and quadrature on the base manifold.
 
 A manifold is a list of rectangular coordinate charts plus partition-of-unity
-weights and overlap data (point maps, coordinate Jacobians, bundle transition
-functions).  Shipped builders: flat d-torus on a single periodic chart, and
-round S^2 / S^4 on two stereographic charts glued by inversion
-``x -> x r^2 / |x|^2``.
+weights and overlap data.  Each directed overlap carries its point map, its
+bundle transition function, and its sample set: the source grid points it
+covers, their images in the destination chart and the coordinate Jacobians
+there, decided once where the manifold is built.  Every cross-chart
+diagnostic reads that one set.  Shipped builders: flat d-torus on a single
+periodic chart, and round S^2 / S^4 on two stereographic charts glued by
+inversion ``x -> x r^2 / |x|^2``.
 
 Derivatives are second-order central finite differences (optional fourth
 order), realized as small dense one-dimensional matrices applied along an
@@ -15,6 +18,7 @@ summation, which is deterministic for a fixed shape and order.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -71,22 +75,30 @@ class ChartGrid:
         return float(np.prod(self.spacing))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Overlap:
     """Directed overlap data from chart ``src`` to chart ``dst``.
 
-    ``point_map`` sends src coordinates to dst coordinates, ``jacobian``
-    returns d(dst)/d(src) as (..., d, d), and ``transition`` (optional)
-    returns the structure-group element t(x) in the defining n x n matrices,
-    such that destination-chart sections are s_dst = rho(t) s_src rho(t)^-1.
-    ``in_overlap`` masks src points that lie in the overlap region.
+    ``point_map`` sends src coordinates to dst coordinates, and
+    ``transition`` (optional) returns the structure-group element t(x) in the
+    defining n x n matrices, such that destination-chart sections are
+    s_dst = rho(t) s_src rho(t)^-1.
+
+    The sample set: ``mask`` (shape of the src grid) selects the src grid
+    points in the overlap whose image lies inside the dst grid's hull, so
+    that dst fields can be interpolated there; ``x`` (p, d) are those points,
+    ``y = point_map(x)`` their images, and ``jac`` (p, d, d) the Jacobian
+    d y^i / d x^j at them.  The arrays are read-only and may be shared
+    between overlaps, so the data class compares by identity.
     """
 
     src: str
     dst: str
     point_map: Callable
-    jacobian: Callable
-    in_overlap: Callable
+    mask: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    jac: np.ndarray
     transition: Callable | None = None
 
 
@@ -133,14 +145,13 @@ def grid_points(chart: ChartGrid) -> np.ndarray:
 
 
 def overlap_round_trip(man: Manifold) -> float:
-    """Worst coordinate error of mapping each overlap's grid points across and
-    back; 0.0 on a one-chart manifold, NaN if any error is NaN."""
+    """Worst coordinate error of mapping each overlap's sample points across
+    and back through both point maps; 0.0 on a one-chart manifold, NaN if any
+    error is NaN."""
     worst = 0.0
     for ov in man.overlaps:
-        x = grid_points(man.chart(ov.src))
-        pts = x[ov.in_overlap(x)]
         back = man.overlap(ov.dst, ov.src)
-        err = np.max(np.abs(back.point_map(ov.point_map(pts)) - pts))
+        err = np.max(np.abs(back.point_map(ov.point_map(ov.x)) - ov.x))
         worst = float(np.maximum(worst, err))
     return worst
 
@@ -230,35 +241,43 @@ def adjoint_partial_derivative(
 # ---------------------------------------------------------------------------
 
 
+_COND_WARN = 1e8
+
+
+def _spd_inverse(name: str, block: np.ndarray, what: str) -> tuple:
+    """Inverse and square-root determinant of symmetric positive-definite
+    (..., k, k) blocks on chart ``name``; raises SingularMetric naming the
+    chart (and the grid index) otherwise, warns on a condition number above
+    1e8."""
+    if np.max(np.abs(block - np.swapaxes(block, -1, -2))) > 1e-12:
+        raise SingularMetric(f"{what} on {name} must be symmetric")
+    ev = np.linalg.eigvalsh(block)
+    if np.min(ev) <= 0:
+        idx = np.unravel_index(int(np.argmin(ev[..., 0])), ev[..., 0].shape)
+        where = f" at {tuple(map(int, idx))}" if idx else ""
+        raise SingularMetric(f"{what} on {name} not positive definite{where}")
+    cond = float(np.max(ev) / np.min(ev))
+    if cond > _COND_WARN:
+        warnings.warn(f"{what} on {name}: condition number {cond:.3e}")
+    return np.linalg.inv(block), np.sqrt(np.linalg.det(block))
+
+
 class BaseMetric:
-    """Base-manifold metric g^M as per-chart (..., d, d) arrays.
+    """Base-manifold metric g^M as per-chart (..., d, d) arrays, checked
+    symmetric positive definite, with cached inverse and sqrt(det)."""
 
-    Caches the inverse and sqrt(det).  ``fn(name, x)`` evaluates the defining
-    formula at arbitrary coordinates when the metric came from a closed form.
-    """
-
-    def __init__(self, man: Manifold, g: dict, fn: Callable | None = None):
+    def __init__(self, man: Manifold, g: dict):
         self.man = man
         self.g = g
-        self.fn = fn
         self.inv = {}
         self.sqrt_det = {}
         for ch in man.charts:
             gm = g[ch.name]
             if gm.shape != ch.shape + (ch.dim, ch.dim):
                 raise ShapeError("metric block shape mismatch")
-            if np.max(np.abs(gm - np.swapaxes(gm, -1, -2))) > 1e-12:
-                raise SingularMetric("metric must be symmetric")
-            ev = np.linalg.eigvalsh(gm)
-            if np.min(ev) <= 0:
-                raise SingularMetric("metric must be positive definite")
-            cond = float(np.max(ev) / np.min(ev))
-            if cond > 1e8:
-                import warnings
-
-                warnings.warn(f"metric condition number {cond:.3e} on chart {ch.name}")
-            self.inv[ch.name] = np.linalg.inv(gm)
-            self.sqrt_det[ch.name] = np.sqrt(np.linalg.det(gm))
+            self.inv[ch.name], self.sqrt_det[ch.name] = _spd_inverse(
+                ch.name, gm, "base metric"
+            )
 
 
 def integrate(man: Manifold, metric: BaseMetric, f: dict):
@@ -280,23 +299,19 @@ def flat_metric(man: Manifold) -> BaseMetric:
         g[ch.name] = np.broadcast_to(
             np.eye(ch.dim), ch.shape + (ch.dim, ch.dim)
         ).copy()
-    return BaseMetric(man, g, fn=lambda name, x: np.eye(man.dim))
+    return BaseMetric(man, g)
 
 
 def round_sphere_metric(man: Manifold, radius: float | None = None) -> BaseMetric:
     """Stereographic-chart round metric g = 4 r^4 / (r^2 + |x|^2)^2 delta."""
     r = float(radius if radius is not None else man.params.get("radius", 1.0))
-
-    def formula(name, x):
-        x = np.asarray(x, dtype=float)
-        rho2 = np.sum(x * x, axis=-1)
-        conf = 4.0 * r**4 / (r**2 + rho2) ** 2
-        return conf[..., None, None] * np.eye(man.dim)
-
     g = {}
     for ch in man.charts:
-        g[ch.name] = formula(ch.name, grid_points(ch))
-    return BaseMetric(man, g, fn=formula)
+        x = grid_points(ch)
+        rho2 = np.sum(x * x, axis=-1)
+        conf = 4.0 * r**4 / (r**2 + rho2) ** 2
+        g[ch.name] = conf[..., None, None] * np.eye(man.dim)
+    return BaseMetric(man, g)
 
 
 # ---------------------------------------------------------------------------
@@ -385,32 +400,34 @@ def build_sphere_two_charts(
     north = make_chart("north", -1)
     south = make_chart("south", +1)
 
-    def weight_on(chart):
-        x = grid_points(chart)
-        rho = np.sqrt(np.sum(x * x, axis=-1))
-        own = _radial_profile(rho, r, margin)
-        other = _radial_profile(r * r / np.maximum(rho, 1e-300), r, margin)
-        tot = own + other
-        return np.where(tot > 0, own / np.where(tot > 0, tot, 1.0), 0.0)
-
-    weights = {"north": weight_on(north), "south": weight_on(south)}
-
     def point_map(x):
         x = np.asarray(x, dtype=float)
         rho2 = np.sum(x * x, axis=-1, keepdims=True)
         return x * (r * r) / rho2
 
-    def jacobian(x):
-        x = np.asarray(x, dtype=float)
-        rho2 = np.sum(x * x, axis=-1)
-        xhat = x / np.sqrt(rho2)[..., None]
-        eye = np.eye(dim)
-        proj = eye - 2.0 * xhat[..., :, None] * xhat[..., None, :]
-        return (r * r / rho2)[..., None, None] * proj
+    # Both charts have the same grid and the inversion is its own inverse, so
+    # the charts share their weights and both directions share one sample
+    # set: the grid points in the annulus r/margin < rho < r*margin whose
+    # image lies inside the destination grid's hull.
+    x = grid_points(north)
+    rho = np.sqrt(np.sum(x * x, axis=-1))
+    own = _radial_profile(rho, r, margin)
+    other = _radial_profile(r * r / np.maximum(rho, 1e-300), r, margin)
+    tot = own + other
+    weight = np.where(tot > 0, own / np.where(tot > 0, tot, 1.0), 0.0)
+    weights = {"north": weight, "south": weight.copy()}
 
-    def in_overlap(x):
-        rho = np.sqrt(np.sum(np.asarray(x, dtype=float) ** 2, axis=-1))
-        return (rho > r / margin) & (rho < r * margin)
+    mask = (rho > r / margin) & (rho < r * margin)
+    y = point_map(x[mask])
+    inside = np.all((y >= coords1d[0]) & (y <= coords1d[-1]), axis=-1)
+    mask[mask] = inside
+    x, y = x[mask], y[inside]
+    rho2 = np.sum(x * x, axis=-1)
+    xhat = x / np.sqrt(rho2)[..., None]
+    proj = np.eye(dim) - 2.0 * xhat[..., :, None] * xhat[..., None, :]
+    jac = (r * r / rho2)[..., None, None] * proj
+    for arr in (mask, x, y, jac):
+        arr.setflags(write=False)
 
     if transition is None:
         inv_transition = None
@@ -421,8 +438,8 @@ def build_sphere_two_charts(
             return np.conj(np.swapaxes(transition(point_map(y)), -1, -2))
 
     overlaps = (
-        Overlap("north", "south", point_map, jacobian, in_overlap, transition),
-        Overlap("south", "north", point_map, jacobian, in_overlap, inv_transition),
+        Overlap("north", "south", point_map, mask, x, y, jac, transition),
+        Overlap("south", "north", point_map, mask, x, y, jac, inv_transition),
     )
     return Manifold(
         charts=(north, south),

@@ -17,15 +17,13 @@ frames orthogonal, which is what ``extract_connection`` implements.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .connections import OrdinaryConnection
 from .errors import ShapeError, SingularMetric
-from .geometry import BaseMetric, Manifold, grid_points
+from .geometry import BaseMetric, Manifold, _spd_inverse, grid_points
 from .lie_core import LieBasis, Representation
 
 __all__ = [
@@ -36,8 +34,6 @@ __all__ = [
     "identity_residuals",
     "orthogonality_residual",
 ]
-
-_COND_WARN = 1e8
 
 
 def _expand_internal(man: Manifold, internal, m: int) -> dict:
@@ -59,25 +55,6 @@ def _expand_internal(man: Manifold, internal, m: int) -> dict:
             )
         out[ch.name] = block
     return out
-
-
-def _check_spd(name: str, block: np.ndarray, what: str):
-    if np.max(np.abs(block - np.swapaxes(block, -1, -2))) > 1e-12:
-        raise SingularMetric(f"{what} on {name} must be symmetric")
-    ev = np.linalg.eigvalsh(block)
-    if np.min(ev) <= 0:
-        idx = np.unravel_index(int(np.argmin(ev[..., 0])), ev[..., 0].shape)
-        where = f" at {idx}" if idx else ""
-        raise SingularMetric(f"{what} on {name} not positive definite{where}")
-    cond = float(np.max(ev) / np.min(ev))
-    if cond > _COND_WARN:
-        warnings.warn(f"{what} on {name}: condition number {cond:.3e}")
-
-
-def _fiber_inverse(name: str, gI: np.ndarray) -> tuple:
-    """Checked inverse and square-root determinant of fiber-metric blocks."""
-    _check_spd(name, gI, "fiber metric")
-    return np.linalg.inv(gI), np.sqrt(np.linalg.det(gI))
 
 
 @dataclass
@@ -147,14 +124,18 @@ def assemble(base: BaseMetric, internal, conn: OrdinaryConnection) -> Riemannian
         np.shape(internal) == (m, m)
     )
     if single:
-        hint, sqrt_det = _fiber_inverse("every chart", np.asarray(internal, dtype=float))
+        hint, sqrt_det = _spd_inverse(
+            "every chart", np.asarray(internal, dtype=float), "fiber metric"
+        )
     for ch in man.charts:
         gI = blocks[ch.name]
         if single:
             riem.hint[ch.name] = np.broadcast_to(hint, gI.shape).copy()
             riem.sqrt_det_int[ch.name] = np.full(ch.shape, sqrt_det)
         else:
-            riem.hint[ch.name], riem.sqrt_det_int[ch.name] = _fiber_inverse(ch.name, gI)
+            riem.hint[ch.name], riem.sqrt_det_int[ch.name] = _spd_inverse(
+                ch.name, gI, "fiber metric"
+            )
         riem.hbase[ch.name] = base.inv[ch.name]
         riem.sqrtg[ch.name] = base.sqrt_det[ch.name] * riem.sqrt_det_int[ch.name]
     return riem
@@ -230,24 +211,19 @@ def identity_residuals(riem: RiemannianStructure) -> dict:
         A = riem.conn.A[name]
         gM = riem.base.g[name]
 
-        out["base_inverse"] = max(
-            out["base_inverse"],
-            float(np.max(np.abs(Hbrute[..., :d, :d] - riem.hbase[name]))),
-        )
         A_from_h = np.einsum("...mn,...an->...ma", gM, Hbrute[..., d:, :d])
-        out["potential"] = max(out["potential"], float(np.max(np.abs(A_from_h - A))))
         hint_from_h = Hbrute[..., d:, d:] - np.einsum(
             "...ma,...mn,...nb->...ab", A, riem.hbase[name], A
         )
-        out["fiber_inverse"] = max(
-            out["fiber_inverse"],
-            float(np.max(np.abs(hint_from_h - riem.hint[name]))),
-        )
         prod = np.einsum("...ij,...jk->...ik", G, H)
-        out["product"] = max(
-            out["product"],
-            float(np.max(np.abs(prod - np.eye(d + riem.m)))),
-        )
+        errs = {
+            "base_inverse": Hbrute[..., :d, :d] - riem.hbase[name],
+            "potential": A_from_h - A,
+            "fiber_inverse": hint_from_h - riem.hint[name],
+            "product": prod - np.eye(d + riem.m),
+        }
+        for key, err in errs.items():
+            out[key] = float(np.maximum(out[key], np.max(np.abs(err))))
     return out
 
 

@@ -209,6 +209,49 @@ def test_non_finite_lc_check_exits_5(tmp_path):
     assert {res["residuals"][k] for k in ("torsion", "metricity", "koszul")} == {"NaN"}
 
 
+@pytest.mark.parametrize(
+    "task,extra",
+    [
+        ("eval", {"initial": {"kind": "random", "amplitude": 1e200}}),
+        ("chern", {"connection": {"kind": "random", "amplitude": 1e200}}),
+    ],
+)
+def test_non_finite_result_exits_5(task, extra, tmp_path):
+    """Every task whose result holds a non-finite number writes its report,
+    with NaN as a string, and exits 5."""
+    doc = {
+        "task": task,
+        "bundle": {"kind": "torus", "dim": 2, "npts": 8},
+        "output_dir": str(tmp_path / "out"),
+        **extra,
+    }
+    with np.errstate(all="ignore"):
+        assert main(["run", _write(tmp_path, doc)]) == 5
+    text = (tmp_path / "out" / "report.json").read_text()
+    assert "NaN" in text
+    json.loads(text, parse_constant=lambda token: pytest.fail(f"bare {token}"))
+
+
+@pytest.mark.parametrize("task", ["chern", "geom-check"])
+def test_monopole_at_smallest_grid(task, tmp_path):
+    """At N=8 some overlap points of the 2-sphere map outside the other
+    chart's grid; the overlap sample set leaves them out."""
+    doc = {
+        "task": task,
+        "bundle": {"kind": "monopole", "npts": 8},
+        "output_dir": str(tmp_path / "out"),
+    }
+    assert main(["run", _write(tmp_path, doc)]) == 0
+    res = json.loads((tmp_path / "out" / "report.json").read_text())["result"]
+    if task == "chern":
+        assert abs(res["value"] - 1.0) < 0.05
+        assert 0.0 < res["gluing_residual"] < 0.1
+    else:
+        assert res["overlap_round_trip"] < 1e-12
+        gluing = res["potential_gluing"].values()
+        assert all(0.0 < v < 0.5 for pair in gluing for v in pair.values())
+
+
 def test_seed_flag_overrides(tmp_path):
     doc = {
         "task": "classify",

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncym.errors import ShapeError
+from ncym.errors import ShapeError, SingularMetric
 from ncym.geometry import (
+    BaseMetric,
     adjoint_partial_derivative,
     build_sphere_two_charts,
     build_torus,
@@ -63,10 +64,26 @@ def test_sphere2_volume_converges():
 
 
 def test_sphere_metric_at_origin():
-    # conformal factor 4 r^4 / (r^2 + |x|^2)^2 evaluates to 4 at the chart origin
-    man = build_sphere_two_charts(4, 8, radius=np.sqrt(2.0))
+    # conformal factor 4 r^4 / (r^2 + |x|^2)^2 at every grid point
+    r = np.sqrt(2.0)
+    man = build_sphere_two_charts(4, 8, radius=r)
     g = round_sphere_metric(man)
-    assert np.max(np.abs(g.fn("north", np.zeros(4)) - 4.0 * np.eye(4))) < 1e-12
+    for ch in man.charts:
+        rho2 = np.sum(grid_points(ch) ** 2, axis=-1)
+        conf = 4.0 * r**4 / (r**2 + rho2) ** 2
+        assert np.max(np.abs(g.g[ch.name] - conf[..., None, None] * np.eye(4))) < 1e-12
+
+
+def test_non_spd_base_metric_names_its_chart():
+    man = build_sphere_two_charts(2, 8, 1.0)
+    g = round_sphere_metric(man).g
+    bad = dict(g, south=g["south"].copy())
+    bad["south"][3, 5] = -np.eye(2)
+    with pytest.raises(SingularMetric, match=r"on south not positive definite at \(3, 5\)"):
+        BaseMetric(man, bad)
+    bad["south"][3, 5] = [[1.0, 0.5], [0.0, 1.0]]
+    with pytest.raises(SingularMetric, match="base metric on south must be symmetric"):
+        BaseMetric(man, bad)
 
 
 def test_derivative_second_order_ratio():
@@ -142,10 +159,7 @@ def test_adjoint_stencil_is_exact(seed):
 def test_weights_sum_to_one_across_charts():
     man = build_sphere_two_charts(2, 16, 1.0)
     ov = man.overlap("north", "south")
-    ch = man.chart("north")
-    x = grid_points(ch)
-    mask = ov.in_overlap(x)
-    y = ov.point_map(x[mask])
+    mask, y = ov.mask, ov.y
     r, margin = man.params["radius"], man.params["margin"]
     rho_s = np.sqrt(np.sum(y * y, axis=-1))
     own = _radial_profile(rho_s, r, margin)
@@ -157,10 +171,59 @@ def test_weights_sum_to_one_across_charts():
 def test_point_map_round_trip():
     man = build_sphere_two_charts(2, 16, 1.5)
     ov = man.overlap("north", "south")
-    x = grid_points(man.chart("north"))
-    mask = ov.in_overlap(x)
-    back = ov.point_map(ov.point_map(x[mask]))
-    assert np.max(np.abs(back - x[mask])) < 1e-12
+    assert np.array_equal(ov.x, grid_points(man.chart("north"))[ov.mask])
+    assert np.array_equal(ov.y, ov.point_map(ov.x))
+    back = ov.point_map(ov.y)
+    assert np.max(np.abs(back - ov.x)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "dim,npts,radius", [(2, 8, 1.0), (2, 9, 1.0), (2, 16, 1.5), (4, 8, 1.0), (4, 12, 1.0)]
+)
+def test_sample_set_lies_inside_destination_hull(dim, npts, radius):
+    man = build_sphere_two_charts(dim, npts, radius)
+    r, margin = man.params["radius"], man.params["margin"]
+    for ov in man.overlaps:
+        coords = man.chart(ov.dst).coords
+        lo = np.array([c[0] for c in coords])
+        hi = np.array([c[-1] for c in coords])
+        assert np.all((ov.y >= lo) & (ov.y <= hi))
+        rho = np.sqrt(np.sum(ov.x**2, axis=-1))
+        assert np.all((rho > r / margin) & (rho < r * margin))
+        # jac[i, j] = d y^i / d x^j, against central differences of the map
+        step = 1e-6 * np.eye(dim)
+        fd = np.stack(
+            [(ov.point_map(ov.x + e) - ov.point_map(ov.x - e)) / 2e-6 for e in step], axis=-1
+        )
+        assert np.max(np.abs(fd - ov.jac)) < 1e-6
+        interp_chart(man.chart(ov.dst), np.zeros(man.chart(ov.dst).shape), ov.y)
+
+
+def test_both_directions_share_one_sample_set():
+    man = build_sphere_two_charts(2, 8, 1.0)
+    fwd, back = man.overlap("north", "south"), man.overlap("south", "north")
+    assert fwd.mask is back.mask and fwd.y is back.y and fwd.jac is back.jac
+    assert not fwd.mask.flags.writeable
+
+
+def test_small_two_sphere_drops_images_outside_the_hull():
+    # at N=8 the 2-sphere annulus holds 48 points, 8 of which map outside
+    man = build_sphere_two_charts(2, 8, 1.0)
+    ov = man.overlaps[0]
+    rho = np.sqrt(np.sum(grid_points(man.chart("north")) ** 2, axis=-1))
+    annulus = (rho > 1.0 / 1.6) & (rho < 1.6)
+    assert (int(annulus.sum()), int(ov.mask.sum())) == (48, 40)
+
+
+def test_instanton_sample_set_is_the_annulus():
+    """At N=12 on the 4-sphere every annulus point maps inside the hull, so
+    the benchmark's overlap inputs are the whole annulus."""
+    man = build_sphere_two_charts(4, 12, 1.0, 1.6)
+    rho = np.sqrt(np.sum(grid_points(man.chart("north")) ** 2, axis=-1))
+    annulus = (rho > 1.0 / 1.6) & (rho < 1.0 * 1.6)
+    for ov in man.overlaps:
+        assert np.array_equal(ov.mask, annulus)
+        assert len(ov.y) == int(annulus.sum())
 
 
 def test_overlap_round_trip_both_directions():

@@ -243,6 +243,16 @@ def test_orthogonality_residual_propagates_nan(stage):
     assert np.isnan(orthogonality_residual(assemble(flat_metric(man), np.eye(M), conn)))
 
 
+def test_identity_residuals_propagate_nan(stage):
+    man, lb, rep = stage
+    conn = zero_connection(man, lb, rep)
+    conn.A["t0"][3, 5, 1, 2] = np.nan
+    with np.errstate(invalid="ignore"):
+        res = identity_residuals(assemble(flat_metric(man), np.eye(M), conn))
+    assert set(res) == {"base_inverse", "potential", "fiber_inverse", "product"}
+    assert all(np.isnan(v) for v in res.values())
+
+
 @pytest.mark.parametrize(
     "internal", [np.eye(M), [[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 1.5]]]
 )

@@ -1,6 +1,9 @@
 """The runtime invariant suite passes, filters, and contains failures."""
 
 import re
+from dataclasses import replace
+
+import numpy as np
 
 import ncym.selfcheck as sc
 
@@ -30,6 +33,34 @@ def test_crashing_check_is_reported_not_raised(monkeypatch):
     (result,) = sc.run_selfcheck()
     assert not result.passed
     assert "synthetic failure" in result.detail
+
+
+def test_wedge_associativity_check_fails_on_nan(monkeypatch):
+    real = sc.random_form
+
+    def poisoned(*args, **kwargs):
+        form = real(*args, **kwargs)
+        next(iter(form.comps.values()))[0, 0, 0] = np.nan
+        return form
+
+    monkeypatch.setattr(sc, "random_form", poisoned)
+    passed, detail = sc._check_wedge_associativity()
+    assert not passed
+    assert "nan" in detail.lower()
+
+
+def test_transition_round_trip_check_fails_on_nan(monkeypatch):
+    real = sc.instanton_bundle
+
+    def poisoned(npts):
+        man, lb, rep = real(npts)
+        nan = replace(man.overlaps[0], transition=lambda x: np.full(x.shape[:-1] + (2, 2), np.nan))
+        return replace(man, overlaps=(nan,) + man.overlaps[1:]), lb, rep
+
+    monkeypatch.setattr(sc, "instanton_bundle", poisoned)
+    passed, detail = sc._check_transition_round_trip()
+    assert not passed
+    assert "nan" in detail.lower()
 
 
 def test_format_table_summarizes():

@@ -136,6 +136,37 @@ def test_non_finite_values_are_strict_json():
         np.testing.assert_array_equal(back, values)
 
 
+_EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, np.inf, -np.inf, np.nan]),
+)
+
+
+def _same_floats(got, want):
+    """Equal values (NaN equal to NaN), and the same sign wherever not NaN."""
+    np.testing.assert_array_equal(got, want)
+    keep = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[keep]), np.signbit(want[keep]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    shape=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    data=st.data(),
+    complex_valued=st.booleans(),
+)
+def test_canonical_round_trip_keeps_edge_floats(shape, data, complex_valued):
+    size = int(np.prod(shape)) * (2 if complex_valued else 1)
+    flat = np.array(data.draw(st.lists(_EDGE_FLOATS, min_size=size, max_size=size)))
+    arr = flat.reshape(shape + [-1])
+    arr = arr.view(complex)[..., 0] if complex_valued else arr[..., 0]
+    back = json_to_array(_strict(dumps_canonical(array_to_json(arr))))
+    assert back.shape == arr.shape and back.dtype == arr.dtype
+    _same_floats(back.real, arr.real)
+    if complex_valued:
+        _same_floats(back.imag, arr.imag)
+
+
 def test_trace_csv_columns(tmp_path):
     path = tmp_path / "trace.csv"
     save_trace_csv(path, [(3.0, 2.0), (1.5, 0.25)])
