@@ -3,17 +3,20 @@
 One run per process.  A run reads a JSON config, dispatches its task, and
 writes artifacts into the output directory: `report.json` always (carrying
 the resolved config verbatim), `trace.csv` for solves, field snapshots when
-requested.  Exit codes: 0 success, 1 a selfcheck failed, 2 validation
-failure; a solve that did not converge still writes its artifacts and exits
-3 when it ran out of iterations, 4 when the line search stalled, 5 when the
-action or the gradient became non-finite.  Every other task whose result
-holds a non-finite number writes its report (non-finite values as the
-strings "NaN", "Infinity", "-Infinity") and exits 5 as well.
+requested.  The invariant suite has one entry, `ncym selfcheck` (optionally
+one module's checks, `--filter`); it is not a task of `ncym run`.  Exit
+codes: 0 success, 1 a selfcheck failed, 2 validation failure; a solve that
+did not converge still writes its artifacts and exits 3 when it ran out of
+iterations, 4 when the line search stalled, 5 when the action or the
+gradient became non-finite.  Every other task whose result holds a
+non-finite number writes its report (non-finite values as the strings
+"NaN", "Infinity", "-Infinity") and exits 5 as well.
 
 `--threads` (or the NCYM_THREADS environment variable) is a parallelism
 hint handed to the BLAS runtime before the numerical modules load; it changes
 wall time, and results only within the determinism contract stated in
-:mod:`ncym.serialize`.
+:mod:`ncym.serialize`.  A hint that is not a positive integer exits 2 before
+anything runs.
 """
 
 import argparse
@@ -22,6 +25,8 @@ import json
 import os
 import sys
 from pathlib import Path
+
+from .errors import ConfigError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -32,12 +37,21 @@ EXIT_SOLVE = {
 }
 
 
-def _apply_threads_hint(threads: int | None) -> None:
+def _apply_threads_hint(threads: str | None) -> None:
+    """Hand a positive thread count from ``--threads`` or NCYM_THREADS to
+    the BLAS runtimes; raise ConfigError on any other value."""
+    source = "--threads" if threads is not None else "NCYM_THREADS"
     n = threads if threads is not None else os.environ.get("NCYM_THREADS")
     if n is None:
         return
+    try:
+        count = int(n)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ConfigError(f"{source} must be a positive integer, got {n!r}")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(n))
+        os.environ.setdefault(var, str(count))
 
 
 def _pyify(obj):
@@ -176,12 +190,11 @@ def _task_geom_check(problem, doc):
     }
 
 
-def _task_selfcheck(doc, filter_=None):
+def cmd_selfcheck(args) -> int:
     from .selfcheck import format_table, run_selfcheck
 
-    results = run_selfcheck(filter_)
+    results = run_selfcheck(args.filter)
     print(format_table(results))
-    ok = all(r.passed for r in results)
     payload = {
         "checks": [
             {
@@ -194,12 +207,15 @@ def _task_selfcheck(doc, filter_=None):
         ],
         "failed": sum(1 for r in results if not r.passed),
     }
-    return (EXIT_OK if ok else 1), payload
+    if args.output_dir:
+        out_dir = Path(args.output_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_report(out_dir, "selfcheck", {"task": "selfcheck"}, payload)
+    return EXIT_OK if payload["failed"] == 0 else 1
 
 
 def cmd_run(args) -> int:
     from .config import build_problem, resolve
-    from .errors import ConfigError
 
     try:
         try:
@@ -210,29 +226,24 @@ def cmd_run(args) -> int:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if args.seed is not None:
             doc["seed"] = args.seed
-        cfg = resolve(doc)
-        resolved = cfg.resolved
-        out_dir = Path(
-            args.output_dir or resolved.get("output_dir") or f"ncym-out-{cfg.task}"
-        )
+        resolved = resolve(doc)
+        task = resolved["task"]
+        out_dir = Path(args.output_dir or resolved.get("output_dir") or f"ncym-out-{task}")
         out_dir.mkdir(parents=True, exist_ok=True)
 
-        if cfg.task == "selfcheck":
-            code, result = _task_selfcheck(resolved)
+        problem = build_problem(resolved)
+        if task == "eval":
+            code, result = _task_eval(problem, resolved)
+        elif task == "solve":
+            code, result = _task_solve(problem, resolved, out_dir)
+        elif task == "classify":
+            code, result = _task_classify(problem, resolved)
+        elif task == "chern":
+            code, result = _task_chern(problem, resolved)
+        elif task == "lc-check":
+            code, result = _task_lc_check(problem, resolved)
         else:
-            problem = build_problem(cfg)
-            if cfg.task == "eval":
-                code, result = _task_eval(problem, resolved)
-            elif cfg.task == "solve":
-                code, result = _task_solve(problem, resolved, out_dir)
-            elif cfg.task == "classify":
-                code, result = _task_classify(problem, resolved)
-            elif cfg.task == "chern":
-                code, result = _task_chern(problem, resolved)
-            elif cfg.task == "lc-check":
-                code, result = _task_lc_check(problem, resolved)
-            else:
-                code, result = _task_geom_check(problem, resolved)
+            code, result = _task_geom_check(problem, resolved)
     except ValueError as exc:
         # every package validation error (ConfigError, ShapeError, InvalidRank,
         # ...) means the inputs were unusable
@@ -241,36 +252,23 @@ def cmd_run(args) -> int:
 
     if code == EXIT_OK and _non_finite(result):
         code = EXIT_NON_FINITE
-    _write_report(Path(out_dir), cfg.task, resolved, result)
-    print(f"{cfg.task}: report written to {out_dir / 'report.json'}")
-    return code
-
-
-def cmd_selfcheck(args) -> int:
-    code, payload = _task_selfcheck({}, args.filter)
-    if args.output_dir:
-        out_dir = Path(args.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_report(out_dir, "selfcheck", {"task": "selfcheck"}, payload)
+    _write_report(out_dir, task, resolved, result)
+    print(f"{task}: report written to {out_dir / 'report.json'}")
     return code
 
 
 def _load_run(run_dir: Path):
+    """The resolved config of a run and its problem."""
     from .config import build_problem, resolve
-    from .errors import ConfigError
 
     report_path = run_dir / "report.json"
     if not report_path.exists():
         raise ConfigError(f"no report.json under {run_dir}")
-    report = json.loads(report_path.read_text())
-    cfg = resolve(report["config"])
-    return report, cfg, build_problem(cfg)
+    resolved = resolve(json.loads(report_path.read_text())["config"])
+    return resolved, build_problem(resolved)
 
 
 def cmd_plot(args) -> int:
-    import numpy as np
-    from .errors import ConfigError
-
     run_dir = Path(args.run_dir)
     out_dir = Path(args.output_dir) if args.output_dir else run_dir
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -283,15 +281,15 @@ def cmd_plot(args) -> int:
             with open(out_dir / "plot_trace.csv", "w", newline="") as fh:
                 csv.writer(fh).writerows(rows)
         elif args.what == "well":
-            _, _, problem = _load_run(run_dir)
+            _, problem = _load_run(run_dir)
             _emit_well_scan(problem, out_dir / "well.csv")
         elif args.what == "density":
-            _, cfg, problem = _load_run(run_dir)
-            if cfg.resolved["bundle"]["kind"] == "torus":
+            resolved, problem = _load_run(run_dir)
+            if resolved["bundle"]["kind"] == "torus":
                 raise ConfigError("density profiles need a sphere bundle")
-            _emit_density_profile(cfg, problem, out_dir / "density.csv")
+            _emit_density_profile(resolved, problem, out_dir / "density.csv")
         else:
-            _, _, problem = _load_run(run_dir)
+            _, problem = _load_run(run_dir)
             _emit_action_slice(problem, out_dir / "slice.csv")
     except ValueError as exc:
         print(f"ncym: {exc}", file=sys.stderr)
@@ -315,12 +313,12 @@ def _emit_well_scan(problem, path) -> None:
             writer.writerow([repr(float(t)), repr(action(ncc, problem.riem).s_total)])
 
 
-def _emit_density_profile(cfg, problem, path) -> None:
+def _emit_density_profile(resolved, problem, path) -> None:
     import numpy as np
     from .chern_weil import chern_form
     from .geometry import grid_points
 
-    q = cfg.resolved.get("chern", {}).get("degree", problem.man.dim // 2)
+    q = resolved.get("chern", {}).get("degree", problem.man.dim // 2)
     cf = chern_form(problem.conn, q)
     ch = problem.man.chart("north")
     comp = ch.orientation * cf.comps["north"][tuple(range(problem.man.dim))]
@@ -373,8 +371,8 @@ def main(argv=None) -> int:
         prog="ncym",
         description="Gauge fields and Yang-Mills vacua on endomorphism bundles",
     )
-    parser.add_argument("--threads", type=int, default=None,
-                        help="BLAS parallelism hint (or NCYM_THREADS)")
+    parser.add_argument("--threads", default=None,
+                        help="BLAS parallelism hint, a positive integer (or NCYM_THREADS)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute one experiment config")
@@ -394,7 +392,11 @@ def main(argv=None) -> int:
     p_plot.add_argument("--output-dir", default=None)
 
     args = parser.parse_args(argv)
-    _apply_threads_hint(args.threads)
+    try:
+        _apply_threads_hint(args.threads)
+    except ConfigError as exc:
+        print(f"ncym: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     if args.command == "run":
         return cmd_run(args)
     if args.command == "selfcheck":

@@ -1,10 +1,12 @@
 """Experiment configuration: schema validation, defaults, problem assembly.
 
-A config document is a single JSON object selecting a bundle, a metric, a
-reference connection, an initial field pair, and a task.  Validation happens
-before any computation; the fully resolved document (defaults filled in) is
-what every run records verbatim in its report, so a report always carries
-the exact inputs that produced it.
+A config document is a single JSON object selecting a bundle, a reference
+connection, an initial field pair, and a task.  The bundle fixes the base
+metric (flat on the torus, round on the sphere) and the charge of a monopole
+connection; the optional ``metric`` block sets only the fiber metric.
+Validation happens before any computation; the fully resolved document
+(defaults filled in) is what every run records verbatim in its report, so a
+report always carries the exact inputs that produced it.
 """
 
 import copy
@@ -31,9 +33,9 @@ from .lie_core import build_representation, build_su, build_u1
 from .metric import assemble
 from .yang_mills import SolverOptions
 
-__all__ = ["ExperimentConfig", "resolve", "build_problem", "SCHEMA"]
+__all__ = ["resolve", "build_problem", "SCHEMA"]
 
-TASKS = ["eval", "solve", "classify", "chern", "lc-check", "geom-check", "selfcheck"]
+TASKS = ["eval", "solve", "classify", "chern", "lc-check", "geom-check"]
 
 SCHEMA = {
     "type": "object",
@@ -93,13 +95,12 @@ SCHEMA = {
         "metric": {
             "type": "object",
             "properties": {
-                "kind": {"enum": ["flat", "round-sphere"]},
                 "internal": {
                     "type": "array",
                     "items": {"type": "array", "items": {"type": "number"}},
                 },
             },
-            "required": ["kind"],
+            "minProperties": 1,
             "additionalProperties": False,
         },
         "connection": {
@@ -113,7 +114,6 @@ SCHEMA = {
                 "seed": {"type": "integer"},
                 "amplitude": {"type": "number"},
                 "rho": {"type": "number", "exclusiveMinimum": 0},
-                "charge": {"type": "integer"},
             },
             "required": ["kind"],
             "additionalProperties": False,
@@ -134,12 +134,7 @@ SCHEMA = {
             "properties": {
                 "max_iters": {"type": "integer", "minimum": 1},
                 "tol": {"type": "number", "exclusiveMinimum": 0},
-                "step": {"type": "number", "exclusiveMinimum": 0},
                 "momentum": {"type": "number", "minimum": 0, "maximum": 1},
-                "armijo": {"type": "number", "exclusiveMinimum": 0},
-                "shrink": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                "max_backtracks": {"type": "integer", "minimum": 1},
-                "project": {"type": "boolean"},
             },
             "additionalProperties": False,
         },
@@ -168,17 +163,6 @@ def _compile(schema: dict):
 _VALIDATOR = _compile(SCHEMA)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated, fully-resolved experiment description."""
-
-    task: str
-    resolved: dict  # the defaults-filled document recorded in every report
-
-    def __getitem__(self, key):
-        return self.resolved[key]
-
-
 def _defaults_for(doc: dict) -> dict:
     doc = copy.deepcopy(doc)
     bundle = doc["bundle"]
@@ -190,19 +174,16 @@ def _defaults_for(doc: dict) -> dict:
         if bundle["algebra"]["kind"] == "su":
             bundle["algebra"].setdefault("n", 2)
         doc.setdefault("representation", {"kind": "fundamental"})
-        doc.setdefault("metric", {"kind": "flat"})
         doc.setdefault("connection", {"kind": "zero"})
     elif kind == "instanton":
         bundle.setdefault("radius", 1.0)
         bundle.setdefault("margin", 1.6)
-        doc.setdefault("metric", {"kind": "round-sphere"})
         doc.setdefault("connection", {"kind": "bpst", "rho": 1.0})
     else:  # monopole
         bundle.setdefault("charge", 1)
         bundle.setdefault("radius", 1.0)
         bundle.setdefault("margin", 1.6)
-        doc.setdefault("metric", {"kind": "round-sphere"})
-        doc.setdefault("connection", {"kind": "monopole", "charge": bundle["charge"]})
+        doc.setdefault("connection", {"kind": "monopole"})
     conn = doc["connection"]
     if conn["kind"] == "random":
         conn.setdefault("seed", doc.get("seed", 0))
@@ -224,15 +205,15 @@ def _defaults_for(doc: dict) -> dict:
     return doc
 
 
-def resolve(doc: dict) -> ExperimentConfig:
-    """Validate a raw document and fill in the defaults."""
+def resolve(doc: dict) -> dict:
+    """Validate a raw document and return it with the defaults filled in."""
     # the error jsonschema.validate would raise, without re-checking SCHEMA
     error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
     if error is not None:
         raise ConfigError(f"config rejected: {error.message}") from error
     resolved = _defaults_for(doc)
     _cross_check(resolved)
-    return ExperimentConfig(task=resolved["task"], resolved=resolved)
+    return resolved
 
 
 def _cross_check(doc: dict) -> None:
@@ -246,10 +227,6 @@ def _cross_check(doc: dict) -> None:
     }[kind]
     if conn not in allowed:
         raise ConfigError(f"connection kind {conn!r} not available on a {kind} bundle")
-    if kind == "torus" and doc["metric"]["kind"] != "flat":
-        raise ConfigError("torus runs use the flat base metric")
-    if kind != "torus" and doc["metric"]["kind"] != "round-sphere":
-        raise ConfigError("sphere bundles use the round base metric")
     if kind != "torus" and "representation" in doc:
         raise ConfigError(f"the {kind} bundle fixes its own representation")
     if conn == "constant" and "coeffs" not in doc["connection"]:
@@ -280,8 +257,8 @@ class Problem:
     init: object  # initial NCConnection
 
 
-def build_problem(cfg: ExperimentConfig) -> Problem:
-    doc = cfg.resolved
+def build_problem(doc: dict) -> Problem:
+    """Assemble the problem of a resolved document (see :func:`resolve`)."""
     bundle = doc["bundle"]
     kind = bundle["kind"]
     if kind == "torus":
@@ -309,16 +286,12 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
     elif cspec["kind"] == "bpst":
         conn = bpst_connection(man, lb, rep, rho=cspec["rho"])
     else:
-        conn = monopole_connection(man, lb, rep, cspec["charge"])
+        conn = monopole_connection(man, lb, rep, bundle["charge"])
 
-    base = (
-        flat_metric(man)
-        if doc["metric"]["kind"] == "flat"
-        else round_sphere_metric(man)
-    )
+    base = flat_metric(man) if kind == "torus" else round_sphere_metric(man)
     internal = (
         np.asarray(doc["metric"]["internal"], dtype=float)
-        if "internal" in doc["metric"]
+        if "metric" in doc
         else np.eye(lb.dim)
     )
     riem = assemble(base, internal, conn)

@@ -128,9 +128,6 @@ class Manifold:
                 return ch
         raise KeyError(name)
 
-    def chart_names(self):
-        return [ch.name for ch in self.charts]
-
     def overlap(self, src: str, dst: str) -> Overlap:
         for ov in self.overlaps:
             if ov.src == src and ov.dst == dst:

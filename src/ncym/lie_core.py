@@ -8,8 +8,7 @@ Conventions used throughout the package:
 * the hermitian dictionary is ``E_a^herm = i E_a`` when comparing with
   physics-convention formulas.
 
-The internal fiber metric ``g_int`` defaults to the identity; the Killing
-form is returned un-normalized (``-2 delta`` for su(2)).
+The Killing form is returned un-normalized (``-2 delta`` for su(2)).
 """
 
 from __future__ import annotations
@@ -44,13 +43,11 @@ class LieBasis:
     n : matrix size of the defining representation.
     basis : complex array (m, n, n), m = n^2 - 1, anti-hermitian traceless.
     structure : real array (m, m, m); ``structure[a, b, c]`` is ``C_ab^c``.
-    g_int : real SPD array (m, m), the internal fiber metric (default identity).
     """
 
     n: int
     basis: np.ndarray
     structure: np.ndarray
-    g_int: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -135,7 +132,7 @@ def _check_jacobi(c: np.ndarray) -> float:
     return float(np.max(np.abs(jac)))
 
 
-def build_su(n: int, g_int: np.ndarray | None = None) -> LieBasis:
+def build_su(n: int) -> LieBasis:
     """Anti-hermitian su(n) basis with real structure constants.
 
     For n = 2 the basis is exactly E_a = -(i/2) sigma_a and C_ab^c = eps_abc.
@@ -148,13 +145,6 @@ def build_su(n: int, g_int: np.ndarray | None = None) -> LieBasis:
         raise InvalidRank(f"need integer n >= 2, got {n!r}")
     basis = -0.5j * _gell_mann_like(n)
     m = n * n - 1
-    if g_int is None:
-        g_int = np.eye(m)
-    g_int = np.asarray(g_int, dtype=float)
-    if g_int.shape != (m, m):
-        raise ShapeError(f"g_int must be ({m}, {m})")
-    if np.max(np.abs(g_int - g_int.T)) > _ATOL or np.min(np.linalg.eigvalsh(g_int)) <= 0:
-        raise ShapeError("g_int must be symmetric positive definite")
     c = structure_constants(basis)
 
     # construction-time sanity (the cheap invariants, all exact-regime)
@@ -164,23 +154,18 @@ def build_su(n: int, g_int: np.ndarray | None = None) -> LieBasis:
     assert np.max(np.abs(gram + 0.5 * np.eye(m))) < _ATOL
     assert np.max(np.abs(c + np.transpose(c, (1, 0, 2)))) < _ATOL
     assert _check_jacobi(c) < 1e-10
-    return LieBasis(n=int(n), basis=basis, structure=c, g_int=g_int)
+    return LieBasis(n=int(n), basis=basis, structure=c)
 
 
-def build_u1(g_int: np.ndarray | None = None) -> LieBasis:
+def build_u1() -> LieBasis:
     """The abelian structure algebra of line bundles: one generator i/sqrt(2).
 
     The normalization keeps the trace pairing tr(E_1 E_1) = -1/2 shared with
     the su(n) bases, so component extraction and the internal metric default
     work unchanged.  Structure constants vanish.
     """
-    if g_int is None:
-        g_int = np.eye(1)
-    g_int = np.asarray(g_int, dtype=float)
-    if g_int.shape != (1, 1) or g_int[0, 0] <= 0:
-        raise ShapeError("g_int must be a positive 1 x 1 matrix")
     basis = np.array([[[1j / np.sqrt(2.0)]]])
-    return LieBasis(n=1, basis=basis, structure=np.zeros((1, 1, 1)), g_int=g_int)
+    return LieBasis(n=1, basis=basis, structure=np.zeros((1, 1, 1)))
 
 
 def killing_metric(lb: LieBasis) -> np.ndarray:

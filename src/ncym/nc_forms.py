@@ -163,10 +163,11 @@ class MixedForm:
         else:
             self.comps[key] = np.array(value, dtype=complex)
 
-    def prune(self, tol: float = 0.0) -> "MixedForm":
-        """Drop stored components that are identically (or up to tol) zero."""
+    def prune(self) -> "MixedForm":
+        """Drop stored components that are identically zero (a component
+        holding a NaN is kept)."""
         self.comps = {
-            k: v for k, v in self.comps.items() if np.max(np.abs(v)) > tol
+            k: v for k, v in self.comps.items() if np.max(np.abs(v)) != 0.0
         }
         return self
 
@@ -235,10 +236,10 @@ def random_form(ref, chart: ChartGrid, degree: int, seed: int,
 
 
 def form_norm(w: MixedForm) -> float:
-    """Max absolute value over all stored components."""
+    """Max absolute value over all stored components; NaN if any is NaN."""
     if not w.comps:
         return 0.0
-    return max(float(np.max(np.abs(v))) for v in w.comps.values())
+    return float(np.max([np.max(np.abs(v)) for v in w.comps.values()]))
 
 
 # ---------------------------------------------------------------------------

@@ -56,14 +56,21 @@ class ActionBreakdown:
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """The settable part of :func:`solve_vacuum`: the iteration budget, the
+    gradient-norm tolerance and the heavy-ball momentum."""
+
     max_iters: int = 400
     tol: float = 1e-8
-    step: float = 0.25
     momentum: float = 0.85
-    armijo: float = 1e-4
-    shrink: float = 0.5
-    max_backtracks: int = 30
-    project: bool = True
+
+
+# Fixed line-search constants of solve_vacuum: the initial step (the growing
+# step is capped at 64 times it), the Armijo sufficient-decrease factor, the
+# shrink factor per backtrack, and the number of backtracks before a stall.
+STEP = 0.25
+ARMIJO = 1e-4
+SHRINK = 0.5
+MAX_BACKTRACKS = 30
 
 
 @dataclass(frozen=True)
@@ -307,18 +314,19 @@ def _steepest(g: dict, gn: float) -> tuple:
     return _fields_map(np.negative, g), _fields_map(np.copy, g), -gn * gn
 
 
-def _line_search(state, S, direction, slope, eta, riem, opts):
-    """Armijo backtracking from step ``eta``.
+def _line_search(state, S, direction, slope, eta, riem):
+    """Armijo backtracking from step ``eta``; every candidate is projected
+    back to anti-hermitian fields.
 
     Returns ``(candidate, its action, accepted eta)``, or None when
-    ``opts.max_backtracks`` shrinks find no sufficient decrease.
+    ``MAX_BACKTRACKS`` shrinks find no sufficient decrease.
     """
-    for _ in range(opts.max_backtracks):
-        cand = _step(state, direction, eta, opts.project)
+    for _ in range(MAX_BACKTRACKS):
+        cand = _step(state, direction, eta, True)
         S_new = action(cand, riem).s_total
-        if S_new <= S + opts.armijo * eta * slope:
+        if S_new <= S + ARMIJO * eta * slope:
             return cand, S_new, eta
-        eta *= opts.shrink
+        eta *= SHRINK
     return None
 
 
@@ -340,7 +348,7 @@ def solve_vacuum(init: NCConnection, riem, opts: SolverOptions | None = None):
                     phi={k: v.copy() for k, v in init.phi.items()})
     vel = None
     S = action(state, riem).s_total
-    eta = opts.step
+    eta = STEP
     trace = []
     stop = "budget"
     it = 0
@@ -365,12 +373,12 @@ def solve_vacuum(init: NCConnection, riem, opts: SolverOptions | None = None):
         slope = pairing(g, direction)
         if slope >= 0.0:
             direction, vel, slope = _steepest(g, gn)
-        eta = min(2.0 * eta, 64.0 * opts.step)
-        found = _line_search(state, S, direction, slope, eta, riem, opts)
+        eta = min(2.0 * eta, 64.0 * STEP)
+        found = _line_search(state, S, direction, slope, eta, riem)
         if found is None and slope != -gn * gn:
             # momentum direction failed entirely: drop it and retry once
             direction, vel, slope = _steepest(g, gn)
-            found = _line_search(state, S, direction, slope, opts.step, riem, opts)
+            found = _line_search(state, S, direction, slope, STEP, riem)
         if found is None:
             stop = "stalled"  # at line-search resolution
             break

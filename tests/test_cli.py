@@ -48,7 +48,8 @@ def test_solve_run_artifacts(solved_run):
     assert report["result"]["action"] < 1e-8
     assert report["result"]["commutant_dim"] == 1
     # the resolved config is recorded verbatim, defaults included
-    assert report["config"]["solver"]["armijo"] == 1e-4
+    assert report["config"]["connection"] == {"kind": "zero"}
+    assert report["config"]["solver"] == {"max_iters": 400, "tol": 1e-8, "momentum": 0.9}
     assert report["config"]["initial"]["seed"] == 7
 
 
@@ -145,6 +146,50 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+_TORUS_EVAL = {"task": "eval", "bundle": {"kind": "torus", "npts": 8}}
+
+
+@pytest.mark.parametrize(
+    "doc,named",
+    [
+        *(
+            ({**_TORUS_EVAL, "solver": {key: value}}, key)
+            for key, value in (("step", 0.25), ("armijo", 1e-4), ("shrink", 0.5),
+                               ("max_backtracks", 30), ("project", True))
+        ),
+        ({**_TORUS_EVAL, "metric": {"kind": "flat"}}, "kind"),
+        ({"task": "chern", "bundle": {"kind": "monopole", "npts": 16, "charge": 1},
+          "connection": {"kind": "monopole", "charge": 2}}, "charge"),
+        ({**_TORUS_EVAL, "task": "selfcheck"}, "selfcheck"),
+    ],
+    ids=["solver.step", "solver.armijo", "solver.shrink", "solver.max_backtracks",
+         "solver.project", "metric.kind", "connection.charge", "task-selfcheck"],
+)
+def test_removed_settings_exit_2(doc, named, tmp_path, capsys):
+    """Settings that changed nothing, or had to repeat what the bundle fixes,
+    are refused with a message naming them."""
+    doc = {**doc, "output_dir": str(tmp_path / "out")}
+    assert main(["run", _write(tmp_path, doc)]) == 2
+    assert f"'{named}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("hint", ["abc", "0", "-3"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_thread_hint_must_be_a_positive_integer(hint, source, monkeypatch, capsys):
+    monkeypatch.delenv("NCYM_THREADS", raising=False)
+    argv = ["selfcheck", "--filter", "lie_core"]
+    if source == "flag":
+        argv = ["--threads", hint] + argv
+        named = "--threads"
+    else:
+        monkeypatch.setenv("NCYM_THREADS", hint)
+        named = "NCYM_THREADS"
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert named in err and repr(hint) in err
+
+
 def test_budget_exhaustion_exits_3(tmp_path):
     doc = {
         "task": "solve",
@@ -159,13 +204,16 @@ def test_budget_exhaustion_exits_3(tmp_path):
     assert (tmp_path / "out" / "trace.csv").exists()
 
 
-def test_stalled_solve_exits_4(tmp_path):
+def test_stalled_solve_exits_4(tmp_path, monkeypatch):
     """A line search that finds no decrease is a stall, not a spent budget."""
+    from ncym import yang_mills
+
+    monkeypatch.setattr(yang_mills, "STEP", 1e3)
+    monkeypatch.setattr(yang_mills, "MAX_BACKTRACKS", 1)
     doc = {
         "task": "solve",
         "bundle": {"kind": "torus", "npts": 8},
         "initial": {"kind": "random", "seed": 3, "amplitude": 0.5},
-        "solver": {"step": 1e3, "max_backtracks": 1},
         "output_dir": str(tmp_path / "out"),
     }
     assert main(["run", _write(tmp_path, doc)]) == 4

@@ -1,11 +1,16 @@
 """Config schema, defaults, cross checks, and problem assembly."""
 
+from dataclasses import asdict, fields
+
 import jsonschema
 import numpy as np
 import pytest
 
 from ncym.config import SCHEMA, build_problem, resolve
+from ncym.connections import monopole_connection
 from ncym.errors import ConfigError
+from ncym.geometry import flat_metric, round_sphere_metric
+from ncym.yang_mills import SolverOptions
 
 
 def _torus(**over):
@@ -15,12 +20,11 @@ def _torus(**over):
 
 
 def test_torus_defaults():
-    cfg = resolve(_torus())
-    doc = cfg.resolved
+    doc = resolve(_torus())
     assert doc["bundle"]["dim"] == 2
     assert doc["bundle"]["algebra"] == {"kind": "su", "n": 2}
     assert doc["representation"] == {"kind": "fundamental"}
-    assert doc["metric"] == {"kind": "flat"}
+    assert "metric" not in doc  # the base metric follows the bundle
     assert doc["connection"] == {"kind": "zero"}
     assert doc["initial"] == {"kind": "canonical"}
     assert doc["solver"]["max_iters"] == 400
@@ -28,26 +32,51 @@ def test_torus_defaults():
 
 
 def test_instanton_defaults():
-    cfg = resolve({"task": "chern", "bundle": {"kind": "instanton", "npts": 8}})
-    doc = cfg.resolved
+    doc = resolve({"task": "chern", "bundle": {"kind": "instanton", "npts": 8}})
     assert doc["connection"] == {"kind": "bpst", "rho": 1.0}
-    assert doc["metric"]["kind"] == "round-sphere"
+    assert "metric" not in doc
     assert doc["chern"]["degree"] == 2
 
 
+@pytest.mark.parametrize(
+    "bundle,base",
+    [
+        ({"kind": "torus", "npts": 8}, flat_metric),
+        ({"kind": "instanton", "npts": 8}, round_sphere_metric),
+        ({"kind": "monopole", "npts": 8}, round_sphere_metric),
+    ],
+)
+def test_base_metric_follows_the_bundle(bundle, base):
+    p = build_problem(resolve({"task": "eval", "bundle": bundle}))
+    want = base(p.man)
+    for ch in p.man.charts:
+        assert np.array_equal(p.riem.base.g[ch.name], want.g[ch.name])
+
+
 def test_monopole_defaults_inherit_charge():
-    cfg = resolve(
-        {"task": "chern", "bundle": {"kind": "monopole", "npts": 8, "charge": 3}}
-    )
-    assert cfg.resolved["connection"] == {"kind": "monopole", "charge": 3}
-    assert cfg.resolved["chern"]["degree"] == 1
+    """The monopole connection takes the bundle's charge; it has none of its own."""
+    doc = resolve({"task": "chern", "bundle": {"kind": "monopole", "npts": 8, "charge": 3}})
+    assert doc["connection"] == {"kind": "monopole"}
+    assert doc["chern"]["degree"] == 1
+    p = build_problem(doc)
+    want = monopole_connection(p.man, p.basis, p.rep, 3)
+    for ch in p.man.charts:
+        assert np.array_equal(p.conn.A[ch.name], want.A[ch.name])
+
+
+def test_solver_schema_is_solver_options():
+    """Every solver key a config may set is a SolverOptions field, and back."""
+    assert set(SCHEMA["properties"]["solver"]["properties"]) == {
+        f.name for f in fields(SolverOptions)
+    }
+    assert resolve(_torus())["solver"] == asdict(SolverOptions())
 
 
 def test_seed_flows_into_sub_seeds():
-    cfg = resolve(_torus(seed=42, initial={"kind": "random"}))
-    assert cfg.resolved["initial"]["seed"] == 42
-    cfg2 = resolve(_torus(seed=42, initial={"kind": "random", "seed": 9}))
-    assert cfg2.resolved["initial"]["seed"] == 9
+    doc = resolve(_torus(seed=42, initial={"kind": "random"}))
+    assert doc["initial"]["seed"] == 42
+    doc2 = resolve(_torus(seed=42, initial={"kind": "random", "seed": 9}))
+    assert doc2["initial"]["seed"] == 9
 
 
 @pytest.mark.parametrize(
@@ -93,9 +122,8 @@ def test_schema_rejections_keep_the_jsonschema_message(doc):
 
 def test_resolved_document_validates_again():
     # the resolved form is itself a valid document: reports can be re-run
-    cfg = resolve(_torus(seed=3))
-    again = resolve(cfg.resolved)
-    assert again.resolved == cfg.resolved
+    doc = resolve(_torus(seed=3))
+    assert resolve(doc) == doc
 
 
 def test_build_torus_problem():
@@ -127,7 +155,7 @@ def test_build_u1_torus():
 
 def test_build_internal_metric_override():
     internal = (np.eye(3) * [1.0, 2.0, 3.0]).tolist()
-    p = build_problem(resolve(_torus(metric={"kind": "flat", "internal": internal})))
+    p = build_problem(resolve(_torus(metric={"internal": internal})))
     name = p.man.charts[0].name
     assert p.riem.internal[name][0, 0, 2, 2] == 3.0
 

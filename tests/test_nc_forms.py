@@ -90,6 +90,27 @@ def test_split_reassembles_bitwise(setup):
         assert np.array_equal(back.comps[key], w.comps[key])
 
 
+def test_form_norm_propagates_nan(setup):
+    """A NaN in the last of the stored components is the norm, not dropped."""
+    man, lb, rep, ref, riem = setup
+    w = random_form(ref, man.charts[0], 1, seed=4)
+    assert len(w.comps) == D + M
+    w.comps[max(w.comps)][1, 2, 0, 1] = np.nan
+    assert np.isnan(form_norm(w))
+
+
+def test_prune_keeps_nan_components(setup):
+    """A component holding a NaN survives the zero-component pruning of the
+    differential, so d(w) of a NaN form reports NaN instead of zero."""
+    man, lb, rep, ref, riem = setup
+    w = random_form(ref, man.charts[0], 1, seed=4, x_dependent=True)
+    w.comps[max(w.comps)][3, 3, 0, 0] = np.nan
+    dw = differential(w)
+    assert dw.comps
+    assert np.isnan(form_norm(dw))
+    assert np.isnan(form_norm(differential(dw)))
+
+
 # ---------------------------------------------------------------- wedge
 
 

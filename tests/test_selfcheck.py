@@ -4,6 +4,7 @@ import re
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 import ncym.selfcheck as sc
 
@@ -59,6 +60,47 @@ def test_transition_round_trip_check_fails_on_nan(monkeypatch):
 
     monkeypatch.setattr(sc, "instanton_bundle", poisoned)
     passed, detail = sc._check_transition_round_trip()
+    assert not passed
+    assert "nan" in detail.lower()
+
+
+def _poison_last_chern_component(real):
+    def poisoned(conn, q):
+        cf = real(conn, q)
+        last = list(cf.comps.values())[-1]
+        key = max(last)
+        last[key] = last[key].copy()
+        last[key].flat[-1] = np.nan
+        return cf
+
+    return poisoned
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "check,target,make",
+    [
+        (sc._check_structure, "build_su",
+         lambda real: lambda n: replace(real(n), structure=np.full((3, 3, 3), NAN))),
+        (sc._check_canonical_action, "grad_norm", lambda real: lambda grad: NAN),
+        (sc._check_canonical_flat_on_instanton, "vacuum_residuals",
+         lambda real: lambda ncc, riem: (0.0, 0.0, NAN)),
+        (sc._check_lc_flat, "residual_table",
+         lambda real: lambda riem: {"torsion": 0.0, "metricity": 0.0, "koszul": NAN}),
+        (sc._check_lc_constant_regime, "residual_table",
+         lambda real: lambda riem: {"torsion": 0.0, "metricity": 0.0, "koszul": NAN}),
+        (sc._check_first_class_traceless, "chern_form", _poison_last_chern_component),
+    ],
+    ids=["structure", "canonical-action", "canonical-flat-on-instanton", "lc-flat",
+         "lc-constant-regime", "first-class-traceless"],
+)
+def test_nan_reads_as_fail(check, target, make, monkeypatch):
+    """A NaN behind a zero or finite value fails the check instead of being
+    dropped by the reduction (builtin max(0.0, nan) is 0.0)."""
+    monkeypatch.setattr(sc, target, make(getattr(sc, target)))
+    passed, detail = check()
     assert not passed
     assert "nan" in detail.lower()
 
