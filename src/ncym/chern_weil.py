@@ -96,7 +96,7 @@ def chern_form(conn: OrdinaryConnection, q: int) -> ChernForm:
     for ch in conn.man.charts:
         # pair-major: Fm[mu, nu] is the (..., k, k) matrix field of F_mu_nu
         Fm = np.moveaxis(conn.rep.contract(F[ch.name]), (-4, -3), (0, 1))
-        trF = np.trace(Fm, axis1=-2, axis2=-1)
+        trF = np.einsum("...aa->...", Fm)
         here = {}
         for key in itertools.combinations(range(d), 2 * q):
             acc = 0.0

@@ -341,6 +341,8 @@ def _emit_action_slice(problem, path) -> None:
     from .geometry import grid_points
     from .yang_mills import action
 
+    if problem.init is None:
+        raise ConfigError("an action slice needs a run with an initial field pair")
     bd = action(problem.init, problem.riem)
     name = problem.man.charts[0].name
     dens = bd.densities[name]

@@ -3,7 +3,11 @@
 A config document is a single JSON object selecting a bundle, a reference
 connection, an initial field pair, and a task.  The bundle fixes the base
 metric (flat on the torus, round on the sphere) and the charge of a monopole
-connection; the optional ``metric`` block sets only the fiber metric.
+connection; the optional ``metric`` block sets only the fiber metric.  Every
+setting must change the run: a bundle accepts only the keys its kind reads,
+and ``metric`` (eval, solve, classify, lc-check), ``initial`` (eval, solve,
+classify), ``solver`` and ``snapshots`` (solve) and ``chern`` (chern) are
+accepted, and defaulted where they have defaults, only for those tasks.
 Validation happens before any computation; the fully resolved document
 (defaults filled in) is what every run records verbatim in its report, so a
 report always carries the exact inputs that produced it.
@@ -36,6 +40,22 @@ from .yang_mills import SolverOptions
 __all__ = ["resolve", "build_problem", "SCHEMA"]
 
 TASKS = ["eval", "solve", "classify", "chern", "lc-check", "geom-check"]
+
+# the bundle keys each bundle kind reads; any other key is refused
+BUNDLE_KEYS = {
+    "torus": {"kind", "npts", "dim", "side", "algebra"},
+    "instanton": {"kind", "npts", "radius", "margin"},
+    "monopole": {"kind", "npts", "charge", "radius", "margin"},
+}
+
+# the tasks that read each optional block; the block is refused elsewhere
+TASK_BLOCKS = {
+    "metric": {"eval", "solve", "classify", "lc-check"},
+    "initial": {"eval", "solve", "classify"},
+    "solver": {"solve"},
+    "snapshots": {"solve"},
+    "chern": {"chern"},
+}
 
 SCHEMA = {
     "type": "object",
@@ -190,18 +210,21 @@ def _defaults_for(doc: dict) -> dict:
         conn.setdefault("amplitude", 0.3)
     if conn["kind"] == "bpst":
         conn.setdefault("rho", 1.0)
-    doc.setdefault("initial", {"kind": "canonical"})
-    init = doc["initial"]
-    if init["kind"] in ("random", "canonical-plus-random"):
-        init.setdefault("seed", doc.get("seed", 0))
-        init.setdefault("amplitude", 0.5)
-        init.setdefault("x_dependent", False)
-    doc["solver"] = {**asdict(SolverOptions()), **doc.get("solver", {})}
-    if doc["task"] == "chern":
+    task = doc["task"]
+    if task in TASK_BLOCKS["initial"]:
+        doc.setdefault("initial", {"kind": "canonical"})
+        init = doc["initial"]
+        if init["kind"] in ("random", "canonical-plus-random"):
+            init.setdefault("seed", doc.get("seed", 0))
+            init.setdefault("amplitude", 0.5)
+            init.setdefault("x_dependent", False)
+    if task == "solve":
+        doc["solver"] = {**asdict(SolverOptions()), **doc.get("solver", {})}
+        doc.setdefault("snapshots", False)
+    if task == "chern":
         doc.setdefault("chern", {})
         doc["chern"].setdefault("degree", 2 if kind == "instanton" else 1)
     doc.setdefault("seed", 0)
-    doc.setdefault("snapshots", False)
     return doc
 
 
@@ -219,6 +242,12 @@ def resolve(doc: dict) -> dict:
 def _cross_check(doc: dict) -> None:
     bundle = doc["bundle"]
     kind = bundle["kind"]
+    for key in bundle:
+        if key not in BUNDLE_KEYS[kind]:
+            raise ConfigError(f"a {kind} bundle does not read {key!r}")
+    for block, tasks in TASK_BLOCKS.items():
+        if block in doc and doc["task"] not in tasks:
+            raise ConfigError(f"task {doc['task']!r} does not read {block!r}")
     conn = doc["connection"]["kind"]
     allowed = {
         "torus": {"zero", "constant", "random"},
@@ -254,7 +283,7 @@ class Problem:
     rep: object
     conn: object  # reference ordinary connection
     riem: object  # Riemannian structure sharing that reference
-    init: object  # initial NCConnection
+    init: object  # initial NCConnection, None when the task reads none
 
 
 def build_problem(doc: dict) -> Problem:
@@ -296,8 +325,10 @@ def build_problem(doc: dict) -> Problem:
     )
     riem = assemble(base, internal, conn)
 
-    ispec = doc["initial"]
-    if ispec["kind"] == "canonical":
+    ispec = doc.get("initial")
+    if ispec is None:
+        init = None
+    elif ispec["kind"] == "canonical":
         init = canonical_ncc(conn)
     elif ispec["kind"] == "zero":
         init = zero_ncc(conn)

@@ -356,9 +356,9 @@ def gluing_residuals(conn: OrdinaryConnection) -> dict:
         dst = conn.man.chart(ov.dst)
         mask, jac = ov.mask, ov.jac  # J[i, j] = d y^i / d x^j
 
+        # destination fields are sampled as real components, then contracted
         A_src = conn.basis.contract(conn.A[ov.src])  # shape + (d, n, n)
-        A_dst = conn.basis.contract(conn.A[ov.dst])
-        A_dst_at = interp_chart(dst, A_dst, ov.y)
+        A_dst_at = conn.basis.contract(interp_chart(dst, conn.A[ov.dst], ov.y))
         lhs_A = np.einsum("pmij,pmn->pnij", A_dst_at, jac, optimize=True)
 
         t_grid = ov.transition(grid_points(src))
@@ -375,8 +375,7 @@ def gluing_residuals(conn: OrdinaryConnection) -> dict:
         res_A = float(np.max(np.abs(lhs_A - rhs_A)) / scale_A)
 
         F_src = conn.basis.contract(conn.curvature()[ov.src])
-        F_dst = conn.basis.contract(conn.curvature()[ov.dst])
-        F_dst_at = interp_chart(dst, F_dst, ov.y)
+        F_dst_at = conn.basis.contract(interp_chart(dst, conn.curvature()[ov.dst], ov.y))
         lhs_F = np.einsum("pmnij,pmr,pns->prsij", F_dst_at, jac, jac, optimize=True)
         rhs_F = np.einsum("pij,pmnjk,pkl->pmnil", t, F_src[mask], tinv, optimize=True)
         scale_F = max(np.max(np.abs(F_src)), 1e-30)

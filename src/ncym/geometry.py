@@ -245,10 +245,15 @@ def _spd_inverse(name: str, block: np.ndarray, what: str) -> tuple:
     """Inverse and square-root determinant of symmetric positive-definite
     (..., k, k) blocks on chart ``name``; raises SingularMetric naming the
     chart (and the grid index) otherwise, warns on a condition number above
-    1e8."""
+    1e8.
+
+    One eigendecomposition B = V diag(lam) V^T per block serves the check,
+    the inverse V diag(1/lam) V^T and sqrt(det) = sqrt(prod lam); on c * I
+    blocks the inverse is exactly I / c.
+    """
     if np.max(np.abs(block - np.swapaxes(block, -1, -2))) > 1e-12:
         raise SingularMetric(f"{what} on {name} must be symmetric")
-    ev = np.linalg.eigvalsh(block)
+    ev, vec = np.linalg.eigh(block)
     if np.min(ev) <= 0:
         idx = np.unravel_index(int(np.argmin(ev[..., 0])), ev[..., 0].shape)
         where = f" at {tuple(map(int, idx))}" if idx else ""
@@ -256,7 +261,8 @@ def _spd_inverse(name: str, block: np.ndarray, what: str) -> tuple:
     cond = float(np.max(ev) / np.min(ev))
     if cond > _COND_WARN:
         warnings.warn(f"{what} on {name}: condition number {cond:.3e}")
-    return np.linalg.inv(block), np.sqrt(np.linalg.det(block))
+    inv = (vec / ev[..., None, :]) @ np.swapaxes(vec, -1, -2)
+    return inv, np.sqrt(np.prod(ev, axis=-1))
 
 
 class BaseMetric:
@@ -453,15 +459,39 @@ def build_sphere_two_charts(
 
 
 def interp_chart(chart: ChartGrid, arr: np.ndarray, pts: np.ndarray):
-    """Sample a per-chart array at arbitrary coordinates, linearly.
+    """Sample a per-chart array at arbitrary coordinates, multilinearly.
 
     ``arr`` has shape ``chart.shape + extra``; ``pts`` is (..., dim).  Extra
-    axes are interpolated independently, by one interpolator over all of
-    them.  Points outside the grid hull raise.
+    axes are interpolated independently.  Each call builds one sparse
+    sampling matrix, a row of 2^dim corner weights per point, and applies it
+    to ``arr`` flattened to (grid points, extra); the corners and the weight
+    products are taken in the order of scipy's regular-grid interpolator.
+    A point outside the grid hull, NaN or infinite, raises ValueError.
     """
-    from scipy.interpolate import RegularGridInterpolator
+    from scipy.sparse import csr_matrix
 
-    return RegularGridInterpolator(chart.coords, arr)(pts)
+    pts = np.asarray(pts, dtype=float)
+    if pts.shape[-1] != chart.dim:
+        raise ValueError(f"points of dimension {pts.shape[-1]} on a {chart.dim}-d chart")
+    flat = pts.reshape(-1, chart.dim)
+    cols = np.zeros((len(flat), 1), dtype=np.intp)
+    weights = np.ones((len(flat), 1))
+    for axis, grid in enumerate(chart.coords):
+        x = flat[:, axis]
+        if not np.all((grid[0] <= x) & (x <= grid[-1])):
+            raise ValueError(f"a point lies outside chart {chart.name} in dimension {axis}")
+        i = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, len(grid) - 2)
+        t = (x - grid[i]) / (grid[i + 1] - grid[i])
+        # corner offsets 0 then 1 along this axis, inner to the axes before
+        cols = cols[:, :, None] * len(grid) + np.stack([i, i + 1], axis=-1)[:, None]
+        weights = weights[:, :, None] * np.stack([1 - t, t], axis=-1)[:, None]
+        cols, weights = cols.reshape(len(flat), -1), weights.reshape(len(flat), -1)
+    sample = csr_matrix(
+        (weights.ravel(), cols.ravel(), np.arange(0, cols.size + 1, cols.shape[1])),
+        shape=(len(flat), int(np.prod(chart.shape))),
+    )
+    out = sample @ arr.reshape(sample.shape[1], -1)
+    return out.reshape(pts.shape[:-1] + arr.shape[chart.dim :])
 
 
 def expm_antihermitian(x: np.ndarray) -> np.ndarray:

@@ -147,6 +147,31 @@ def test_invalid_config_exits_2(tmp_path, capsys):
 
 
 _TORUS_EVAL = {"task": "eval", "bundle": {"kind": "torus", "npts": 8}}
+_BUNDLES = {
+    "torus": {"kind": "torus", "npts": 8},
+    "instanton": {"kind": "instanton", "npts": 8},
+    "monopole": {"kind": "monopole", "npts": 8},
+}
+# bundle keys a bundle kind never reads, and blocks a task never reads
+_UNREAD_BUNDLE_KEYS = [
+    ("torus", "charge", 1), ("torus", "radius", 1.0), ("torus", "margin", 1.6),
+    ("instanton", "side", 6.0), ("instanton", "dim", 4),
+    ("instanton", "algebra", {"kind": "su", "n": 2}), ("instanton", "charge", 1),
+    ("monopole", "side", 6.0), ("monopole", "dim", 2),
+    ("monopole", "algebra", {"kind": "u1"}),
+]
+_UNREAD_BLOCKS = [
+    ("chern", "initial", {"kind": "canonical"}),
+    ("geom-check", "initial", {"kind": "zero"}),
+    ("eval", "solver", {"max_iters": 10}),
+    ("chern", "solver", {"tol": 1e-6}),
+    ("eval", "snapshots", True),
+    ("lc-check", "snapshots", False),
+    ("eval", "chern", {"degree": 1}),
+    ("geom-check", "chern", {"degree": 2}),
+    ("chern", "metric", {"internal": np.eye(3).tolist()}),
+    ("geom-check", "metric", {"internal": np.eye(3).tolist()}),
+]
 
 
 @pytest.mark.parametrize(
@@ -161,13 +186,20 @@ _TORUS_EVAL = {"task": "eval", "bundle": {"kind": "torus", "npts": 8}}
         ({"task": "chern", "bundle": {"kind": "monopole", "npts": 16, "charge": 1},
           "connection": {"kind": "monopole", "charge": 2}}, "charge"),
         ({**_TORUS_EVAL, "task": "selfcheck"}, "selfcheck"),
+        *(({"task": "geom-check", "bundle": {**_BUNDLES[kind], key: value}}, key)
+          for kind, key, value in _UNREAD_BUNDLE_KEYS),
+        *(({"task": task, "bundle": _BUNDLES["torus"], block: value}, block)
+          for task, block, value in _UNREAD_BLOCKS),
     ],
     ids=["solver.step", "solver.armijo", "solver.shrink", "solver.max_backtracks",
-         "solver.project", "metric.kind", "connection.charge", "task-selfcheck"],
+         "solver.project", "metric.kind", "connection.charge", "task-selfcheck",
+         *(f"bundle.{key}-{kind}" for kind, key, _ in _UNREAD_BUNDLE_KEYS),
+         *(f"{block}-{task}" for task, block, _ in _UNREAD_BLOCKS)],
 )
 def test_removed_settings_exit_2(doc, named, tmp_path, capsys):
-    """Settings that changed nothing, or had to repeat what the bundle fixes,
-    are refused with a message naming them."""
+    """Settings that changed nothing, had to repeat what the bundle fixes, or
+    are never read by the bundle kind or the task, are refused with a message
+    naming them, before anything runs."""
     doc = {**doc, "output_dir": str(tmp_path / "out")}
     assert main(["run", _write(tmp_path, doc)]) == 2
     assert f"'{named}'" in capsys.readouterr().err
@@ -354,6 +386,19 @@ def test_plot_density_profile(tmp_path):
     assert max(v for _, v in pts) > 0
 
 
+def test_plot_slice_needs_an_initial_field_pair(tmp_path, capsys):
+    """A geom-check run records no initial field pair, so it has no action
+    slice to plot."""
+    doc = {
+        "task": "geom-check",
+        "bundle": {"kind": "torus", "npts": 8},
+        "output_dir": str(tmp_path / "out"),
+    }
+    assert main(["run", _write(tmp_path, doc)]) == 0
+    assert main(["plot", str(tmp_path / "out"), "--what", "slice"]) == 2
+    assert "initial field pair" in capsys.readouterr().err
+
+
 def test_plot_without_trace_exits_2(tmp_path, capsys):
     (tmp_path / "empty").mkdir()
     assert main(["plot", str(tmp_path / "empty"), "--what", "trace"]) == 2
@@ -375,6 +420,47 @@ def _agree(got, want, path="report"):
         ok = abs(got - want) <= 1e-12 * abs(want) + 1e-14
         return [] if ok else [f"{path}: {got!r} != {want!r}"]
     return [] if got == want else [f"{path}: {got!r} != {want!r}"]
+
+
+# instanton N=8 results as recorded with scipy's grid interpolator and the
+# LAPACK metric inverse; the sparse sampling operator and the eigendecomposition
+# reproduce them
+_INSTANTON8 = {
+    "chern": {
+        "estimated_error": 0.02648014415954969,
+        "gluing_residual": 0.08824514710337651,
+        "grid": 8,
+        "q": 2,
+        "value": 0.9735198558404503,
+    },
+    "geom-check": {
+        "overlap_round_trip": 4.440892098500626e-16,
+        "potential_gluing": {
+            "('north', 'south')": {
+                "field_strength": 0.04876784659352356, "potential": 0.3573587475942334,
+            },
+            "('south', 'north')": {
+                "field_strength": 0.04876784659352354, "potential": 0.3573587475942333,
+            },
+        },
+        "volume": 26.350098315642096,
+    },
+}
+
+
+@pytest.mark.parametrize("task", sorted(_INSTANTON8))
+def test_instanton_topology_is_pinned(task, tmp_path):
+    """The Chern-Weil form, its gluing, the potential and field-strength
+    gluing and the volume of the N=8 instanton, within the determinism
+    contract of their recorded values."""
+    doc = {
+        "task": task,
+        "bundle": {"kind": "instanton", "npts": 8},
+        "output_dir": str(tmp_path / "out"),
+    }
+    assert main(["run", _write(tmp_path, doc)]) == 0
+    got = json.loads((tmp_path / "out" / "report.json").read_text())["result"]
+    assert _agree(got, _INSTANTON8[task]) == []
 
 
 @pytest.mark.parametrize("name", ["torus_lc_check", "bpst_chern", "bpst_eval"])

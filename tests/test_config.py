@@ -27,8 +27,12 @@ def test_torus_defaults():
     assert "metric" not in doc  # the base metric follows the bundle
     assert doc["connection"] == {"kind": "zero"}
     assert doc["initial"] == {"kind": "canonical"}
-    assert doc["solver"]["max_iters"] == 400
     assert doc["seed"] == 0
+    # an eval reads no solver settings, so none are filled in
+    assert "solver" not in doc and "snapshots" not in doc
+    solve = resolve(_torus(task="solve"))
+    assert solve["solver"]["max_iters"] == 400
+    assert solve["snapshots"] is False
 
 
 def test_instanton_defaults():
@@ -36,6 +40,8 @@ def test_instanton_defaults():
     assert doc["connection"] == {"kind": "bpst", "rho": 1.0}
     assert "metric" not in doc
     assert doc["chern"]["degree"] == 2
+    # a chern task reads neither an initial field pair nor solver settings
+    assert not {"initial", "solver", "snapshots"} & set(doc)
 
 
 @pytest.mark.parametrize(
@@ -69,7 +75,7 @@ def test_solver_schema_is_solver_options():
     assert set(SCHEMA["properties"]["solver"]["properties"]) == {
         f.name for f in fields(SolverOptions)
     }
-    assert resolve(_torus())["solver"] == asdict(SolverOptions())
+    assert resolve(_torus(task="solve"))["solver"] == asdict(SolverOptions())
 
 
 def test_seed_flows_into_sub_seeds():
@@ -133,6 +139,12 @@ def test_build_torus_problem():
     assert p.riem.conn is p.conn
     name = p.man.charts[0].name
     assert np.all(p.init.phi[name][..., 0, :, :] == p.rep.matrices[0])
+
+
+def test_initial_field_pair_built_only_where_read():
+    bundle = {"kind": "instanton", "npts": 8}
+    assert build_problem(resolve({"task": "geom-check", "bundle": bundle})).init is None
+    assert build_problem(resolve({"task": "eval", "bundle": bundle})).init is not None
 
 
 def test_build_sum_representation():

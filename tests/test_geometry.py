@@ -24,7 +24,7 @@ from ncym.geometry import (
     su_log,
     transition_conjugate,
 )
-from ncym.geometry import _radial_profile
+from ncym.geometry import _radial_profile, _spd_inverse
 from ncym.lie_core import build_representation, build_su
 
 
@@ -339,6 +339,65 @@ def test_interp_chart_interpolates_trailing_axes_together():
     outside = np.array([[0.0, 0.0, 0.0, 1.59]])  # beyond the last cell centre
     with pytest.raises(ValueError):
         interp_chart(ch, arr, outside)
+
+
+@pytest.mark.parametrize("dim,npts", [(2, 8), (4, 8)])
+def test_interp_chart_returns_node_values_at_nodes(dim, npts):
+    man = build_sphere_two_charts(dim, npts, 1.0)
+    ch = man.chart("north")
+    rng = np.random.default_rng(dim)
+    arr = rng.normal(size=ch.shape + (3,))
+    # random nodes, and every corner of the grid (the last node on an axis
+    # lies at the far end of the last cell)
+    idx = rng.integers(0, npts, size=(50, dim))
+    idx = np.concatenate([idx, np.array(np.meshgrid(*[[0, npts - 1]] * dim)).reshape(dim, -1).T])
+    pts = np.stack([ch.coords[a][idx[:, a]] for a in range(dim)], axis=-1)
+    vals = interp_chart(ch, arr, pts)
+    assert np.array_equal(vals, arr[tuple(idx.T)])
+
+
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, -np.inf, 1.59, -1.59], ids=["nan", "inf", "-inf", "above", "below"]
+)
+def test_interp_chart_refuses_points_off_the_grid(bad):
+    ch = build_sphere_two_charts(4, 8, 1.0).chart("north")
+    pts = np.zeros((5, 4))
+    pts[3, 2] = bad
+    with pytest.raises(ValueError, match="dimension 2"):
+        interp_chart(ch, np.ones(ch.shape + (2,)), pts)
+
+
+def test_interpolation_commutes_with_contraction():
+    """Sampling the real components and then contracting them with the basis
+    equals sampling the contracted matrices, to rounding."""
+    from ncym.connections import bpst_connection, instanton_bundle
+
+    man, lb, rep = instanton_bundle(8)
+    conn = bpst_connection(man, lb, rep)
+    for ov in man.overlaps:
+        dst = man.chart(ov.dst)
+        for field in (conn.A[ov.dst], conn.curvature()[ov.dst]):
+            first = lb.contract(interp_chart(dst, field, ov.y))
+            second = interp_chart(dst, lb.contract(field), ov.y)
+            assert np.max(np.abs(first - second)) <= 1e-15 * np.max(np.abs(second))
+
+
+def test_spd_inverse_matches_lapack():
+    rng = np.random.default_rng(8)
+    for k in (1, 3, 4):
+        a = rng.normal(size=(6, 5, k, k))
+        block = a @ np.swapaxes(a, -1, -2) + 0.5 * np.eye(k)
+        inv, sqrt_det = _spd_inverse("c", block, "test metric")
+        want = np.linalg.inv(block)
+        assert np.max(np.abs(inv - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.max(np.abs(sqrt_det / np.sqrt(np.linalg.det(block)) - 1.0)) <= 1e-13
+
+
+def test_spd_inverse_of_scaled_identity_is_exact():
+    c = np.random.default_rng(2).uniform(0.05, 20.0, size=(7, 9))
+    for k in (1, 2, 4):
+        inv, _ = _spd_inverse("c", c[..., None, None] * np.eye(k), "test metric")
+        assert np.array_equal(inv, np.eye(k) / c[..., None, None])
 
 
 def test_su_log_round_trip_and_tracelessness():
