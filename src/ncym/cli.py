@@ -5,7 +5,8 @@ writes artifacts into the output directory: `report.json` always (carrying
 the resolved config verbatim), `trace.csv` for solves, field snapshots when
 requested.  The invariant suite has one entry, `ncym selfcheck` (optionally
 one module's checks, `--filter`); it is not a task of `ncym run`.  Exit
-codes: 0 success, 1 a selfcheck failed, 2 validation failure; a solve that
+codes: 0 success, 1 a selfcheck failed, 2 validation failure (a config
+holding NaN or Infinity among them, refused as it is read); a solve that
 did not converge still writes its artifacts and exits 3 when it ran out of
 iterations, 4 when the line search stalled, 5 when the action or the
 gradient became non-finite.  Every other task whose result holds a
@@ -52,6 +53,11 @@ def _apply_threads_hint(threads: str | None) -> None:
         raise ConfigError(f"{source} must be a positive integer, got {n!r}")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, str(count))
+
+
+def _refuse_constant(token: str):
+    """``parse_constant`` of the config reader: JSON has no NaN or infinity."""
+    raise ConfigError(f"config holds {token}, which is not a JSON number")
 
 
 def _pyify(obj):
@@ -139,9 +145,7 @@ def _task_classify(problem, doc):
     from .yang_mills import classify_vacuum
 
     try:
-        finger = classify_vacuum(
-            problem.init.phi, problem.basis, hint=problem.riem.hint
-        )
+        finger = classify_vacuum(problem.init.phi, problem.basis, problem.riem.hint)
         return EXIT_OK, {"refused": None, **_pyify(finger)}
     except ClassificationRefused as exc:
         return EXIT_OK, {"refused": str(exc)}
@@ -170,18 +174,11 @@ def _task_lc_check(problem, doc):
 
 
 def _task_geom_check(problem, doc):
-    import numpy as np
     from .connections import gluing_residuals
-    from .geometry import overlap_round_trip
+    from .geometry import integrate, overlap_round_trip
 
     man = problem.man
-    base = problem.riem.base
-    volume = 0.0
-    for ch in man.charts:
-        volume += (
-            float(np.sum(man.weights[ch.name] * base.sqrt_det[ch.name]))
-            * ch.cell_volume
-        )
+    volume = float(integrate(man, problem.riem.base, dict.fromkeys(man.weights, 1.0)))
     gluing = gluing_residuals(problem.conn) if man.overlaps else {}
     return EXIT_OK, {
         "volume": volume,
@@ -219,7 +216,8 @@ def cmd_run(args) -> int:
 
     try:
         try:
-            doc = json.loads(Path(args.config).read_text())
+            doc = json.loads(Path(args.config).read_text(),
+                             parse_constant=_refuse_constant)
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
@@ -303,6 +301,8 @@ def _emit_well_scan(problem, path) -> None:
     from .connections import zero_ncc
     from .yang_mills import action
 
+    if problem.riem is None:
+        raise ConfigError("an action well scan needs a run with a metric")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "action"])

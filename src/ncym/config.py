@@ -282,7 +282,7 @@ class Problem:
     basis: object
     rep: object
     conn: object  # reference ordinary connection
-    riem: object  # Riemannian structure sharing that reference
+    riem: object  # Riemannian structure sharing that reference, None for chern
     init: object  # initial NCConnection, None when the task reads none
 
 
@@ -317,13 +317,16 @@ def build_problem(doc: dict) -> Problem:
     else:
         conn = monopole_connection(man, lb, rep, bundle["charge"])
 
-    base = flat_metric(man) if kind == "torus" else round_sphere_metric(man)
-    internal = (
-        np.asarray(doc["metric"]["internal"], dtype=float)
-        if "metric" in doc
-        else np.eye(lb.dim)
-    )
-    riem = assemble(base, internal, conn)
+    # the Chern-Weil integral is metric-free
+    riem = None
+    if doc["task"] != "chern":
+        base = flat_metric(man) if kind == "torus" else round_sphere_metric(man)
+        internal = (
+            np.asarray(doc["metric"]["internal"], dtype=float)
+            if "metric" in doc
+            else np.eye(lb.dim)
+        )
+        riem = assemble(base, internal, conn)
 
     ispec = doc.get("initial")
     if ispec is None:

@@ -17,7 +17,6 @@ explicit transition functions so cross-chart gluing is testable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
 
 import numpy as np
 
@@ -25,16 +24,18 @@ from .errors import GluingError, ShapeError
 from .geometry import (
     Manifold,
     build_sphere_two_charts,
+    derivatives,
     grid_points,
     interp_chart,
-    partial_derivative,
 )
 from .lie_core import (
     LieBasis,
     Representation,
+    _comm_pairs,
     build_representation,
     build_su,
     build_u1,
+    closure_defect,
     component_in_basis,
 )
 from .nc_forms import (
@@ -141,11 +142,7 @@ def curvature_F(conn: OrdinaryConnection, order: int = 2) -> dict:
     C = conn.basis.structure
     for ch in conn.man.charts:
         A = conn.A[ch.name]
-        d = ch.dim
-        dA = np.stack(
-            [partial_derivative(A, ch, mu, order=order) for mu in range(d)],
-            axis=-3,
-        )  # shape + (mu, nu, a)
+        dA = derivatives(A, ch, order)  # shape + (mu, nu, a)
         F = dA - np.swapaxes(dA, -3, -2)
         F = F + np.einsum("...mb,...nc,bca->...mna", A, A, C, optimize=True)
         out[ch.name] = F
@@ -306,7 +303,7 @@ def monopole_bundle(
 
     man = build_sphere_two_charts(2, npts, radius, margin, transition=transition)
     lb = build_u1()
-    rep = Representation(k=1, matrices=lb.basis.copy(), kind="defining", pieces=())
+    rep = Representation(lb.basis.copy())
     return man, lb, rep
 
 
@@ -363,10 +360,7 @@ def gluing_residuals(conn: OrdinaryConnection) -> dict:
 
         t_grid = ov.transition(grid_points(src))
         tinv_grid = np.conj(np.swapaxes(t_grid, -1, -2))
-        dtinv = np.stack(
-            [partial_derivative(tinv_grid, src, mu) for mu in range(src.dim)],
-            axis=-3,
-        )
+        dtinv = derivatives(tinv_grid, src)
         t = t_grid[mask]
         tinv = tinv_grid[mask]
         inhom = np.einsum("pij,pmjk->pmik", t, dtinv[mask], optimize=True)
@@ -387,13 +381,18 @@ def gluing_residuals(conn: OrdinaryConnection) -> dict:
     return out
 
 
-def _check_unitary_field(k: int, U: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+# largest departure from unitarity accepted of a gauge field; a smaller one
+# above 1e-14 is projected away
+_UNITARY_TOL = 1e-10
+
+
+def _check_unitary_field(k: int, U: np.ndarray) -> np.ndarray:
     """Validate a pointwise k x k unitary field; re-project small drift."""
     if U.shape[-2:] != (k, k):
         raise ShapeError(f"gauge field must be {k} x {k} valued")
     eye = np.eye(k)
     drift = np.max(np.abs(np.swapaxes(np.conj(U), -1, -2) @ U - eye))
-    if drift > tol:
+    if drift > _UNITARY_TOL:
         raise ShapeError(f"gauge field is not unitary (drift {drift:.2e})")
     if drift > 1e-14:
         uu, _, vh = np.linalg.svd(U)
@@ -401,9 +400,9 @@ def _check_unitary_field(k: int, U: np.ndarray, tol: float = 1e-10) -> np.ndarra
     return U
 
 
-def _check_group_valued(basis: LieBasis, U: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def _check_group_valued(basis: LieBasis, U: np.ndarray) -> np.ndarray:
     """Validate a pointwise structure-group field: unitary, unit determinant."""
-    U = _check_unitary_field(basis.n, U, tol)
+    U = _check_unitary_field(basis.n, U)
     det = np.linalg.det(U)
     if np.max(np.abs(det - 1.0)) > 1e-8:
         raise ShapeError("group field must have unit determinant")
@@ -417,18 +416,10 @@ def gauge_transform_ordinary(conn: OrdinaryConnection, U: dict) -> OrdinaryConne
         u = _check_group_valued(conn.basis, np.asarray(U[ch.name], dtype=complex))
         uinv = np.conj(np.swapaxes(u, -1, -2))
         Amat = conn.fund_potential(ch.name)
-        du = np.stack(
-            [partial_derivative(u, ch, mu) for mu in range(ch.dim)], axis=-3
-        )
+        du = derivatives(u, ch)
         transformed = np.einsum("...ij,...mjk,...kl->...mil", uinv, Amat, u)
         transformed = transformed + np.einsum("...ij,...mjk->...mik", uinv, du)
-        newA[ch.name] = np.stack(
-            [
-                component_in_basis(conn.basis, transformed[..., mu, :, :])
-                for mu in range(ch.dim)
-            ],
-            axis=-2,
-        )
+        newA[ch.name] = component_in_basis(conn.basis, transformed)
     return OrdinaryConnection(conn.man, conn.basis, conn.rep, newA)
 
 
@@ -562,23 +553,15 @@ def _comm(x, y):
     return x @ y - y @ x
 
 
-def _comm_pairs(x):
-    """[x_i, x_j] for every ordered pair of a stack x of shape (..., n, k, k).
-
-    One product P_ij = x_i x_j per ordered pair, and the commutator is
-    P - P^T in (i, j): each block is the same product on the same data as in
-    ``_comm(x[..., :, None, :, :], x[..., None, :, :, :])``, so the result is
-    bitwise equal to it, at half the block products.
-    """
-    P = x[..., :, None, :, :] @ x[..., None, :, :, :]
-    return P - np.swapaxes(P, -4, -3)
-
-
 def nc_curvature(ncc: NCConnection) -> dict:
     """Curvature components per chart from the closed formulas.
 
     Returns {name: {"hh": shape+(d,d,k,k), "hv": shape+(d,m,k,k),
-    "vv": shape+(m,m,k,k)}} with hh and vv antisymmetric.
+    "vv": shape+(m,m,k,k)}} with hh and vv antisymmetric.  The coordinate
+    derivatives of a and phi come from ``geometry.derivatives``, and ``vv``
+    is the closure defect [phi_a, phi_b] - C_ab^c phi_c
+    (``lie_core.closure_defect``), the one contraction that also decides
+    whether a vacuum is classified.
 
     On a chart whose reference potential is exactly zero (the trivial
     bundle's reference, ``OrdinaryConnection.zero_potential``) the terms in
@@ -592,13 +575,12 @@ def nc_curvature(ncc: NCConnection) -> dict:
     out = {}
     for ch in ref.man.charts:
         name = ch.name
-        d = ch.dim
         a = ncc.a[name]
         phi = ncc.phi[name]
 
         # covariant derivatives of a and phi along the frame
-        da = np.stack([partial_derivative(a, ch, mu) for mu in range(d)], axis=-4)
-        dphi = np.stack([partial_derivative(phi, ch, mu) for mu in range(d)], axis=-4)
+        da = derivatives(a, ch)
+        dphi = derivatives(phi, ch)
         if ref.zero_potential(name):
             hh = da - np.swapaxes(da, -4, -3)
             cov_phi = dphi
@@ -617,20 +599,15 @@ def nc_curvature(ncc: NCConnection) -> dict:
         hh = hh + _comm_pairs(a)
 
         hv = cov_phi + _comm(a[..., :, None, :, :], phi[..., None, :, :, :])
-
-        vv = _comm_pairs(phi)
-        vv = vv - np.einsum("abc,...cij->...abij", C, phi)
-
-        out[name] = {"hh": hh, "hv": hv, "vv": vv}
+        out[name] = {"hh": hh, "hv": hv, "vv": closure_defect(phi, C)}
     return out
 
 
-def curvature_form(ncc: NCConnection, name: str, comps: dict | None = None) -> MixedForm:
+def curvature_form(ncc: NCConnection, name: str) -> MixedForm:
     """Package nc_curvature components as a degree-2 form on a chart."""
     ch = ncc.ref.man.chart(name)
     d, m = ch.dim, ncc.ref.basis.dim
-    if comps is None:
-        comps = nc_curvature(ncc)[name]
+    comps = nc_curvature(ncc)[name]
     w = zero_form(ncc.ref, ch, 2)
     for mu in range(d):
         for nu in range(mu + 1, d):
@@ -684,10 +661,7 @@ def infinitesimal_gauge(ncc: NCConnection, gamma: dict) -> dict:
     for ch in ref.man.charts:
         g = np.asarray(gamma[ch.name], dtype=complex)
         RA = ref.rep_potential(ch.name)
-        grad = np.stack(
-            [partial_derivative(g, ch, mu) for mu in range(ch.dim)], axis=-3
-        )
-        grad = grad + _comm(RA, g[..., None, :, :])
+        grad = derivatives(g, ch) + _comm(RA, g[..., None, :, :])
         da[ch.name] = grad + _comm(ncc.a[ch.name], g[..., None, :, :])
         dphi[ch.name] = _comm(ncc.phi[ch.name], g[..., None, :, :])
     return {"a": da, "phi": dphi}

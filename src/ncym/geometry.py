@@ -33,6 +33,7 @@ __all__ = [
     "BaseMetric",
     "diff_matrix",
     "partial_derivative",
+    "derivatives",
     "adjoint_partial_derivative",
     "integrate",
     "build_torus",
@@ -225,6 +226,15 @@ def partial_derivative(
     return _apply_along_axis(d, arr, axis)
 
 
+def derivatives(arr: np.ndarray, chart: ChartGrid, order: int = 2) -> np.ndarray:
+    """The :func:`partial_derivative` along every chart axis, stacked on a new
+    axis right after the grid axes: shape ``chart.shape + (dim,) + extra``."""
+    return np.stack(
+        [partial_derivative(arr, chart, mu, order=order) for mu in range(chart.dim)],
+        axis=chart.dim,
+    )
+
+
 def adjoint_partial_derivative(
     arr: np.ndarray, chart: ChartGrid, axis: int, order: int = 2
 ) -> np.ndarray:
@@ -288,6 +298,7 @@ def integrate(man: Manifold, metric: BaseMetric, f: dict):
 
     Per chart: sum of weight * f * sqrt(det g) times the coordinate cell
     volume; charts are visited in declaration order, sums are numpy pairwise.
+    ``f[name]`` may be a scalar: 1.0 on every chart gives the volume.
     """
     total = 0.0
     for ch in man.charts:
@@ -305,9 +316,10 @@ def flat_metric(man: Manifold) -> BaseMetric:
     return BaseMetric(man, g)
 
 
-def round_sphere_metric(man: Manifold, radius: float | None = None) -> BaseMetric:
-    """Stereographic-chart round metric g = 4 r^4 / (r^2 + |x|^2)^2 delta."""
-    r = float(radius if radius is not None else man.params.get("radius", 1.0))
+def round_sphere_metric(man: Manifold) -> BaseMetric:
+    """Stereographic-chart round metric g = 4 r^4 / (r^2 + |x|^2)^2 delta,
+    with r the sphere's radius."""
+    r = man.params["radius"]
     g = {}
     for ch in man.charts:
         x = grid_points(ch)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .connections import curvature_F
-from .geometry import partial_derivative
+from .geometry import derivatives
 
 __all__ = [
     "ChristoffelTable",
@@ -74,14 +74,6 @@ class ChristoffelTable:
     half_structure: np.ndarray
 
 
-def _grad_field(arr, ch, order):
-    """Stack the coordinate derivatives on a new axis ahead of the value axes."""
-    return np.stack(
-        [partial_derivative(arr, ch, axis=mu, order=order) for mu in range(ch.dim)],
-        axis=ch.dim if arr.ndim > ch.dim else -1,
-    )
-
-
 def _rotation(N, gI):
     """N_mu_a^f g_fb: the potential's rotation of the fiber metric."""
     return _einsum("...maf,...fb->...mab", N, gI)
@@ -109,7 +101,7 @@ def christoffel(riem) -> ChristoffelTable:
         A = riem.conn.A[name]
         F = Fd[name]
 
-        dgM = _grad_field(gM, ch, TABLE_ORDER)  # [..., mu, nu, rho]
+        dgM = derivatives(gM, ch, TABLE_ORDER)  # [..., mu, nu, rho]
         sym = dgM + np.swapaxes(dgM, -3, -2) - np.moveaxis(dgM, -3, -1)
         out["hh_h"][name] = 0.5 * _einsum("...sr,...mnr->...mns", hM, sym)
         out["hh_v"][name] = np.broadcast_to(0.0, ch.shape + (d, d, m))
@@ -121,7 +113,7 @@ def christoffel(riem) -> ChristoffelTable:
 
         N = _einsum("...me,ebf->...mbf", A, C)
         out["mixed_rotation"][name] = N
-        dgI = _grad_field(gI, ch, TABLE_ORDER)
+        dgI = derivatives(gI, ch, TABLE_ORDER)
         nab = _nabla_g_int(dgI, _rotation(N, gI))
         out["hv_v"][name] = 0.5 * _einsum("...dc,...mbc->...mbd", hI, nab)
         out["vh_v"][name] = np.swapaxes(out["hv_v"][name], -3, -2)
@@ -173,8 +165,8 @@ def _chart_residuals(riem, table: ChristoffelTable, ch, Ft):
     # identity 2 g(D_X Y, Z) = X g(Y,Z) + Y g(X,Z) - Z g(X,Y)
     #   + g([X,Y],Z) - g([X,Z],Y) - g([Y,Z],X), over frame triples.
     # Inner derivations annihilate the (central) metric coefficients.
-    dgM = _grad_field(gM, ch, CHECK_ORDER)
-    dgI = _grad_field(gI, ch, CHECK_ORDER)
+    dgM = derivatives(gM, ch, CHECK_ORDER)
+    dgI = derivatives(gI, ch, CHECK_ORDER)
     rot = _rotation(N, gI)
     F_low = _einsum("...mne,...ec->...mnc", Ft, gI)
 

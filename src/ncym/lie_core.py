@@ -9,13 +9,17 @@ Conventions used throughout the package:
   physics-convention formulas.
 
 The Killing form is returned un-normalized (``-2 delta`` for su(2)).
+
+One contraction, :func:`closure_defect` ``[x_a, x_b] - C_ab^c x_c``, checks
+that a basis closes and that matrices represent the algebra, decides whether
+scalar fields are a vacuum, and is the ``vv`` curvature block.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,9 +33,11 @@ __all__ = [
     "build_representation",
     "invariant_polynomial",
     "component_in_basis",
+    "closure_defect",
 ]
 
 _ATOL = 1e-12
+_REP_ATOL = 1e-10  # closure defect and hermitian part of representation matrices
 
 
 @dataclass(frozen=True)
@@ -64,10 +70,11 @@ class LieBasis:
 class Representation:
     """Images ``R_a`` of the basis generators on a k-dimensional fiber."""
 
-    k: int
     matrices: np.ndarray  # (m, k, k) complex, anti-hermitian
-    kind: str = "custom"
-    pieces: tuple = field(default_factory=tuple)
+
+    @property
+    def k(self) -> int:
+        return self.matrices.shape[-1]
 
     @property
     def dim(self) -> int:
@@ -104,21 +111,31 @@ def _gell_mann_like(n: int) -> np.ndarray:
     return np.asarray(mats)
 
 
+def _comm_pairs(x):
+    """[x_i, x_j] for every ordered pair of a stack x of shape (..., n, k, k):
+    one product P_ij = x_i x_j per pair, then P - P^T in (i, j), bitwise the
+    per-pair commutator at half the block products."""
+    P = x[..., :, None, :, :] @ x[..., None, :, :, :]
+    return P - np.swapaxes(P, -4, -3)
+
+
+def closure_defect(x: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """[x_a, x_b] - C_ab^c x_c, shape (..., m, m, k, k), of a stack x of shape
+    (..., m, k, k): zero exactly when the x_a close on the structure constants."""
+    return _comm_pairs(x) - np.einsum("abc,...cij->...abij", C, x)
+
+
 def structure_constants(basis: np.ndarray) -> np.ndarray:
     """Real C_ab^c with [E_a, E_b] = C_ab^c E_c, via trace projection.
 
     Uses tr(E_c E_d) = -delta_cd / 2, so C_ab^c = -2 tr(E_c [E_a, E_b]).
     """
-    m = basis.shape[0]
-    comm = np.einsum("aij,bjk->abik", basis, basis)
-    comm = comm - np.transpose(comm, (1, 0, 2, 3))
-    c = -2.0 * np.einsum("cji,abij->abc", basis, comm)
+    c = -2.0 * np.einsum("cji,abij->abc", basis, _comm_pairs(basis))
     if np.max(np.abs(c.imag)) > 1e-10:
         raise ShapeError("structure constants acquired an imaginary part")
     c = c.real.copy()
     # verify the projection reproduces the commutators exactly
-    rebuilt = np.einsum("abc,cij->abij", c, basis)
-    if np.max(np.abs(rebuilt - comm)) > 1e-10:
+    if np.max(np.abs(closure_defect(basis, c))) > 1e-10:
         raise ShapeError("basis does not close under commutators")
     return c
 
@@ -217,12 +234,11 @@ def build_representation(lb: LieBasis, kind: str, **params) -> Representation:
         if k < 1:
             raise UnsupportedRepresentation("trivial rep needs dim >= 1")
         mats = np.zeros((m, k, k), dtype=complex)
-        return Representation(k=k, matrices=mats, kind="trivial")
+        return Representation(mats)
     if kind == "fundamental":
-        return Representation(k=lb.n, matrices=lb.basis.copy(), kind="fundamental")
+        return Representation(lb.basis.copy())
     if kind == "adjoint":
-        mats = np.transpose(lb.structure, (0, 2, 1)).astype(complex)
-        rep = Representation(k=m, matrices=mats, kind="adjoint")
+        rep = Representation(np.transpose(lb.structure, (0, 2, 1)).astype(complex))
         _validate_rep(lb, rep)
         return rep
     if kind == "spin":
@@ -232,7 +248,7 @@ def build_representation(lb: LieBasis, kind: str, **params) -> Representation:
         j2 = int(round(2 * j))
         if abs(2 * j - j2) > 1e-12 or j2 < 0:
             raise UnsupportedRepresentation(f"j must be a non-negative (half-)integer, got {j}")
-        rep = Representation(k=j2 + 1, matrices=_spin_matrices(j2), kind=f"spin-{j}")
+        rep = Representation(_spin_matrices(j2))
         _validate_rep(lb, rep)
         return rep
     if kind == "sum":
@@ -245,19 +261,16 @@ def build_representation(lb: LieBasis, kind: str, **params) -> Representation:
         for p in parts:
             mats[:, off : off + p.k, off : off + p.k] = p.matrices
             off += p.k
-        return Representation(k=k, matrices=mats, kind="sum", pieces=parts)
+        return Representation(mats)
     raise UnsupportedRepresentation(f"unknown representation kind {kind!r}")
 
 
-def _validate_rep(lb: LieBasis, rep: Representation, atol: float = 1e-10) -> None:
+def _validate_rep(lb: LieBasis, rep: Representation) -> None:
     """Check [R_a, R_b] = C_ab^c R_c and anti-hermiticity."""
     r = rep.matrices
-    comm = np.einsum("aij,bjk->abik", r, r)
-    comm = comm - np.transpose(comm, (1, 0, 2, 3))
-    want = np.einsum("abc,cij->abij", lb.structure, r)
-    if np.max(np.abs(comm - want)) > atol:
+    if np.max(np.abs(closure_defect(r, lb.structure))) > _REP_ATOL:
         raise UnsupportedRepresentation("candidate matrices do not represent the algebra")
-    if np.max(np.abs(r + np.conj(np.transpose(r, (0, 2, 1))))) > atol:
+    if np.max(np.abs(r + np.conj(np.transpose(r, (0, 2, 1))))) > _REP_ATOL:
         raise UnsupportedRepresentation("representation matrices must be anti-hermitian")
 
 

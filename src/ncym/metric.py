@@ -23,7 +23,7 @@ import numpy as np
 
 from .connections import OrdinaryConnection
 from .errors import ShapeError, SingularMetric
-from .geometry import BaseMetric, Manifold, _spd_inverse, grid_points
+from .geometry import BaseMetric, Manifold, _spd_inverse
 from .lie_core import LieBasis, Representation
 
 __all__ = [
@@ -34,27 +34,6 @@ __all__ = [
     "identity_residuals",
     "orthogonality_residual",
 ]
-
-
-def _expand_internal(man: Manifold, internal, m: int) -> dict:
-    """Normalize the fiber-metric input to per-chart pointwise arrays."""
-    out = {}
-    for ch in man.charts:
-        if isinstance(internal, dict):
-            block = np.asarray(internal[ch.name], dtype=float)
-        elif callable(internal):
-            block = np.asarray(internal(ch.name, grid_points(ch)), dtype=float)
-        else:
-            block = np.asarray(internal, dtype=float)
-        if block.shape == (m, m):
-            block = np.broadcast_to(block, ch.shape + (m, m)).copy()
-        if block.shape != ch.shape + (m, m):
-            raise ShapeError(
-                f"fiber metric on {ch.name}: shape {block.shape}, want {(m, m)} "
-                f"or {ch.shape + (m, m)}"
-            )
-        out[ch.name] = block
-    return out
 
 
 @dataclass
@@ -110,32 +89,30 @@ class RiemannianStructure:
 def assemble(base: BaseMetric, internal, conn: OrdinaryConnection) -> RiemannianStructure:
     """Build the Riemannian structure from (g^M, g_ab, A).
 
-    A constant fiber metric, one (m, m) block, is checked and inverted once
-    and its inverse and density broadcast over every chart; the per-point
-    results are the same bits.
+    The fiber metric ``internal`` is one (m, m) block for every chart or a
+    dict of per-chart (m, m) blocks or pointwise ``shape + (m, m)`` fields.
+    Each chart's value is checked and inverted as given, then it, its
+    inverse and its density are broadcast over the grid: a constant block is
+    inverted once, and the results are the bits the pointwise field of the
+    same block gives.
     """
     man = conn.man
     if base.man is not man:
         raise ShapeError("base metric and connection live on different manifolds")
     m = conn.basis.dim
-    blocks = _expand_internal(man, internal, m)
-    riem = RiemannianStructure(man, base, blocks, conn)
-    single = not (isinstance(internal, dict) or callable(internal)) and (
-        np.shape(internal) == (m, m)
-    )
-    if single:
-        hint, sqrt_det = _spd_inverse(
-            "every chart", np.asarray(internal, dtype=float), "fiber metric"
-        )
+    riem = RiemannianStructure(man, base, {}, conn)
     for ch in man.charts:
-        gI = blocks[ch.name]
-        if single:
-            riem.hint[ch.name] = np.broadcast_to(hint, gI.shape).copy()
-            riem.sqrt_det_int[ch.name] = np.full(ch.shape, sqrt_det)
-        else:
-            riem.hint[ch.name], riem.sqrt_det_int[ch.name] = _spd_inverse(
-                ch.name, gI, "fiber metric"
+        gI = np.asarray(internal[ch.name] if isinstance(internal, dict) else internal,
+                        dtype=float)
+        if gI.shape not in ((m, m), ch.shape + (m, m)):
+            raise ShapeError(
+                f"fiber metric on {ch.name}: shape {gI.shape}, want {(m, m)} "
+                f"or {ch.shape + (m, m)}"
             )
+        hint, sqrt_det = _spd_inverse(ch.name, gI, "fiber metric")
+        riem.internal[ch.name] = np.broadcast_to(gI, ch.shape + (m, m)).copy()
+        riem.hint[ch.name] = np.broadcast_to(hint, ch.shape + (m, m)).copy()
+        riem.sqrt_det_int[ch.name] = np.broadcast_to(sqrt_det, ch.shape).copy()
         riem.hbase[ch.name] = base.inv[ch.name]
         riem.sqrtg[ch.name] = base.sqrt_det[ch.name] * riem.sqrt_det_int[ch.name]
     return riem
@@ -227,30 +204,16 @@ def identity_residuals(riem: RiemannianStructure) -> dict:
     return out
 
 
-def orthogonality_residual(
-    riem_or_conn, g_full: dict | None = None
-) -> float:
-    """Max over charts and points of |g(nabla_mu, ad(E_b))|.
-
-    With no second argument, evaluates the assembled structure (zero up to
-    rounding); given full blocks and a connection, measures how well that
-    connection orthogonalizes them.  A NaN anywhere makes the residual NaN.
-    """
-    if g_full is None:
-        riem = riem_or_conn
-        conn, man = riem.conn, riem.man
-        blocks = {ch.name: riem.full_metric(ch.name) for ch in man.charts}
-    else:
-        conn = riem_or_conn
-        man = conn.man
-        blocks = g_full
-    d = man.dim
+def orthogonality_residual(riem: RiemannianStructure) -> float:
+    """Max over charts and points of |g(nabla_mu, ad(E_b))| of the assembled
+    structure: zero up to rounding, NaN if a NaN enters anywhere."""
+    d = riem.d
     worst = 0.0
-    for ch in man.charts:
-        G = np.asarray(blocks[ch.name], dtype=float)
+    for ch in riem.man.charts:
+        G = riem.full_metric(ch.name)
         gI = G[..., d:, d:]
         mixed = np.swapaxes(G[..., :d, d:], -1, -2)  # g_b_mu
-        A = conn.A[ch.name]
+        A = riem.conn.A[ch.name]
         resid = mixed + np.einsum("...ba,...ma->...bm", gI, A)
         worst = float(np.maximum(worst, np.max(np.abs(resid))))
     return worst

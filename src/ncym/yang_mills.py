@@ -23,7 +23,7 @@ import numpy as np
 from .connections import NCConnection, _comm, nc_curvature, nc_curvature_via_forms
 from .errors import ClassificationRefused, ShapeError
 from .geometry import adjoint_partial_derivative
-from .lie_core import LieBasis
+from .lie_core import LieBasis, closure_defect
 from .nc_forms import scalar_product
 
 
@@ -389,73 +389,56 @@ def solve_vacuum(init: NCConnection, riem, opts: SolverOptions | None = None):
 
 def _report(ncc: NCConnection, riem, stop_reason: str, iterations: int) -> VacuumReport:
     bd = action(ncc, riem)
-    res, S = bd.residuals, bd.s_total
+    report = VacuumReport(bd.residuals, bd.s_total, stop_reason, iterations)
     try:
-        cls = classify_vacuum(ncc.phi, ncc.ref.basis, hint=riem.hint)
-        return VacuumReport(
-            residuals=res,
-            action=S,
-            stop_reason=stop_reason,
-            iterations=iterations,
-            casimir_spectrum=cls["casimir_spectrum"],
-            casimir_deviation=cls["casimir_deviation"],
-            commutant_dim=cls["commutant_dim"],
-        )
+        cls = classify_vacuum(ncc.phi, ncc.ref.basis, riem.hint)
     except ClassificationRefused as err:
-        return VacuumReport(
-            residuals=res,
-            action=S,
-            stop_reason=stop_reason,
-            iterations=iterations,
-            refused=str(err),
-        )
+        return replace(report, refused=str(err))
+    return replace(
+        report,
+        casimir_spectrum=cls["casimir_spectrum"],
+        casimir_deviation=cls["casimir_deviation"],
+        commutant_dim=cls["commutant_dim"],
+    )
 
 
 # ----------------------------------------------------------- classification
 
 
-def classify_vacuum(
-    phi,
-    basis: LieBasis,
-    hint=None,
-    residual_tol: float = 1e-6,
-    spectrum_tol: float = 1e-4,
-) -> dict:
+RESIDUAL_TOL = 1e-6  # largest pointwise closure defect classify_vacuum accepts
+SPECTRUM_TOL = 1e-4  # largest spread of the Casimir spectrum over the grid
+
+
+def classify_vacuum(phi, basis: LieBasis, hint: dict | None = None) -> dict:
     """Fingerprint scalar fields that close on the structure constants.
 
-    The fields must satisfy the algebraic closure equation to ``residual_tol``
-    pointwise; otherwise the classification is refused.  The fingerprint is
-    gauge invariant: the sorted spectrum of the contracted quadratic element
+    ``phi`` is one (..., m, k, k) stack or a dict of them per chart, and
+    ``hint`` the per-chart inverse fiber metric (the identity if None).
+    The closure defect ``lie_core.closure_defect`` -- the vertical curvature
+    block of ``nc_curvature`` -- must stay within ``RESIDUAL_TOL`` pointwise;
+    otherwise the classification is refused.  The fingerprint is gauge
+    invariant: the sorted spectrum of the contracted quadratic element
     ``h^{ab} phi_a phi_b`` (mean over the grid, plus its maximal spatial
-    deviation) and the dimension of the joint commutant of the fields.
+    deviation, at most ``SPECTRUM_TOL``) and the dimension of the joint
+    commutant of the fields.
     """
     if isinstance(phi, np.ndarray):
         phi = {"_": phi}
-    C = basis.structure
     m = basis.dim
 
     worst = 0.0
     spectra = []
     nullities = set()
     for name, f in phi.items():
-        comm = np.einsum("...aij,...bjl->...abil", f, f)
-        closure = comm - np.swapaxes(comm, -4, -3) - np.einsum(
-            "abc,...cij->...abij", C, f
-        )
-        resid = float(np.max(np.abs(closure)))
+        resid = float(np.max(np.abs(closure_defect(f, basis.structure))))
         # written so that a NaN residual refuses too
-        if not resid <= residual_tol:
+        if not resid <= RESIDUAL_TOL:
             raise ClassificationRefused(
-                f"closure residual {resid:.3e} exceeds {residual_tol:.1e} on "
+                f"closure residual {resid:.3e} exceeds {RESIDUAL_TOL:.1e} on "
                 f"chart {name!r}; fields are not a representation"
             )
         worst = max(worst, resid)
-        if hint is None:
-            h = np.eye(m)
-        elif isinstance(hint, dict):
-            h = hint[name]
-        else:
-            h = np.asarray(hint)
+        h = np.eye(m) if hint is None else hint[name]
         quad = np.einsum("...ab,...aij,...bjl->...il", np.broadcast_to(
             h, f.shape[:-3] + (m, m)), f, f)
         eig = np.sort(np.linalg.eigvalsh(quad), axis=-1)
@@ -472,10 +455,10 @@ def classify_vacuum(
     allspec = np.concatenate(spectra, axis=0)
     mean = allspec.mean(axis=0)
     deviation = float(np.max(np.abs(allspec - mean)))
-    if deviation > spectrum_tol:
+    if deviation > SPECTRUM_TOL:
         raise ClassificationRefused(
             f"spectrum varies over the grid by {deviation:.3e} "
-            f"(> {spectrum_tol:.1e}); no single class fits"
+            f"(> {SPECTRUM_TOL:.1e}); no single class fits"
         )
     if len(nullities) != 1:
         raise ClassificationRefused(
@@ -501,15 +484,17 @@ def _commutator_matrix(f):
 # ------------------------------------------------------------- diagnostics
 
 
-def criticality_probe(
-    ncc: NCConnection, riem, directions: int = 50, eps: float = 1e-3, seed: int = 0
-) -> float:
+PROBE_DIRECTIONS, PROBE_EPS = 50, 1e-3  # criticality_probe's directions and step
+
+
+def criticality_probe(ncc: NCConnection, riem) -> float:
     """Smallest finite-difference second directional derivative of the action
-    at the given configuration, over random anti-hermitian directions."""
-    rng = np.random.default_rng(seed)
+    at the given configuration, over ``PROBE_DIRECTIONS`` random (seed 0)
+    anti-hermitian directions of unit norm."""
+    rng = np.random.default_rng(0)
     S0 = action(ncc, riem).s_total
     worst = np.inf
-    for _ in range(directions):
+    for _ in range(PROBE_DIRECTIONS):
         direction = {"a": {}, "phi": {}}
         total = 0.0
         for part, fields in (("a", ncc.a), ("phi", ncc.phi)):
@@ -522,7 +507,7 @@ def criticality_probe(
         for part in ("a", "phi"):
             for name in direction[part]:
                 direction[part][name] = direction[part][name] * scale
-        Sp = action(_step(ncc, direction, eps, False), riem).s_total
-        Sm = action(_step(ncc, direction, -eps, False), riem).s_total
-        worst = min(worst, (Sp - 2.0 * S0 + Sm) / (eps * eps))
+        Sp = action(_step(ncc, direction, PROBE_EPS, False), riem).s_total
+        Sm = action(_step(ncc, direction, -PROBE_EPS, False), riem).s_total
+        worst = min(worst, (Sp - 2.0 * S0 + Sm) / (PROBE_EPS * PROBE_EPS))
     return float(worst)

@@ -44,7 +44,7 @@ def bpst16_form(bpst16):
 def torus_u1():
     man = build_torus(2, 16)
     lb = build_u1()
-    rep = Representation(k=1, matrices=lb.basis.copy(), kind="defining", pieces=())
+    rep = Representation(lb.basis.copy())
     ch = man.charts[0]
     x = grid_points(ch)
     A = np.zeros(ch.shape + (2, 1))
@@ -141,7 +141,7 @@ def test_monopole_charge(charge):
 def test_closedness_telescopes_below_top_degree():
     man = build_torus(4, 12)
     lb = build_u1()
-    rep = Representation(k=1, matrices=lb.basis.copy(), kind="defining", pieces=())
+    rep = Representation(lb.basis.copy())
     ch = man.charts[0]
     x = grid_points(ch)
     A = np.zeros(ch.shape + (4, 1))

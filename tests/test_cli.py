@@ -399,6 +399,34 @@ def test_plot_slice_needs_an_initial_field_pair(tmp_path, capsys):
     assert "initial field pair" in capsys.readouterr().err
 
 
+def test_plot_well_needs_a_metric(tmp_path, capsys):
+    """A chern run assembles no metric, so it has no action well to plot."""
+    doc = {
+        "task": "chern",
+        "bundle": {"kind": "torus", "npts": 8},
+        "output_dir": str(tmp_path / "out"),
+    }
+    assert main(["run", _write(tmp_path, doc)]) == 0
+    assert main(["plot", str(tmp_path / "out"), "--what", "well"]) == 2
+    assert "needs a run with a metric" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_config_constant_exits_2(tmp_path, capsys, token):
+    """json accepts NaN and Infinity, which no report could record: the
+    config is refused as it is read, before anything runs."""
+    text = (
+        '{"task": "eval", "bundle": {"kind": "torus", "npts": 8},'
+        f' "initial": {{"kind": "random", "amplitude": {token}}}}}'
+    )
+    path = tmp_path / "exp.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--output-dir", str(out)]) == 2
+    assert f"config holds {token}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_plot_without_trace_exits_2(tmp_path, capsys):
     (tmp_path / "empty").mkdir()
     assert main(["plot", str(tmp_path / "empty"), "--what", "trace"]) == 2

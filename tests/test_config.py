@@ -147,6 +147,15 @@ def test_initial_field_pair_built_only_where_read():
     assert build_problem(resolve({"task": "eval", "bundle": bundle})).init is not None
 
 
+def test_metric_built_only_where_read():
+    """The Chern-Weil integral is metric-free, so a chern set-up assembles no
+    Riemannian structure; geom-check reads its base metric."""
+    bundle = {"kind": "instanton", "npts": 8}
+    assert build_problem(resolve({"task": "chern", "bundle": bundle})).riem is None
+    for task in ("geom-check", "lc-check", "eval"):
+        assert build_problem(resolve({"task": task, "bundle": bundle})).riem is not None
+
+
 def test_build_sum_representation():
     doc = _torus(
         representation={

@@ -8,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from ncym.errors import GluingError, ShapeError
 from ncym.geometry import build_torus, expm_antihermitian, grid_points
-from ncym.lie_core import build_su, build_u1, build_representation
+from ncym.lie_core import _comm_pairs, build_su, build_u1, build_representation, closure_defect
 from ncym.connections import (
     _comm,
-    _comm_pairs,
     bpst_connection,
     canonical_ncc,
     constant_connection,
@@ -86,6 +85,22 @@ def test_comm_pairs_is_per_pair_comm_bitwise(shape):
     for i in range(n):
         for j in range(n):
             assert np.array_equal(got[..., i, j, :, :], _comm(x[..., i, :, :], x[..., j, :, :]))
+
+
+@pytest.mark.parametrize("bundle", ["torus", "instanton"])
+def test_vertical_curvature_is_the_closure_defect_bitwise(torus_su2, bundle):
+    """nc_curvature's vv block is lie_core.closure_defect of phi, bit for bit,
+    over a random torus reference and over the N=8 instanton."""
+    if bundle == "torus":
+        man, lb, rep = torus_su2
+        ref = random_connection(man, lb, rep, seed=4)
+    else:
+        ref = bpst_connection(*instanton_bundle(8))
+    ncc = random_ncc(ref, seed=6, amplitude=0.4, x_dependent=True)
+    curv = nc_curvature(ncc)
+    for ch in ref.man.charts:
+        want = closure_defect(ncc.phi[ch.name], ref.basis.structure)
+        assert np.array_equal(curv[ch.name]["vv"], want)
 
 
 def test_constant_single_generator_is_flat(torus_su2):

@@ -12,6 +12,7 @@ from ncym.geometry import (
     adjoint_partial_derivative,
     build_sphere_two_charts,
     build_torus,
+    derivatives,
     expm_antihermitian,
     flat_metric,
     grid_points,
@@ -430,3 +431,20 @@ def test_transition_conjugate_inverts():
     out = transition_conjugate(lb, rep, t, s)
     back = transition_conjugate(lb, rep, t, out, inverse=True)
     assert np.max(np.abs(back - s)) < 1e-12
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("extra", [(), (2, 2)], ids=["scalar", "matrix"])
+@pytest.mark.parametrize("bundle", ["torus", "sphere"])
+def test_derivatives_stack_the_partial_derivatives_bitwise(bundle, extra, order):
+    man = build_torus(3, 8) if bundle == "torus" else build_sphere_two_charts(4, 8)
+    ch = man.charts[0]
+    rng = np.random.default_rng(order)
+    arr = rng.normal(size=ch.shape + extra)
+    if extra:
+        arr = arr + 1j * rng.normal(size=ch.shape + extra)
+    got = derivatives(arr, ch, order)
+    assert got.shape == ch.shape + (ch.dim,) + extra
+    for mu in range(ch.dim):
+        assert np.array_equal(got[(slice(None),) * ch.dim + (mu,)],
+                              partial_derivative(arr, ch, mu, order=order))

@@ -8,6 +8,7 @@ from ncym.errors import InvalidRank, ShapeError, UnsupportedRepresentation
 from ncym.lie_core import (
     build_representation,
     build_su,
+    closure_defect,
     component_in_basis,
     invariant_polynomial,
     killing_metric,
@@ -213,3 +214,38 @@ def test_component_round_trip():
     mats = lb.contract(coeff)
     back = component_in_basis(lb, mats)
     assert np.max(np.abs(back - coeff)) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["fundamental", "adjoint"])
+def test_closure_defect_exactly_zero_on_su2_reps(kind):
+    lb = build_su(2)
+    rep = build_representation(lb, kind)
+    assert np.max(np.abs(closure_defect(rep.matrices, lb.structure))) == 0.0
+
+
+@pytest.mark.parametrize(
+    "n, build",
+    [
+        (2, lambda lb: build_representation(lb, "spin", j=1)),
+        (2, lambda lb: build_representation(lb, "spin", j=1.5)),
+        (2, lambda lb: build_representation(
+            lb, "sum", parts=[build_representation(lb, "spin", j=j) for j in (0.5, 1)])),
+        (3, lambda lb: build_representation(lb, "fundamental")),
+        (3, lambda lb: build_representation(lb, "adjoint")),
+    ],
+    ids=["su2-spin1", "su2-spin3/2", "su2-sum", "su3-fundamental", "su3-adjoint"],
+)
+def test_closure_defect_vanishes_on_representations(n, build):
+    lb = build_su(n)
+    rep = build(lb)
+    assert np.max(np.abs(closure_defect(rep.matrices, lb.structure))) <= 1e-15
+
+
+def test_closure_defect_of_scaled_rep_is_the_double_well():
+    """[t R_a, t R_b] - C_ab^c t R_c = (t^2 - t) C_ab^c R_c."""
+    lb = build_su(2)
+    rep = build_representation(lb, "fundamental")
+    got = closure_defect(0.5 * rep.matrices, lb.structure)
+    want = -0.25 * np.einsum("abc,cij->abij", lb.structure, rep.matrices)
+    assert np.max(np.abs(got)) > 0.1
+    assert np.max(np.abs(got - want)) < 1e-15
