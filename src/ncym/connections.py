@@ -280,8 +280,12 @@ def bpst_connection(
     ):
         x = grid_points(ch)
         den = np.sum(x * x, axis=-1) + size * size
-        A = 2.0 * np.einsum("amn,...n->...ma", eta, x) / den[..., None, None]
-        out[ch.name] = A
+        # eta_{a mu nu} x^nu as one (P, 4) @ (4, 4 * 3) product; each row of
+        # eta has a single +-1 entry, so every sum is exact in any order
+        ex = (x.reshape(-1, 4) @ eta.transpose(2, 1, 0).reshape(4, -1)).reshape(
+            ch.shape + (4, 3)
+        )
+        out[ch.name] = 2.0 * ex / den[..., None, None]
     return OrdinaryConnection(man, basis, rep, out)
 
 

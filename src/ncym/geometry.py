@@ -251,27 +251,50 @@ def adjoint_partial_derivative(
 _COND_WARN = 1e8
 
 
+def _at(flat: int, shape: tuple) -> str:
+    """' at (i, j, ...)' for a flat grid index, '' for a single block."""
+    idx = np.unravel_index(flat, shape)
+    return f" at {tuple(map(int, idx))}" if idx else ""
+
+
 def _spd_inverse(name: str, block: np.ndarray, what: str) -> tuple:
     """Inverse and square-root determinant of symmetric positive-definite
     (..., k, k) blocks on chart ``name``; raises SingularMetric naming the
-    chart (and the grid index) otherwise, warns on a condition number above
-    1e8.
+    chart (and the grid index) for a non-finite, non-symmetric or not
+    positive-definite stack, warns on a condition number above 1e8.
 
-    One eigendecomposition B = V diag(lam) V^T per block serves the check,
-    the inverse V diag(1/lam) V^T and sqrt(det) = sqrt(prod lam); on c * I
-    blocks the inverse is exactly I / c.
+    A diagonal stack (as many non-zero entries as its diagonal has) is
+    inverted in closed form: its eigenvalues are the diagonal, the inverse
+    is diag(1 / lam) and sqrt(det) = sqrt(prod lam), with lam taken in
+    ascending order as ``eigh`` returns it, so both are bitwise what the
+    general path gives (on c * I blocks the inverse is exactly I / c).  Any
+    other stack takes one eigendecomposition B = V diag(lam) V^T per block
+    for the check, the inverse V diag(1/lam) V^T and sqrt(prod lam).
     """
-    if np.max(np.abs(block - np.swapaxes(block, -1, -2))) > 1e-12:
-        raise SingularMetric(f"{what} on {name} must be symmetric")
-    ev, vec = np.linalg.eigh(block)
-    if np.min(ev) <= 0:
-        idx = np.unravel_index(int(np.argmin(ev[..., 0])), ev[..., 0].shape)
-        where = f" at {tuple(map(int, idx))}" if idx else ""
+    finite = np.isfinite(block).all(axis=(-2, -1))
+    if not finite.all():
+        raise SingularMetric(
+            f"{what} on {name} not finite{_at(int(np.argmin(finite)), finite.shape)}"
+        )
+    diag = np.diagonal(block, axis1=-2, axis2=-1)
+    closed = np.count_nonzero(block) == np.count_nonzero(diag)
+    if closed:
+        ev = np.sort(diag, axis=-1)
+    else:
+        if np.max(np.abs(block - np.swapaxes(block, -1, -2))) > 1e-12:
+            raise SingularMetric(f"{what} on {name} must be symmetric")
+        ev, vec = np.linalg.eigh(block)
+    low = np.min(ev, axis=-1)
+    if np.min(low) <= 0:
+        where = _at(int(np.argmin(low)), low.shape)
         raise SingularMetric(f"{what} on {name} not positive definite{where}")
-    cond = float(np.max(ev) / np.min(ev))
+    cond = float(np.max(ev) / np.min(low))
     if cond > _COND_WARN:
         warnings.warn(f"{what} on {name}: condition number {cond:.3e}")
-    inv = (vec / ev[..., None, :]) @ np.swapaxes(vec, -1, -2)
+    if closed:
+        inv = (1.0 / diag)[..., None] * np.eye(block.shape[-1])
+    else:
+        inv = (vec / ev[..., None, :]) @ np.swapaxes(vec, -1, -2)
     return inv, np.sqrt(np.prod(ev, axis=-1))
 
 
@@ -320,11 +343,15 @@ def round_sphere_metric(man: Manifold) -> BaseMetric:
     """Stereographic-chart round metric g = 4 r^4 / (r^2 + |x|^2)^2 delta,
     with r the sphere's radius."""
     r = man.params["radius"]
+    try:
+        scale = 4.0 * r**4
+    except OverflowError:
+        raise SingularMetric(f"round-sphere metric: radius {r!r} overflows 4 r^4") from None
     g = {}
     for ch in man.charts:
         x = grid_points(ch)
         rho2 = np.sum(x * x, axis=-1)
-        conf = 4.0 * r**4 / (r**2 + rho2) ** 2
+        conf = scale / (r**2 + rho2) ** 2
         g[ch.name] = conf[..., None, None] * np.eye(man.dim)
     return BaseMetric(man, g)
 

@@ -427,6 +427,20 @@ def test_non_finite_config_constant_exits_2(tmp_path, capsys, token):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("task, kind, radius", [
+    ("geom-check", "instanton", 1e308),
+    ("lc-check", "monopole", 1e200),
+])
+def test_overflowing_radius_exits_2(tmp_path, capsys, task, kind, radius):
+    """4 r^4 of the round-sphere metric overflows a float: a config error,
+    not a traceback."""
+    doc = {"task": task, "bundle": {"kind": kind, "npts": 8, "radius": radius}}
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, doc), "--output-dir", str(out)]) == 2
+    assert f"round-sphere metric: radius {radius!r} overflows" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_plot_without_trace_exits_2(tmp_path, capsys):
     (tmp_path / "empty").mkdir()
     assert main(["plot", str(tmp_path / "empty"), "--what", "trace"]) == 2

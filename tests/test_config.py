@@ -181,6 +181,35 @@ def test_build_internal_metric_override():
     assert p.riem.internal[name][0, 0, 2, 2] == 3.0
 
 
+def _count_eigh(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+@pytest.mark.parametrize("task", ["geom-check", "lc-check"])
+def test_diagonal_metrics_are_inverted_without_eigh(monkeypatch, task):
+    # the round-sphere base metric and the default fiber metric are diagonal
+    calls = _count_eigh(monkeypatch)
+    p = build_problem(resolve({"task": task, "bundle": {"kind": "instanton", "npts": 12}}))
+    assert p.riem is not None
+    assert calls == []
+
+
+def test_non_diagonal_fiber_metric_takes_one_eigh_per_chart(monkeypatch):
+    internal = [[2.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 1.0]]
+    calls = _count_eigh(monkeypatch)
+    build_problem(resolve({"task": "lc-check", "bundle": {"kind": "instanton", "npts": 12},
+                           "metric": {"internal": internal}}))
+    assert calls == [(3, 3), (3, 3)]
+
+
 def test_build_random_initial_is_seeded():
     doc = _torus(initial={"kind": "random", "seed": 11, "amplitude": 0.2})
     p1 = build_problem(resolve(doc))

@@ -401,6 +401,57 @@ def test_spd_inverse_of_scaled_identity_is_exact():
         assert np.array_equal(inv, np.eye(k) / c[..., None, None])
 
 
+def _eigh_reference(block):
+    """The general path of _spd_inverse, inline: one eigendecomposition."""
+    ev, vec = np.linalg.eigh(block)
+    return (vec / ev[..., None, :]) @ np.swapaxes(vec, -1, -2), np.sqrt(np.prod(ev, axis=-1))
+
+
+def test_spd_inverse_closed_form_is_bitwise_the_eigh_path():
+    rng = np.random.default_rng(5)
+    c = rng.uniform(0.05, 20.0, size=(7, 9))
+    for k in (1, 2, 3, 4):
+        diag = rng.uniform(0.05, 20.0, size=(7, 9, k))
+        for block in (c[..., None, None] * np.eye(k), diag[..., None] * np.eye(k)):
+            inv, sqrt_det = _spd_inverse("c", block, "test metric")
+            want_inv, want_sqrt_det = _eigh_reference(block)
+            assert inv.tobytes() == want_inv.tobytes()
+            assert sqrt_det.tobytes() == want_sqrt_det.tobytes()
+
+
+def test_spd_inverse_closed_form_names_the_grid_index():
+    block = np.broadcast_to(np.eye(2), (5, 6, 2, 2)).copy()
+    block[2, 4] = np.diag([1.0, -1.0])
+    with pytest.raises(SingularMetric, match=r"test metric on c not positive definite at \(2, 4\)"):
+        _spd_inverse("c", block, "test metric")
+    # the smallest eigenvalue sits in the first slot of the diagonal too
+    block[2, 4] = np.diag([-1.0, 1.0])
+    with pytest.raises(SingularMetric, match=r"at \(2, 4\)"):
+        _spd_inverse("c", block, "test metric")
+
+
+@pytest.mark.parametrize("path", ["diagonal", "general"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spd_inverse_refuses_non_finite_blocks(path, bad):
+    block = np.broadcast_to(2.0 * np.eye(3), (4, 5, 3, 3)).copy()
+    if path == "general":
+        block[...] += 0.1 * (1.0 - np.eye(3))
+    block[3, 1, 0, 0] = bad  # a diagonal entry
+    with pytest.raises(SingularMetric, match=r"test metric on c not finite at \(3, 1\)"):
+        _spd_inverse("c", block, "test metric")
+    block[3, 1, 0, 0] = block[0, 0, 0, 0]
+    block[3, 1, 0, 2] = block[3, 1, 2, 0] = bad  # an off-diagonal pair
+    with pytest.raises(SingularMetric, match=r"not finite at \(3, 1\)"):
+        _spd_inverse("c", block, "test metric")
+
+
+def test_round_sphere_metric_refuses_an_overflowing_radius():
+    man = build_sphere_two_charts(4, 8, 1.0)
+    man = replace(man, params=dict(man.params, radius=1e100))
+    with pytest.raises(SingularMetric, match="radius 1e[+]100"):
+        round_sphere_metric(man)
+
+
 def test_su_log_round_trip_and_tracelessness():
     lb = build_su(2)
     rng = np.random.default_rng(3)

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import ncym.yang_mills as ym
 from ncym.cli import main
@@ -333,17 +333,25 @@ def test_action_gauge_invariant_constant_frame(torus):
     assert St == pytest.approx(S, rel=1e-10)
 
 
-def test_action_gauge_invariant_smooth_frame_second_order():
+@pytest.fixture(scope="module")
+def smooth_tori():
+    """A random x-dependent field on the torus at N=20 and N=40, with its
+    action."""
     lb = build_su(2)
     rep = build_representation(lb, "fundamental")
-    errs = []
+    out = []
     for npts in (20, 40):
         man = build_torus(2, npts)
         ref = zero_connection(man, lb, rep)
         riem = assemble(flat_metric(man), np.eye(3), ref)
         ncc = random_ncc(ref, seed=11, amplitude=0.3, x_dependent=True)
-        S = action(ncc, riem).s_total
-        ch = man.charts[0]
+        out.append((man.charts[0], riem, ncc, action(ncc, riem).s_total))
+    return out
+
+
+def test_action_gauge_invariant_smooth_frame_second_order(smooth_tori):
+    errs = []
+    for ch, riem, ncc, S in smooth_tori:
         x = grid_points(ch)
         theta = 0.3 * np.cos(x[..., 0]) + 0.2 * np.sin(x[..., 1])
         U = np.zeros(ch.shape + (2, 2), dtype=complex)
@@ -352,6 +360,33 @@ def test_action_gauge_invariant_smooth_frame_second_order():
         St = action(gauge_transform(ncc, {ch.name: U}), riem).s_total
         errs.append(abs(St - S) / S)
     assert errs[1] < 5e-3
+    assert errs[0] / errs[1] > 2.5
+
+
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_UNIT = st.floats(min_value=-1.0, max_value=1.0)
+
+
+@settings(deadline=None, max_examples=8)
+@given(amps=st.lists(_UNIT, min_size=4, max_size=4),
+       axis=st.lists(_UNIT, min_size=3, max_size=3))
+def test_action_gauge_invariant_random_smooth_frame_second_order(smooth_tori, amps, axis):
+    # U = exp(theta(x) n.i sigma / 2) = cos(theta/2) + i sin(theta/2) n.sigma, with
+    # theta a random combination of the lowest Fourier modes; below an amplitude
+    # of about 0.5 the O(h^2) error can be linear in theta and cancel at N=20
+    amps, axis = np.array(amps), np.array(axis)
+    assume(np.linalg.norm(amps) >= 0.5 and np.linalg.norm(axis) >= 0.1)
+    n_sigma = np.einsum("i,ijk->jk", axis / np.linalg.norm(axis), _PAULI)
+    errs = []
+    for ch, riem, ncc, S in smooth_tori:
+        x = grid_points(ch)
+        theta = (amps[0] * np.cos(x[..., 0]) + amps[1] * np.sin(x[..., 0])
+                 + amps[2] * np.cos(x[..., 1]) + amps[3] * np.sin(x[..., 1]))
+        U = (np.cos(theta / 2)[..., None, None] * np.eye(2)
+             + 1j * np.sin(theta / 2)[..., None, None] * n_sigma)
+        St = action(gauge_transform(ncc, {ch.name: U}), riem).s_total
+        errs.append(abs(St - S) / S)
+    assert errs[1] < 2e-2
     assert errs[0] / errs[1] > 2.5
 
 
