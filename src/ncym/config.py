@@ -11,10 +11,19 @@ accepted, and defaulted where they have defaults, only for those tasks.
 Validation happens before any computation; the fully resolved document
 (defaults filled in) is what every run records verbatim in its report, so a
 report always carries the exact inputs that produced it.
+
+Every JSON file ncym reads, a config or the report a plot starts from,
+goes through :func:`read`, which refuses NaN and Infinity tokens, unreadable
+files, invalid JSON and anything but an object with a ConfigError.  The
+Chern-Weil degree has no freedom: a degree-q form integrates over a
+2q-dimensional base, so ``chern.degree`` defaults to half the base dimension,
+and an odd-dimensional base or any other degree is refused at resolve time.
 """
 
 import copy
+import json
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -37,7 +46,7 @@ from .lie_core import build_representation, build_su, build_u1
 from .metric import assemble
 from .yang_mills import SolverOptions
 
-__all__ = ["resolve", "build_problem", "SCHEMA"]
+__all__ = ["read", "resolve", "build_problem", "SCHEMA"]
 
 TASKS = ["eval", "solve", "classify", "chern", "lc-check", "geom-check"]
 
@@ -183,6 +192,11 @@ def _compile(schema: dict):
 _VALIDATOR = _compile(SCHEMA)
 
 
+def _base_dim(bundle: dict) -> int:
+    """Dimension of the base of a bundle with its defaults filled in."""
+    return {"instanton": 4, "monopole": 2}.get(bundle["kind"]) or bundle["dim"]
+
+
 def _defaults_for(doc: dict) -> dict:
     doc = copy.deepcopy(doc)
     bundle = doc["bundle"]
@@ -222,9 +236,26 @@ def _defaults_for(doc: dict) -> dict:
         doc["solver"] = {**asdict(SolverOptions()), **doc.get("solver", {})}
         doc.setdefault("snapshots", False)
     if task == "chern":
-        doc.setdefault("chern", {})
-        doc["chern"].setdefault("degree", 2 if kind == "instanton" else 1)
+        doc.setdefault("chern", {}).setdefault("degree", _base_dim(bundle) // 2)
     doc.setdefault("seed", 0)
+    return doc
+
+
+def _refuse_constant(token: str):
+    """``parse_constant`` of :func:`read`: JSON has no NaN or infinity."""
+    raise ConfigError(f"config holds {token}, which is not a JSON number")
+
+
+def read(path) -> dict:
+    """The JSON object in the file at ``path``, read strictly."""
+    try:
+        doc = json.loads(Path(path).read_text(), parse_constant=_refuse_constant)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path} does not hold a JSON object")
     return doc
 
 
@@ -260,6 +291,14 @@ def _cross_check(doc: dict) -> None:
         raise ConfigError(f"the {kind} bundle fixes its own representation")
     if conn == "constant" and "coeffs" not in doc["connection"]:
         raise ConfigError("constant connection needs its coefficient matrix")
+    if doc["task"] == "chern":
+        dim = _base_dim(bundle)
+        degree = doc["chern"]["degree"]
+        if dim % 2 or degree != dim // 2:
+            raise ConfigError(
+                f"chern.degree {degree} cannot saturate a {dim}-dimensional base: "
+                "a degree-q Chern-Weil form needs a 2q-dimensional base"
+            )
 
 
 def _build_rep(lb, spec: dict):

@@ -423,6 +423,13 @@ def build_sphere_two_charts(
     r = float(radius)
     half = margin * r
     h = 2.0 * half / npts
+    # the inversion squares the radius, the corner distance and the half-spacing
+    squares = np.array([r * r, dim * half * half, 0.25 * h * h])
+    if not np.all(np.isfinite(squares) & (squares >= np.finfo(float).tiny)):
+        raise ShapeError(
+            f"sphere of radius {radius!r} with chart margin {margin!r}: "
+            "the chart extent overflows or underflows a float"
+        )
     coords1d = -half + (np.arange(npts) + 0.5) * h
 
     def make_chart(name, orient):

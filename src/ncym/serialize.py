@@ -6,11 +6,14 @@ Arrays serialize row-major (C order) under their shape: real arrays as flat
 float lists, complex arrays as flat lists of ``[re, im]`` pairs.  A manifold
 serializes to its chart metadata (name, shape, spacing, periodicity,
 orientation) plus the constructor kind and parameters, which is enough to
-rebuild the shipped manifolds exactly.  Reports are emitted through
-:func:`dumps_canonical`, which fixes key order and separators so identical
-results produce bytewise-identical files.  Every file is strict JSON: a
-non-finite float is written as the string ``"NaN"``, ``"Infinity"`` or
-``"-Infinity"`` (see :func:`json_float`), never as a bare token.
+rebuild the shipped manifolds exactly.  A result tree (dicts, lists, numpy
+arrays and scalars) becomes JSON values through :func:`plain`, and a report
+is emitted through :func:`dumps_canonical`, which fixes key order and
+separators so identical results produce bytewise-identical files.  Every
+file is strict JSON: a non-finite float is written as the string ``"NaN"``,
+``"Infinity"`` or ``"-Infinity"`` (see :func:`json_float`), never as a bare
+token.  Tables (the solver trace, the plot data) go through :func:`save_csv`,
+which writes each float as its ``repr``, so it reads back exactly.
 
 Determinism
 -----------
@@ -40,8 +43,10 @@ __all__ = [
     "connection_snapshot",
     "state_snapshot",
     "json_float",
+    "plain",
     "dumps_canonical",
     "save_report",
+    "save_csv",
     "save_trace_csv",
 ]
 
@@ -50,6 +55,23 @@ def json_float(v):
     """A float for strict JSON: non-finite values become "NaN", "Infinity" or "-Infinity"."""
     v = float(v)
     return v if math.isfinite(v) else json.dumps(v)
+
+
+def plain(obj):
+    """Plain-Python mirror of a result tree: dict keys as strings, tuples and
+    arrays as lists, numpy scalars as Python numbers, floats strict (see
+    :func:`json_float`)."""
+    if isinstance(obj, dict):
+        return {str(k): plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [plain(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return plain(obj.tolist())
+    if isinstance(obj, (np.floating, float)):
+        return json_float(obj)
+    if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
+        return int(obj)
+    return obj
 
 
 def array_to_json(arr: np.ndarray) -> dict:
@@ -84,7 +106,7 @@ def manifold_meta(man) -> dict:
     return {
         "kind": man.kind,
         "dim": man.dim,
-        "params": {k: _plain(v) for k, v in man.params.items()},
+        "params": plain(man.params),
         "charts": [
             {
                 "name": ch.name,
@@ -96,14 +118,6 @@ def manifold_meta(man) -> dict:
             for ch in man.charts
         ],
     }
-
-
-def _plain(v):
-    if isinstance(v, (np.floating, float)):
-        return float(v)
-    if isinstance(v, (np.integer, int)):
-        return int(v)
-    return v
 
 
 def connection_snapshot(conn: OrdinaryConnection) -> dict:
@@ -136,10 +150,18 @@ def save_report(path, obj) -> None:
     Path(path).write_text(dumps_canonical(obj))
 
 
-def save_trace_csv(path, trace) -> None:
-    """Solver trace as columns (iteration, action, grad_norm)."""
+def save_csv(path, header, rows) -> None:
+    """A table with one header row; floats are written as their ``repr``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iteration", "action", "grad_norm"])
-        for i, (s, gn) in enumerate(trace):
-            writer.writerow([i, repr(float(s)), repr(float(gn))])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(
+                [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
+            )
+
+
+def save_trace_csv(path, trace) -> None:
+    """Solver trace as columns (iteration, action, grad_norm)."""
+    save_csv(path, ["iteration", "action", "grad_norm"],
+             ((i, s, gn) for i, (s, gn) in enumerate(trace)))

@@ -432,19 +432,96 @@ def test_non_finite_config_constant_exits_2(tmp_path, capsys, token):
     ("lc-check", "monopole", 1e200),
 ])
 def test_overflowing_radius_exits_2(tmp_path, capsys, task, kind, radius):
-    """4 r^4 of the round-sphere metric overflows a float: a config error,
-    not a traceback."""
+    """A chart extent that overflows a float: a config error, not a
+    traceback.  The sphere builder refuses it before the metric is built."""
     doc = {"task": task, "bundle": {"kind": kind, "npts": 8, "radius": radius}}
     out = tmp_path / "out"
     assert main(["run", _write(tmp_path, doc), "--output-dir", str(out)]) == 2
-    assert f"round-sphere metric: radius {radius!r} overflows" in capsys.readouterr().err
+    assert f"sphere of radius {radius!r} with chart margin" in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+def test_radius_overflowing_only_the_metric_exits_2(tmp_path, capsys):
+    """The builder accepts a radius of 1e100; 4 r^4 of the round-sphere
+    metric overflows."""
+    doc = {"task": "geom-check", "bundle": {"kind": "instanton", "npts": 8, "radius": 1e100}}
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, doc), "--output-dir", str(out)]) == 2
+    assert "round-sphere metric: radius 1e+100 overflows" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("key, value", [("radius", 1e308), ("radius", 1e200),
+                                        ("radius", 1e-200), ("margin", 1e300)])
+def test_chern_on_a_sphere_beyond_floats_exits_2(key, value, tmp_path, capsys):
+    """These ran into numpy's "cannot reshape array of size 0"; the sphere
+    builder now names the radius and the margin."""
+    doc = {"task": "chern", "bundle": {"kind": "instanton", "npts": 8, key: value}}
+    assert main(["run", _write(tmp_path, doc), "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "radius" in err and "margin" in err and f"{key} {value!r}" in err
+
+
+def test_chern_degree_is_half_the_base_dimension(tmp_path):
+    doc = {"task": "chern", "bundle": {"kind": "torus", "dim": 4, "npts": 8}}
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, doc), "--output-dir", str(out)]) == 0
+    result = json.loads((out / "report.json").read_text())["result"]
+    assert result["q"] == 2
+    assert result["value"] == 0.0
+
+
+@pytest.mark.parametrize("doc", [
+    {"task": "chern", "bundle": {"kind": "torus", "dim": 3, "npts": 8}},
+    {"task": "chern", "bundle": {"kind": "instanton", "npts": 8}, "chern": {"degree": 1}},
+], ids=["torus-dim-3", "instanton-degree-1"])
+def test_chern_degree_without_a_top_form_exits_2(doc, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, doc), "--output-dir", str(out)]) == 2
+    assert "chern.degree" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "plot", "selfcheck"])
+def test_output_dir_naming_a_file_exits_2(command, tmp_path, capsys):
+    taken = tmp_path / "afile"
+    taken.write_text("")
+    argv = {
+        "run": ["run", _write(tmp_path, {**_TORUS_EVAL, "output_dir": str(taken)})],
+        "plot": ["plot", str(ROOT / "runs" / "torus_vacuum"), "--what", "well",
+                 "--output-dir", str(taken)],
+        "selfcheck": ["selfcheck", "--filter", "lie_core", "--output-dir", str(taken)],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ncym: ") and str(taken) in err
+    assert taken.read_text() == ""
+
+
+@pytest.mark.parametrize("report", [
+    '{"task": "eval", "config": {"task": "eval", "bundle": {"kind": "torus", "npts": 8},'
+    ' "initial": {"kind": "random", "amplitude": NaN}}, "result": {}}',
+    '{"task": "eval", "result": {}}',
+], ids=["nan-in-config", "no-config"])
+def test_plot_reads_reports_strictly(report, tmp_path, capsys):
+    """A plot rebuilds its problem from the config a report records, read as
+    strictly as `ncym run` reads a config."""
+    (tmp_path / "report.json").write_text(report)
+    assert main(["plot", str(tmp_path), "--what", "slice"]) == 2
+    assert capsys.readouterr().err.startswith("ncym: ")
+    assert not (tmp_path / "slice.csv").exists()
 
 
 def test_plot_without_trace_exits_2(tmp_path, capsys):
     (tmp_path / "empty").mkdir()
     assert main(["plot", str(tmp_path / "empty"), "--what", "trace"]) == 2
     capsys.readouterr()
+
+
+def test_plot_of_an_empty_trace_exits_2(tmp_path, capsys):
+    (tmp_path / "trace.csv").write_text("")
+    assert main(["plot", str(tmp_path), "--what", "trace"]) == 2
+    assert "trace.csv is empty" in capsys.readouterr().err
 
 
 def _agree(got, want, path="report"):
@@ -503,6 +580,29 @@ def test_instanton_topology_is_pinned(task, tmp_path):
     assert main(["run", _write(tmp_path, doc)]) == 0
     got = json.loads((tmp_path / "out" / "report.json").read_text())["result"]
     assert _agree(got, _INSTANTON8[task]) == []
+
+
+def _csv_cells(path):
+    """The rows of a CSV file, with every numeric cell as a float."""
+    def cell(text):
+        try:
+            return float(text)
+        except ValueError:
+            return text
+
+    with open(path, newline="") as fh:
+        return [[cell(c) for c in row] for row in csv.reader(fh)]
+
+
+@pytest.mark.parametrize("name, what", [("torus_vacuum", "well"), ("torus_vacuum", "slice"),
+                                        ("bpst_chern", "density")])
+def test_committed_plot_data_reproduces(name, what, tmp_path):
+    """The committed evaluation CSVs, plotted afresh from the committed run,
+    agree under the determinism contract; a plot needs no solve."""
+    run = ROOT / "runs" / name
+    assert main(["plot", str(run), "--what", what, "--output-dir", str(tmp_path)]) == 0
+    got = _csv_cells(tmp_path / f"{what}.csv")
+    assert _agree(got, _csv_cells(run / f"{what}.csv"), f"{what}.csv") == []
 
 
 @pytest.mark.parametrize("name", ["torus_lc_check", "bpst_chern", "bpst_eval"])

@@ -1,5 +1,6 @@
 """Charts, stencils, quadrature, partitions of unity, transition action."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -446,10 +447,20 @@ def test_spd_inverse_refuses_non_finite_blocks(path, bad):
 
 
 def test_round_sphere_metric_refuses_an_overflowing_radius():
-    man = build_sphere_two_charts(4, 8, 1.0)
-    man = replace(man, params=dict(man.params, radius=1e100))
+    """The builder accepts a radius of 1e100; 4 r^4 of the metric overflows."""
+    man = build_sphere_two_charts(4, 8, 1e100)
     with pytest.raises(SingularMetric, match="radius 1e[+]100"):
         round_sphere_metric(man)
+
+
+@pytest.mark.parametrize("radius, margin", [(1e308, 1.6), (1e200, 1.6), (1e-200, 1.6),
+                                            (1.0, 1e300)])
+def test_sphere_builder_refuses_an_extent_beyond_floats(radius, margin):
+    """A chart extent whose squares overflow or underflow would leave the
+    overlap empty; the builder refuses it and names the radius and margin."""
+    named = re.escape(f"radius {radius!r} with chart margin {margin!r}")
+    with pytest.raises(ShapeError, match=named):
+        build_sphere_two_charts(4, 8, radius, margin)
 
 
 def test_su_log_round_trip_and_tracelessness():

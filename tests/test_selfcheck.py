@@ -51,14 +51,18 @@ def test_wedge_associativity_check_fails_on_nan(monkeypatch):
 
 
 def test_transition_round_trip_check_fails_on_nan(monkeypatch):
-    real = sc.instanton_bundle
+    """The check builds its instanton through the config, so the bundle is
+    poisoned where :func:`ncym.config.build_problem` looks it up."""
+    import ncym.config
 
-    def poisoned(npts):
-        man, lb, rep = real(npts)
+    real = ncym.config.instanton_bundle
+
+    def poisoned(npts, **kwargs):
+        man, lb, rep = real(npts, **kwargs)
         nan = replace(man.overlaps[0], transition=lambda x: np.full(x.shape[:-1] + (2, 2), np.nan))
         return replace(man, overlaps=(nan,) + man.overlaps[1:]), lb, rep
 
-    monkeypatch.setattr(sc, "instanton_bundle", poisoned)
+    monkeypatch.setattr(ncym.config, "instanton_bundle", poisoned)
     passed, detail = sc._check_transition_round_trip()
     assert not passed
     assert "nan" in detail.lower()
