@@ -140,7 +140,7 @@ SCHEMA = {
                     "type": "array",
                     "items": {"type": "array", "items": {"type": "number"}},
                 },
-                "seed": {"type": "integer"},
+                "seed": {"type": "integer", "minimum": 0},
                 "amplitude": {"type": "number"},
                 "rho": {"type": "number", "exclusiveMinimum": 0},
             },
@@ -151,7 +151,7 @@ SCHEMA = {
             "type": "object",
             "properties": {
                 "kind": {"enum": ["canonical", "zero", "random", "canonical-plus-random"]},
-                "seed": {"type": "integer"},
+                "seed": {"type": "integer", "minimum": 0},
                 "amplitude": {"type": "number"},
                 "x_dependent": {"type": "boolean"},
             },
@@ -172,7 +172,7 @@ SCHEMA = {
             "properties": {"degree": {"type": "integer", "minimum": 1}},
             "additionalProperties": False,
         },
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
         "output_dir": {"type": "string"},
         "snapshots": {"type": "boolean"},
     },
@@ -264,7 +264,9 @@ def resolve(doc: dict) -> dict:
     # the error jsonschema.validate would raise, without re-checking SCHEMA
     error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
     if error is not None:
-        raise ConfigError(f"config rejected: {error.message}") from error
+        path = ".".join(map(str, error.absolute_path))  # empty at the top level
+        where = f"{path}: " if path else ""
+        raise ConfigError(f"config rejected: {where}{error.message}") from error
     resolved = _defaults_for(doc)
     _cross_check(resolved)
     return resolved

@@ -24,6 +24,7 @@ from .errors import GluingError, ShapeError
 from .geometry import (
     Manifold,
     build_sphere_two_charts,
+    derivative_rows,
     derivatives,
     grid_points,
     interp_chart,
@@ -340,6 +341,11 @@ def monopole_connection(
 # ---------------------------------------------------------------------------
 
 
+def _contracted_sup(basis: LieBasis, coeff: np.ndarray) -> float:
+    """max |coeff^a T_a| over a chart, contracted a grid row at a time."""
+    return float(np.max([np.max(np.abs(basis.contract(row))) for row in coeff]))
+
+
 def gluing_residuals(conn: OrdinaryConnection) -> dict:
     """Cross-chart consistency of the potential and field strength.
 
@@ -348,8 +354,10 @@ def gluing_residuals(conn: OrdinaryConnection) -> dict:
     field strength with t F t^-1, in the defining matrices.  Returns relative
     sup-norm residuals per overlap; interpolation and stencils limit the
     attainable residual to second order in the grid spacing.
+    Only the sample points are worked on; the scale is the source's chart peak.
     """
     out = {}
+    basis = conn.basis
     for ov in conn.man.overlaps:
         if ov.transition is None:
             continue
@@ -357,26 +365,27 @@ def gluing_residuals(conn: OrdinaryConnection) -> dict:
         dst = conn.man.chart(ov.dst)
         mask, jac = ov.mask, ov.jac  # J[i, j] = d y^i / d x^j
 
-        # destination fields are sampled as real components, then contracted
-        A_src = conn.basis.contract(conn.A[ov.src])  # shape + (d, n, n)
-        A_dst_at = conn.basis.contract(interp_chart(dst, conn.A[ov.dst], ov.y))
-        lhs_A = np.einsum("pmij,pmn->pnij", A_dst_at, jac, optimize=True)
+        t = ov.transition(ov.x)
+        tinv = np.conj(np.swapaxes(t, -1, -2))
+        tinv_grid = np.conj(np.swapaxes(ov.transition(grid_points(src)), -1, -2))
+        tinv_grid = tinv_grid.reshape(mask.size, -1)
+        dtinv = np.stack([op @ tinv_grid for op in derivative_rows(src, mask)], axis=1)
+        dtinv = dtinv.reshape(jac.shape[:-1] + t.shape[-2:])
+        inhom = np.einsum("pij,pmjk->pmik", t, dtinv, optimize=True)
 
-        t_grid = ov.transition(grid_points(src))
-        tinv_grid = np.conj(np.swapaxes(t_grid, -1, -2))
-        dtinv = derivatives(tinv_grid, src)
-        t = t_grid[mask]
-        tinv = tinv_grid[mask]
-        inhom = np.einsum("pij,pmjk->pmik", t, dtinv[mask], optimize=True)
-        rhs_A = np.einsum("pij,pmjk,pkl->pmil", t, A_src[mask], tinv, optimize=True) + inhom
-        scale_A = max(np.max(np.abs(A_src)), 1e-30)
+        # destination fields are sampled as real components, then contracted
+        A_dst_at = basis.contract(interp_chart(dst, conn.A[ov.dst], ov.y))
+        lhs_A = np.einsum("pmij,pmn->pnij", A_dst_at, jac, optimize=True)
+        A_src = basis.contract(conn.A[ov.src][mask])
+        rhs_A = np.einsum("pij,pmjk,pkl->pmil", t, A_src, tinv, optimize=True) + inhom
+        scale_A = max(_contracted_sup(basis, conn.A[ov.src]), 1e-30)
         res_A = float(np.max(np.abs(lhs_A - rhs_A)) / scale_A)
 
-        F_src = conn.basis.contract(conn.curvature()[ov.src])
-        F_dst_at = conn.basis.contract(interp_chart(dst, conn.curvature()[ov.dst], ov.y))
+        F_dst_at = basis.contract(interp_chart(dst, conn.curvature()[ov.dst], ov.y))
         lhs_F = np.einsum("pmnij,pmr,pns->prsij", F_dst_at, jac, jac, optimize=True)
-        rhs_F = np.einsum("pij,pmnjk,pkl->pmnil", t, F_src[mask], tinv, optimize=True)
-        scale_F = max(np.max(np.abs(F_src)), 1e-30)
+        F_src = basis.contract(conn.curvature()[ov.src][mask])
+        rhs_F = np.einsum("pij,pmnjk,pkl->pmnil", t, F_src, tinv, optimize=True)
+        scale_F = max(_contracted_sup(basis, conn.curvature()[ov.src]), 1e-30)
         res_F = float(np.max(np.abs(lhs_F - rhs_F)) / scale_F)
 
         out[(ov.src, ov.dst)] = {"potential": res_A, "field_strength": res_F}

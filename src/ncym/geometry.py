@@ -34,6 +34,7 @@ __all__ = [
     "diff_matrix",
     "partial_derivative",
     "derivatives",
+    "derivative_rows",
     "adjoint_partial_derivative",
     "integrate",
     "build_torus",
@@ -205,9 +206,10 @@ def diff_matrix(npts: int, h: float, periodic: bool, order: int = 2) -> np.ndarr
 
 
 def _apply_along_axis(mat: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
-    moved = np.moveaxis(arr, axis, 0)
-    out = np.tensordot(mat, moved, axes=([1], [0]))
-    return np.moveaxis(out, 0, axis)
+    """``mat`` along ``axis``: one batched product over ``arr`` viewed as
+    (axes before, axis, axes after), with no transposed copy."""
+    pre = int(np.prod(arr.shape[:axis]))
+    return np.matmul(mat, arr.reshape(pre, arr.shape[axis], -1)).reshape(arr.shape)
 
 
 def partial_derivative(
@@ -233,6 +235,23 @@ def derivatives(arr: np.ndarray, chart: ChartGrid, order: int = 2) -> np.ndarray
         [partial_derivative(arr, chart, mu, order=order) for mu in range(chart.dim)],
         axis=chart.dim,
     )
+
+
+def derivative_rows(chart: ChartGrid, mask: np.ndarray, order: int = 2) -> list:
+    """Per axis, the sparse (masked points, grid points) operator holding the
+    :func:`diff_matrix` rows of the points of ``mask``: applied to a field
+    flattened to (grid points, extra), its derivative at those points only."""
+    from scipy.sparse import csr_matrix
+
+    idx, ops = np.array(np.nonzero(mask)), []
+    for axis, i in enumerate(idx):
+        d = diff_matrix(chart.shape[axis], chart.spacing[axis], chart.periodic[axis], order)
+        rows, k = np.nonzero(d[i])  # each masked point's neighbors along the axis
+        at = idx[:, rows]
+        at[axis] = k
+        cols = np.ravel_multi_index(tuple(at), chart.shape)
+        ops.append(csr_matrix((d[i[rows], k], (rows, cols)), shape=(len(i), mask.size)))
+    return ops
 
 
 def adjoint_partial_derivative(

@@ -11,7 +11,8 @@ The diagnostics re-evaluate the defining relations with their own
 derivative stencils (one order higher than the table's), so that on smooth
 position-dependent data they measure a genuine discretization error instead
 of cancelling the table's stencil identically.  All three are evaluated in
-one pass that shares the check-order fields between them.
+one pass that shares the check-order fields between them.  The symbols are
+pointwise, so `residual_table` builds them one slab of grid points at a time.
 """
 
 from dataclasses import dataclass, fields
@@ -32,6 +33,7 @@ __all__ = [
 
 TABLE_ORDER = 2
 CHECK_ORDER = 4
+SLAB_POINTS = 2048  # per slab of `residual_table`, in whole rows of the first grid axis
 
 
 def _einsum(subscripts, *operands):
@@ -84,74 +86,91 @@ def _nabla_g_int(dgI, rot):
     return dgI - rot - np.swapaxes(rot, -1, -2)
 
 
+def _fields(riem, ch, F, order: int) -> dict:
+    """A chart's fields the symbols are built from, derivatives at ``order``."""
+    gM, gI = riem.base.g[ch.name], riem.internal[ch.name]
+    return {"gM": gM, "hM": riem.base.inv[ch.name], "dgM": derivatives(gM, ch, order),
+            "gI": gI, "hI": riem.hint[ch.name], "dgI": derivatives(gI, ch, order),
+            "A": riem.conn.A[ch.name], "F": F}
+
+
+def _symbols(f: dict, C) -> dict:
+    """The table's per-chart entries at the points of the fields ``f``."""
+    hM, gI, hI, dgM = f["hM"], f["gI"], f["hI"], f["dgM"]
+    out = {"hh_v": np.broadcast_to(0.0, f["F"].shape), "half_curvature": 0.5 * f["F"]}
+    sym = dgM + np.swapaxes(dgM, -3, -2) - np.moveaxis(dgM, -3, -1)
+    out["hh_h"] = 0.5 * _einsum("...sr,...mnr->...mns", hM, sym)
+
+    lowered = _einsum("...mre,...eb->...mbr", f["F"], gI)  # F^e_{mu rho} g_eb
+    out["hv_h"] = -0.5 * _einsum("...sr,...mbr->...mbs", hM, lowered)
+    out["vh_h"] = np.swapaxes(out["hv_h"], -3, -2)
+
+    N = out["mixed_rotation"] = _einsum("...me,ebf->...mbf", f["A"], C)
+    nab = _nabla_g_int(f["dgI"], _rotation(N, gI))
+    out["hv_v"] = 0.5 * _einsum("...dc,...mbc->...mbd", hI, nab)
+    out["vh_v"] = np.swapaxes(out["hv_v"], -3, -2)
+    out["vv_h"] = -0.5 * _einsum("...sr,...rab->...abs", hM, nab)
+
+    lie = -_einsum("cae,...eb->...cab", C, gI)
+    lie = lie + np.swapaxes(lie, -1, -2)
+    out["vv_v"] = -0.5 * _einsum("...dc,...cab->...abd", hI, lie)
+    return out
+
+
+_PER_CHART = [f.name for f in fields(ChristoffelTable) if f.name != "half_structure"]
+
+
 def christoffel(riem) -> ChristoffelTable:
     """All eight symbol families of the metric connection, plus the pieces."""
-    man = riem.man
     C = riem.conn.basis.structure
-    m = riem.conn.basis.dim
     Fd = curvature_F(riem.conn)
-    out = {f.name: {} for f in fields(ChristoffelTable) if f.name != "half_structure"}
-    for ch in man.charts:
-        name = ch.name
-        d = ch.dim
-        gM = riem.base.g[name]
-        hM = riem.base.inv[name]
-        gI = riem.internal[name]
-        hI = riem.hint[name]
-        A = riem.conn.A[name]
-        F = Fd[name]
-
-        dgM = derivatives(gM, ch, TABLE_ORDER)  # [..., mu, nu, rho]
-        sym = dgM + np.swapaxes(dgM, -3, -2) - np.moveaxis(dgM, -3, -1)
-        out["hh_h"][name] = 0.5 * _einsum("...sr,...mnr->...mns", hM, sym)
-        out["hh_v"][name] = np.broadcast_to(0.0, ch.shape + (d, d, m))
-        out["half_curvature"][name] = 0.5 * F
-
-        lowered = _einsum("...mre,...eb->...mbr", F, gI)  # F^e_{mu rho} g_eb
-        out["hv_h"][name] = -0.5 * _einsum("...sr,...mbr->...mbs", hM, lowered)
-        out["vh_h"][name] = np.swapaxes(out["hv_h"][name], -3, -2)
-
-        N = _einsum("...me,ebf->...mbf", A, C)
-        out["mixed_rotation"][name] = N
-        dgI = derivatives(gI, ch, TABLE_ORDER)
-        nab = _nabla_g_int(dgI, _rotation(N, gI))
-        out["hv_v"][name] = 0.5 * _einsum("...dc,...mbc->...mbd", hI, nab)
-        out["vh_v"][name] = np.swapaxes(out["hv_v"][name], -3, -2)
-        out["vv_h"][name] = -0.5 * _einsum("...sr,...rab->...abs", hM, nab)
-
-        lie = -_einsum("cae,...eb->...cab", C, gI)
-        lie = lie + np.swapaxes(lie, -1, -2)
-        out["vv_v"][name] = -0.5 * _einsum("...dc,...cab->...abd", hI, lie)
+    charts = {ch.name: _symbols(_fields(riem, ch, Fd[ch.name], TABLE_ORDER), C)
+              for ch in riem.man.charts}
+    out = {key: {name: sym[key] for name, sym in charts.items()} for key in _PER_CHART}
     return ChristoffelTable(half_structure=0.5 * C, **out)
 
 
-def _residuals(riem, table: ChristoffelTable) -> dict:
-    """Torsion, metricity and Koszul mismatches in one pass over the charts;
-    a NaN piece makes its mismatch NaN."""
-    worst = {"torsion": 0.0, "metricity": 0.0, "koszul": 0.0}
+def _residuals(riem, table: ChristoffelTable | None = None) -> dict:
+    """Torsion, metricity, Koszul and vertical lift-lift sup norms in one pass
+    over the charts (NaN if a piece is NaN); without a ``table``, the symbols
+    are built and checked one slab of about SLAB_POINTS grid points at a time."""
+    worst = dict.fromkeys(("torsion", "metricity", "koszul", "vertical_lift_lift_symbol"), 0.0)
+    C = riem.conn.basis.structure
+    table_F = curvature_F(riem.conn) if table is None else None
     bracket_F = curvature_F(riem.conn, order=CHECK_ORDER)
     for ch in riem.man.charts:
-        for key, value in _chart_residuals(riem, table, ch, bracket_F[ch.name]):
-            worst[key] = float(np.maximum(worst[key], value))
+        chk = _fields(riem, ch, bracket_F.pop(ch.name), CHECK_ORDER)
+        if table is None:
+            tab = _fields(riem, ch, table_F.pop(ch.name), TABLE_ORDER)
+            rows = max(1, SLAB_POINTS * ch.shape[0] // int(np.prod(ch.shape)))
+            slabs = [slice(i, i + rows) for i in range(0, ch.shape[0], rows)]
+        else:
+            tab, slabs = None, [slice(None)]
+        for sl in slabs:
+            if table is None:
+                sym = _symbols({k: v[sl] for k, v in tab.items()}, C)
+            else:
+                sym = {key: getattr(table, key)[ch.name] for key in _PER_CHART}
+            pieces = _chart_residuals(sym, {k: v[sl] for k, v in chk.items()}, C)
+            for key, value in [("vertical_lift_lift_symbol", _sup(sym["hh_v"])), *pieces]:
+                worst[key] = float(np.maximum(worst[key], value))
+        del chk, tab  # a chart's fields are released before the next chart's
     return worst
 
 
-def _chart_residuals(riem, table: ChristoffelTable, ch, Ft):
-    """(identity, sup norm) of each mismatch piece on one chart.
+def _chart_residuals(sym: dict, chk: dict, C):
+    """(identity, sup norm) of each mismatch piece on a chart or a slab of one.
 
-    Each check-order field (the field strength Ft, the derivatives of both
-    metric blocks) is formed once, and so is each lowered symbol g(D_X Y, Z),
-    which metricity uses as it is and the Koszul formula doubled.  Each piece
-    is reduced as soon as it is formed, and the chart's fields are released
-    before the next chart: this pass sets the memory peak of `lc-check`.
+    ``sym`` holds the table's entries there, ``chk`` the check-order fields
+    at the same points.  Each lowered symbol g(D_X Y, Z) is formed once:
+    metricity uses it as it is, the Koszul formula doubled.  Each piece is
+    reduced as soon as it is formed.
     """
-    name = ch.name
-    gM = riem.base.g[name]
-    gI = riem.internal[name]
-    N = table.mixed_rotation[name]
-    hh_h, hv_h, hv_v = table.hh_h[name], table.hv_h[name], table.hv_v[name]
-    vh_h, vh_v, half_F = table.vh_h[name], table.vh_v[name], table.half_curvature[name]
-    vv_h, vv_v = table.vv_h[name], table.vv_v[name]
+    gM, gI, Ft = chk["gM"], chk["gI"], chk["F"]
+    N = sym["mixed_rotation"]
+    hh_h, hv_h, hv_v = sym["hh_h"], sym["hv_h"], sym["hv_v"]
+    vh_h, vh_v, half_F = sym["vh_h"], sym["vh_v"], sym["half_curvature"]
+    vv_h, vv_v = sym["vv_h"], sym["vv_v"]
 
     # torsion, D_X Y - D_Y X - [X, Y] over frame pairs: the lift-lift
     # bracket is the field strength, the lift-inner rotation piece drops
@@ -165,8 +184,7 @@ def _chart_residuals(riem, table: ChristoffelTable, ch, Ft):
     # identity 2 g(D_X Y, Z) = X g(Y,Z) + Y g(X,Z) - Z g(X,Y)
     #   + g([X,Y],Z) - g([X,Z],Y) - g([Y,Z],X), over frame triples.
     # Inner derivations annihilate the (central) metric coefficients.
-    dgM = derivatives(gM, ch, CHECK_ORDER)
-    dgI = derivatives(gI, ch, CHECK_ORDER)
+    dgM, dgI = chk["dgM"], chk["dgI"]
     rot = _rotation(N, gI)
     F_low = _einsum("...mne,...ec->...mnc", Ft, gI)
 
@@ -202,9 +220,9 @@ def _chart_residuals(riem, table: ChristoffelTable, ch, Ft):
     yield "koszul", _sup(2.0 * cross + np.moveaxis(_nabla_g_int(dgI, rot), -3, -1))
 
     # inner, inner; inner
-    low = _einsum("...abe,...ec->...abc", table.half_structure + vv_v, gI)
+    low = _einsum("...abe,...ec->...abc", 0.5 * C + vv_v, gI)
     yield "metricity", _sup(low + np.swapaxes(low, -1, -2))
-    C_low = _einsum("abe,...ec->...abc", riem.conn.basis.structure, gI)
+    C_low = _einsum("abe,...ec->...abc", C, gI)
     rhs = C_low - np.swapaxes(C_low, -1, -2) - np.moveaxis(C_low, -1, -3)
     yield "koszul", _sup(2.0 * low - rhs)
 
@@ -225,7 +243,6 @@ def koszul_residual(riem, table: ChristoffelTable | None = None) -> float:
 
 
 def residual_table(riem) -> dict:
-    """The diagnostic summary used by the command-line `lc check`."""
-    table = christoffel(riem)
-    gamma_hh_v = max(_sup(table.hh_v[ch.name]) for ch in riem.man.charts)
-    return {**_residuals(riem, table), "vertical_lift_lift_symbol": gamma_hh_v}
+    """The diagnostic summary used by the command-line `lc check`, built slab
+    by slab: bitwise the residuals of the whole :func:`christoffel` table."""
+    return _residuals(riem)

@@ -344,6 +344,16 @@ def test_seed_flag_overrides(tmp_path):
     assert report["config"]["seed"] == 123
 
 
+def test_negative_seed_flag_exits_2_naming_seed(tmp_path, capsys):
+    doc = {"task": "eval", "bundle": {"kind": "torus", "npts": 8},
+           "initial": {"kind": "random"}}
+    assert main(["run", _write(tmp_path, doc), "--seed", "-1",
+                 "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config rejected: seed: -1 is less than the minimum of 0" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_selfcheck_subcommand(capsys):
     assert main(["selfcheck", "--filter", "lie_core"]) == 0
     out = capsys.readouterr().out

@@ -106,24 +106,53 @@ def test_rejections(doc):
         resolve(doc)
 
 
+# each rejected document with the key path its message names
+SCHEMA_REJECTIONS = [
+    ({"task": "mystery", "bundle": {"kind": "torus", "npts": 8}}, "task: "),
+    ({"task": "eval"}, ""),
+    (_torus(bundle={"kind": "torus", "npts": 4}), "bundle.npts: "),
+    (_torus(surprise=1), ""),
+    (_torus(solver={"momentum": 1.5}), "solver.momentum: "),
+    (_torus(representation={"kind": "spin"}), "representation: "),
+    (_torus(representation={"kind": "sum", "parts": [{"kind": "spin"}]}),
+     "representation.parts.0: "),
+]
+
+
 @pytest.mark.parametrize(
-    "doc",
-    [
-        {"task": "mystery", "bundle": {"kind": "torus", "npts": 8}},
-        {"task": "eval"},
-        _torus(bundle={"kind": "torus", "npts": 4}),
-        _torus(surprise=1),
-        _torus(solver={"momentum": 1.5}),
-        _torus(representation={"kind": "spin"}),
-        _torus(representation={"kind": "sum", "parts": [{"kind": "spin"}]}),
-    ],
+    "doc, path", SCHEMA_REJECTIONS, ids=[f"doc{i}" for i in range(len(SCHEMA_REJECTIONS))]
 )
-def test_schema_rejections_keep_the_jsonschema_message(doc):
+def test_schema_rejections_keep_the_jsonschema_message(doc, path):
+    """jsonschema's message, after the key path of the offending value (none
+    at the top level, where the message names the key)."""
     with pytest.raises(jsonschema.ValidationError) as want:
         jsonschema.validate(doc, SCHEMA)
     with pytest.raises(ConfigError) as got:
         resolve(doc)
-    assert str(got.value) == f"config rejected: {want.value.message}"
+    assert str(got.value) == f"config rejected: {path}{want.value.message}"
+
+
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        (_torus(seed=-1), "seed"),
+        (_torus(initial={"kind": "random", "seed": -1}), "initial.seed"),
+        (_torus(connection={"kind": "random", "seed": -4}), "connection.seed"),
+    ],
+)
+def test_negative_seed_is_rejected_naming_its_key(doc, path):
+    """numpy's generators take no negative seed; the schema refuses one and
+    says which key holds it."""
+    value = -4 if path == "connection.seed" else -1
+    with pytest.raises(ConfigError) as got:
+        resolve(doc)
+    assert str(got.value) == f"config rejected: {path}: {value} is less than the minimum of 0"
+
+
+def test_zero_seed_is_accepted():
+    doc = resolve(_torus(seed=0, initial={"kind": "random", "seed": 0},
+                         connection={"kind": "random", "seed": 0}))
+    assert build_problem(doc).init is not None
 
 
 def test_resolved_document_validates_again():

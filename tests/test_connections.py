@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncym.errors import GluingError, ShapeError
-from ncym.geometry import build_torus, expm_antihermitian, grid_points
+from ncym.geometry import build_torus, derivatives, expm_antihermitian, grid_points, interp_chart
 from ncym.lie_core import _comm_pairs, build_su, build_u1, build_representation, closure_defect
 from ncym.connections import (
     _comm,
@@ -194,6 +194,47 @@ def test_monopole_gluing_residuals_converge():
     assert res[16]["field_strength"] < 0.025
     assert res[32]["potential"] < res[16]["potential"] / 1.8
     assert res[32]["field_strength"] < res[16]["field_strength"] / 1.8
+
+
+def _gluing_oracle(conn):
+    """The gluing residuals on the whole source grid, as formed before they
+    were restricted to the sample points."""
+    out = {}
+    for ov in conn.man.overlaps:
+        src, dst = conn.man.chart(ov.src), conn.man.chart(ov.dst)
+        mask, jac = ov.mask, ov.jac
+        A_src = conn.basis.contract(conn.A[ov.src])
+        A_dst_at = conn.basis.contract(interp_chart(dst, conn.A[ov.dst], ov.y))
+        lhs_A = np.einsum("pmij,pmn->pnij", A_dst_at, jac)
+        t_grid = ov.transition(grid_points(src))
+        tinv_grid = np.conj(np.swapaxes(t_grid, -1, -2))
+        dtinv = derivatives(tinv_grid, src)
+        t, tinv = t_grid[mask], tinv_grid[mask]
+        inhom = np.einsum("pij,pmjk->pmik", t, dtinv[mask])
+        rhs_A = np.einsum("pij,pmjk,pkl->pmil", t, A_src[mask], tinv) + inhom
+        res_A = np.max(np.abs(lhs_A - rhs_A)) / max(np.max(np.abs(A_src)), 1e-30)
+        F_src = conn.basis.contract(conn.curvature()[ov.src])
+        F_dst_at = conn.basis.contract(interp_chart(dst, conn.curvature()[ov.dst], ov.y))
+        lhs_F = np.einsum("pmnij,pmr,pns->prsij", F_dst_at, jac, jac)
+        rhs_F = np.einsum("pij,pmnjk,pkl->pmnil", t, F_src[mask], tinv)
+        res_F = np.max(np.abs(lhs_F - rhs_F)) / max(np.max(np.abs(F_src)), 1e-30)
+        out[(ov.src, ov.dst)] = {"potential": res_A, "field_strength": res_F}
+    return out
+
+
+@pytest.mark.parametrize("bundle", ["instanton8", "monopole16"])
+def test_gluing_on_the_sample_points_matches_the_whole_grid_formula(bundle):
+    if bundle == "instanton8":
+        man, lb, rep = instanton_bundle(8)
+        conn = bpst_connection(man, lb, rep, rho=1.0)
+    else:
+        man, lb, rep = monopole_bundle(16, charge=2)
+        conn = monopole_connection(man, lb, rep, charge=2)
+    got, want = gluing_residuals(conn), _gluing_oracle(conn)
+    assert set(got) == set(want)
+    for pair, res in want.items():
+        for key, value in res.items():
+            assert abs(got[pair][key] - value) <= 1e-12 * value, (pair, key)
 
 
 def test_gluing_requires_transitions(torus_su2):

@@ -26,7 +26,8 @@ from ncym.geometry import (
     su_log,
     transition_conjugate,
 )
-from ncym.geometry import _radial_profile, _spd_inverse
+from ncym.geometry import _apply_along_axis, _radial_profile, _spd_inverse
+from ncym.geometry import derivative_rows, diff_matrix
 from ncym.lie_core import build_representation, build_su
 
 
@@ -510,3 +511,47 @@ def test_derivatives_stack_the_partial_derivatives_bitwise(bundle, extra, order)
     for mu in range(ch.dim):
         assert np.array_equal(got[(slice(None),) * ch.dim + (mu,)],
                               partial_derivative(arr, ch, mu, order=order))
+
+
+def _stencil_oracle(mat, arr, axis):
+    """The stencil as it was applied before the batched product: ``mat``
+    contracted with ``arr`` moved to put ``axis`` first, and moved back."""
+    moved = np.moveaxis(arr, axis, 0)
+    return np.moveaxis(np.tensordot(mat, moved, axes=([1], [0])), 0, axis)
+
+
+@pytest.mark.parametrize("adjoint", [False, True], ids=["d", "d.T"])
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize(
+    "shape, dim, periodic, dtype",
+    [((8, 8, 2, 2, 2), 2, True, complex), ((12,) * 4 + (4, 3), 4, False, float)],
+    ids=["torus-complex", "instanton-real"],
+)
+def test_stencil_product_is_bitwise_the_tensordot_form(shape, dim, periodic, dtype,
+                                                       order, adjoint):
+    """The batched product gives the bits of the transposed tensordot on the
+    torus solve's and the instanton's field shapes, along every grid axis."""
+    rng = np.random.default_rng(order)
+    arr = rng.normal(size=shape).astype(dtype)
+    if dtype is complex:
+        arr += 1j * rng.normal(size=shape)
+    d = diff_matrix(shape[0], 0.37, periodic, order)
+    mat = d.T if adjoint else d
+    for axis in range(dim):
+        got = _apply_along_axis(mat, arr, axis)
+        want = _stencil_oracle(mat, arr, axis)
+        assert got.shape == want.shape
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes(), axis
+
+
+@pytest.mark.parametrize("bundle", ["torus", "sphere"])
+def test_derivative_rows_are_the_masked_stencil(bundle):
+    man = build_torus(3, 8) if bundle == "torus" else build_sphere_two_charts(4, 8)
+    ch = man.charts[0]
+    rng = np.random.default_rng(3)
+    arr = rng.normal(size=ch.shape + (2, 2)) + 1j * rng.normal(size=ch.shape + (2, 2))
+    mask = rng.random(ch.shape) < 0.3
+    for mu, op in enumerate(derivative_rows(ch, mask)):
+        want = partial_derivative(arr, ch, mu)[mask]
+        got = (op @ arr.reshape(mask.size, -1)).reshape(want.shape)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
