@@ -24,7 +24,6 @@ from .errors import GluingError, ShapeError
 from .geometry import (
     Manifold,
     build_sphere_two_charts,
-    derivative_rows,
     derivatives,
     grid_points,
     interp_chart,
@@ -354,7 +353,8 @@ def gluing_residuals(conn: OrdinaryConnection) -> dict:
     field strength with t F t^-1, in the defining matrices.  Returns relative
     sup-norm residuals per overlap; interpolation and stencils limit the
     attainable residual to second order in the grid spacing.
-    Only the sample points are worked on; the scale is the source's chart peak.
+    Beyond t^-1 and its derivative, only the sample points are contracted;
+    the scale is the source's chart peak, contracted a grid row at a time.
     """
     out = {}
     basis = conn.basis
@@ -365,12 +365,10 @@ def gluing_residuals(conn: OrdinaryConnection) -> dict:
         dst = conn.man.chart(ov.dst)
         mask, jac = ov.mask, ov.jac  # J[i, j] = d y^i / d x^j
 
-        t = ov.transition(ov.x)
-        tinv = np.conj(np.swapaxes(t, -1, -2))
-        tinv_grid = np.conj(np.swapaxes(ov.transition(grid_points(src)), -1, -2))
-        tinv_grid = tinv_grid.reshape(mask.size, -1)
-        dtinv = np.stack([op @ tinv_grid for op in derivative_rows(src, mask)], axis=1)
-        dtinv = dtinv.reshape(jac.shape[:-1] + t.shape[-2:])
+        t_grid = ov.transition(grid_points(src))
+        tinv_grid = np.conj(np.swapaxes(t_grid, -1, -2))
+        t, tinv = t_grid[mask], tinv_grid[mask]
+        dtinv = derivatives(tinv_grid, src)[mask]
         inhom = np.einsum("pij,pmjk->pmik", t, dtinv, optimize=True)
 
         # destination fields are sampled as real components, then contracted

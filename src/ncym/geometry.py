@@ -34,7 +34,6 @@ __all__ = [
     "diff_matrix",
     "partial_derivative",
     "derivatives",
-    "derivative_rows",
     "adjoint_partial_derivative",
     "integrate",
     "build_torus",
@@ -235,23 +234,6 @@ def derivatives(arr: np.ndarray, chart: ChartGrid, order: int = 2) -> np.ndarray
         [partial_derivative(arr, chart, mu, order=order) for mu in range(chart.dim)],
         axis=chart.dim,
     )
-
-
-def derivative_rows(chart: ChartGrid, mask: np.ndarray, order: int = 2) -> list:
-    """Per axis, the sparse (masked points, grid points) operator holding the
-    :func:`diff_matrix` rows of the points of ``mask``: applied to a field
-    flattened to (grid points, extra), its derivative at those points only."""
-    from scipy.sparse import csr_matrix
-
-    idx, ops = np.array(np.nonzero(mask)), []
-    for axis, i in enumerate(idx):
-        d = diff_matrix(chart.shape[axis], chart.spacing[axis], chart.periodic[axis], order)
-        rows, k = np.nonzero(d[i])  # each masked point's neighbors along the axis
-        at = idx[:, rows]
-        at[axis] = k
-        cols = np.ravel_multi_index(tuple(at), chart.shape)
-        ops.append(csr_matrix((d[i[rows], k], (rows, cols)), shape=(len(i), mask.size)))
-    return ops
 
 
 def adjoint_partial_derivative(

@@ -229,17 +229,17 @@ def _chart_residuals(sym: dict, chk: dict, C):
 
 def torsion_residual(riem, table: ChristoffelTable | None = None) -> float:
     """max |D_X Y - D_Y X - [X, Y]| over frame pairs, componentwise."""
-    return _residuals(riem, table or christoffel(riem))["torsion"]
+    return _residuals(riem, table)["torsion"]
 
 
 def metricity_residual(riem, table: ChristoffelTable | None = None) -> float:
     """max |X g(Y,Z) - g(D_X Y, Z) - g(Y, D_X Z)| over frame triples."""
-    return _residuals(riem, table or christoffel(riem))["metricity"]
+    return _residuals(riem, table)["metricity"]
 
 
 def koszul_residual(riem, table: ChristoffelTable | None = None) -> float:
     """max mismatch of the Koszul formula for 2 g(D_X Y, Z) over frame triples."""
-    return _residuals(riem, table or christoffel(riem))["koszul"]
+    return _residuals(riem, table)["koszul"]
 
 
 def residual_table(riem) -> dict:

@@ -27,7 +27,7 @@ from ncym.geometry import (
     transition_conjugate,
 )
 from ncym.geometry import _apply_along_axis, _radial_profile, _spd_inverse
-from ncym.geometry import derivative_rows, diff_matrix
+from ncym.geometry import diff_matrix
 from ncym.lie_core import build_representation, build_su
 
 
@@ -542,16 +542,3 @@ def test_stencil_product_is_bitwise_the_tensordot_form(shape, dim, periodic, dty
         want = _stencil_oracle(mat, arr, axis)
         assert got.shape == want.shape
         assert got.tobytes() == np.ascontiguousarray(want).tobytes(), axis
-
-
-@pytest.mark.parametrize("bundle", ["torus", "sphere"])
-def test_derivative_rows_are_the_masked_stencil(bundle):
-    man = build_torus(3, 8) if bundle == "torus" else build_sphere_two_charts(4, 8)
-    ch = man.charts[0]
-    rng = np.random.default_rng(3)
-    arr = rng.normal(size=ch.shape + (2, 2)) + 1j * rng.normal(size=ch.shape + (2, 2))
-    mask = rng.random(ch.shape) < 0.3
-    for mu, op in enumerate(derivative_rows(ch, mask)):
-        want = partial_derivative(arr, ch, mu)[mask]
-        got = (op @ arr.reshape(mask.size, -1)).reshape(want.shape)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

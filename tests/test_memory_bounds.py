@@ -8,8 +8,8 @@ field strength cached and scipy.sparse imported before the measurement):
 
 - ``residual_table``: 72.6 MiB measured, bound 84 MiB (whole-chart symbol
   tables of both charts gave 168.2 MiB);
-- ``gluing_residuals``: 55.9 MiB measured, bound 65 MiB (the whole-grid
-  transition derivative and contractions gave 93.8 MiB).
+- ``gluing_residuals``: 57.2 MiB measured, bound 66 MiB (contracting the
+  potential and field strength on the whole source grid gave 93.8 MiB).
 """
 
 import tracemalloc
@@ -29,7 +29,7 @@ from ncym.levi_civita import (
 
 MiB = 2**20
 RESIDUAL_TABLE_MIB = 84
-GLUING_MIB = 65
+GLUING_MIB = 66
 
 
 @pytest.fixture(scope="module")
