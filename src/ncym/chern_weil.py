@@ -21,7 +21,7 @@ import numpy as np
 
 from .connections import OrdinaryConnection, curvature_F
 from .errors import InvalidRank
-from .geometry import interp_chart, partial_derivative
+from .geometry import interp_chart, partial_derivative, sup
 from .nc_forms import _perm_sign
 
 __all__ = ["ChernForm", "chern_form", "closedness_residual", "chern_number"]
@@ -114,7 +114,7 @@ def chern_form(conn: OrdinaryConnection, q: int) -> ChernForm:
             acc = acc * math.factorial(q) * (1j / TWO_PI) ** q
             if q == 2:
                 acc = acc * 0.5
-            if np.max(np.abs(acc.imag)) > 1e-10 * max(np.max(np.abs(acc.real)), 1.0):
+            if sup(acc.imag) > 1e-10 * max(sup(acc.real), 1.0):
                 raise InvalidRank("characteristic component failed to be real")
             here[key] = np.ascontiguousarray(acc.real)
         comps[ch.name] = here
@@ -125,41 +125,33 @@ def closedness_residual(cf: ChernForm) -> float:
     """How far the form is from closed, at the grid's resolution.
 
     Below top degree: max component of the finite-difference exterior
-    derivative.  At top degree on a one-chart base: exactly zero.  At top
-    degree on a glued base: the worst mismatch, over overlap points, between
-    a chart's component and the neighbor's component pulled back through the
-    transition Jacobian, relative to the peak magnitude of the source
-    component (the same normalization as the potential-gluing diagnostic).
+    derivative.  At top degree on a one-chart base (no overlaps): exactly
+    zero.  At top degree on a glued base: the worst mismatch, over overlap
+    points, between a chart's component and the neighbor's component pulled
+    back through the transition Jacobian, relative to the peak magnitude of
+    the source component (the same normalization as the potential-gluing
+    diagnostic).
     A NaN anywhere makes the residual NaN.
     """
     man = cf.man
     d = man.dim
     r = cf.degree
     if r < d:
-        worst = 0.0
-        for ch in man.charts:
-            here = cf.comps[ch.name]
-            for key in itertools.combinations(range(d), r + 1):
-                val = 0.0
-                for j, mu in enumerate(key):
-                    rest = key[:j] + key[j + 1 :]
-                    val = val + (-1.0) ** j * partial_derivative(
-                        here[rest], ch, axis=mu, order=STENCIL_ORDER
-                    )
-                worst = float(np.maximum(worst, np.max(np.abs(val))))
-        return worst
-    if len(man.charts) == 1:
-        return 0.0
+        return sup(
+            sum((-1.0) ** j * partial_derivative(cf.comps[ch.name][key[:j] + key[j + 1 :]],
+                                                 ch, axis=mu, order=STENCIL_ORDER)
+                for j, mu in enumerate(key))
+            for ch in man.charts
+            for key in itertools.combinations(range(d), r + 1)
+        )
     key = tuple(range(d))
-    worst = 0.0
-    for ov in man.overlaps:
-        det = np.linalg.det(ov.jac)
-        c_src = cf.comps[ov.src][key][ov.mask]
+
+    def mismatch(ov):
+        c_src = cf.comps[ov.src][key]
         c_dst = interp_chart(man.chart(ov.dst), cf.comps[ov.dst][key], ov.y)
-        scale = max(float(np.max(np.abs(cf.comps[ov.src][key]))), 1e-30)
-        err = np.max(np.abs(c_src - c_dst * det)) / scale
-        worst = float(np.maximum(worst, err))
-    return worst
+        return sup(c_src[ov.mask] - c_dst * np.linalg.det(ov.jac)) / max(sup(c_src), 1e-30)
+
+    return sup(mismatch(ov) for ov in man.overlaps)
 
 
 def chern_number(conn: OrdinaryConnection, q: int) -> float:

@@ -27,6 +27,7 @@ from .geometry import (
     derivatives,
     grid_points,
     interp_chart,
+    sup,
 )
 from .lie_core import (
     LieBasis,
@@ -104,7 +105,7 @@ class OrdinaryConnection:
             want = ch.shape + (ch.dim, self.basis.dim)
             if a.shape != want:
                 raise ShapeError(f"A[{ch.name}] has shape {a.shape}, want {want}")
-            if np.iscomplexobj(a) and np.max(np.abs(a.imag)) > 1e-12:
+            if np.iscomplexobj(a) and not sup(a.imag) <= 1e-12:
                 raise ShapeError("gauge potential components must be real")
 
     def curvature(self) -> dict:
@@ -340,11 +341,6 @@ def monopole_connection(
 # ---------------------------------------------------------------------------
 
 
-def _contracted_sup(basis: LieBasis, coeff: np.ndarray) -> float:
-    """max |coeff^a T_a| over a chart, contracted a grid row at a time."""
-    return float(np.max([np.max(np.abs(basis.contract(row))) for row in coeff]))
-
-
 def gluing_residuals(conn: OrdinaryConnection) -> dict:
     """Cross-chart consistency of the potential and field strength.
 
@@ -376,15 +372,15 @@ def gluing_residuals(conn: OrdinaryConnection) -> dict:
         lhs_A = np.einsum("pmij,pmn->pnij", A_dst_at, jac, optimize=True)
         A_src = basis.contract(conn.A[ov.src][mask])
         rhs_A = np.einsum("pij,pmjk,pkl->pmil", t, A_src, tinv, optimize=True) + inhom
-        scale_A = max(_contracted_sup(basis, conn.A[ov.src]), 1e-30)
-        res_A = float(np.max(np.abs(lhs_A - rhs_A)) / scale_A)
+        scale_A = max(sup(basis.contract(row) for row in conn.A[ov.src]), 1e-30)
+        res_A = sup(lhs_A - rhs_A) / scale_A
 
         F_dst_at = basis.contract(interp_chart(dst, conn.curvature()[ov.dst], ov.y))
         lhs_F = np.einsum("pmnij,pmr,pns->prsij", F_dst_at, jac, jac, optimize=True)
         F_src = basis.contract(conn.curvature()[ov.src][mask])
         rhs_F = np.einsum("pij,pmnjk,pkl->pmnil", t, F_src, tinv, optimize=True)
-        scale_F = max(_contracted_sup(basis, conn.curvature()[ov.src]), 1e-30)
-        res_F = float(np.max(np.abs(lhs_F - rhs_F)) / scale_F)
+        scale_F = max(sup(basis.contract(row) for row in conn.curvature()[ov.src]), 1e-30)
+        res_F = sup(lhs_F - rhs_F) / scale_F
 
         out[(ov.src, ov.dst)] = {"potential": res_A, "field_strength": res_F}
     if not out:
@@ -402,8 +398,8 @@ def _check_unitary_field(k: int, U: np.ndarray) -> np.ndarray:
     if U.shape[-2:] != (k, k):
         raise ShapeError(f"gauge field must be {k} x {k} valued")
     eye = np.eye(k)
-    drift = np.max(np.abs(np.swapaxes(np.conj(U), -1, -2) @ U - eye))
-    if drift > _UNITARY_TOL:
+    drift = sup(np.swapaxes(np.conj(U), -1, -2) @ U - eye)
+    if not drift <= _UNITARY_TOL:
         raise ShapeError(f"gauge field is not unitary (drift {drift:.2e})")
     if drift > 1e-14:
         uu, _, vh = np.linalg.svd(U)
@@ -415,7 +411,7 @@ def _check_group_valued(basis: LieBasis, U: np.ndarray) -> np.ndarray:
     """Validate a pointwise structure-group field: unitary, unit determinant."""
     U = _check_unitary_field(basis.n, U)
     det = np.linalg.det(U)
-    if np.max(np.abs(det - 1.0)) > 1e-8:
+    if not sup(det - 1.0) <= 1e-8:
         raise ShapeError("group field must have unit determinant")
     return U
 

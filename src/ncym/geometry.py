@@ -43,6 +43,7 @@ __all__ = [
     "grid_points",
     "overlap_round_trip",
     "transition_conjugate",
+    "sup",
 ]
 
 
@@ -68,7 +69,7 @@ class ChartGrid:
             raise ShapeError("chart dim/shape mismatch")
         if any(s < 4 for s in self.shape):
             raise ShapeError("need at least 4 grid points per axis")
-        if any(h <= 0 for h in self.spacing):
+        if not all(h > 0 for h in self.spacing):
             raise ShapeError("grid spacing must be positive")
 
     @property
@@ -116,7 +117,7 @@ class Manifold:
             w = self.weights[ch.name]
             if w.shape != ch.shape:
                 raise ShapeError("weight array shape mismatch")
-            if np.any(w < -1e-15):
+            if not np.all(w >= -1e-15):
                 raise ShapeError("partition-of-unity weights must be non-negative")
 
     @property
@@ -142,16 +143,24 @@ def grid_points(chart: ChartGrid) -> np.ndarray:
     return np.stack(mesh, axis=-1)
 
 
+def sup(arrays) -> float:
+    """max |x| over an array, or over an iterable of arrays or numbers reduced
+    one item at a time; NaN if any entry is NaN, 0.0 if there is nothing to
+    reduce.  A guard written ``not sup(x) <= tol`` refuses NaN."""
+    if isinstance(arrays, np.ndarray) or np.isscalar(arrays):
+        arrays = (arrays,)
+    worst = 0.0
+    for arr in arrays:
+        worst = np.maximum(worst, np.max(np.abs(arr), initial=0.0))
+    return float(worst)
+
+
 def overlap_round_trip(man: Manifold) -> float:
     """Worst coordinate error of mapping each overlap's sample points across
     and back through both point maps; 0.0 on a one-chart manifold, NaN if any
     error is NaN."""
-    worst = 0.0
-    for ov in man.overlaps:
-        back = man.overlap(ov.dst, ov.src)
-        err = np.max(np.abs(back.point_map(ov.point_map(ov.x)) - ov.x))
-        worst = float(np.maximum(worst, err))
-    return worst
+    return sup(man.overlap(ov.dst, ov.src).point_map(ov.point_map(ov.x)) - ov.x
+               for ov in man.overlaps)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +291,7 @@ def _spd_inverse(name: str, block: np.ndarray, what: str) -> tuple:
     if closed:
         ev = np.sort(diag, axis=-1)
     else:
-        if np.max(np.abs(block - np.swapaxes(block, -1, -2))) > 1e-12:
+        if not sup(block - np.swapaxes(block, -1, -2)) <= 1e-12:
             raise SingularMetric(f"{what} on {name} must be symmetric")
         ev, vec = np.linalg.eigh(block)
     low = np.min(ev, axis=-1)

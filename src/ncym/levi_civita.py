@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .connections import curvature_F
-from .geometry import derivatives
+from .geometry import derivatives, sup
 
 __all__ = [
     "ChristoffelTable",
@@ -39,10 +39,6 @@ SLAB_POINTS = 2048  # per slab of `residual_table`, in whole rows of the first g
 def _einsum(subscripts, *operands):
     """einsum along an optimized path: ~10x faster here, equal up to rounding."""
     return np.einsum(subscripts, *operands, optimize=True)
-
-
-def _sup(arr) -> float:
-    return float(np.max(np.abs(arr)))
 
 
 @dataclass(frozen=True)
@@ -130,32 +126,27 @@ def christoffel(riem) -> ChristoffelTable:
     return ChristoffelTable(half_structure=0.5 * C, **out)
 
 
-def _residuals(riem, table: ChristoffelTable | None = None) -> dict:
-    """Torsion, metricity, Koszul and vertical lift-lift sup norms in one pass
-    over the charts (NaN if a piece is NaN); without a ``table``, the symbols
-    are built and checked one slab of about SLAB_POINTS grid points at a time."""
-    worst = dict.fromkeys(("torsion", "metricity", "koszul", "vertical_lift_lift_symbol"), 0.0)
+def residual_table(riem) -> dict:
+    """Torsion, metricity, Koszul and vertical lift-lift sup norms, the
+    diagnostic summary of the command-line `lc check`, in one pass over the
+    charts (NaN if a piece is NaN); the symbols are built and checked one
+    slab of about SLAB_POINTS grid points at a time."""
+    pieces = []
     C = riem.conn.basis.structure
-    table_F = curvature_F(riem.conn) if table is None else None
+    table_F = curvature_F(riem.conn)
     bracket_F = curvature_F(riem.conn, order=CHECK_ORDER)
     for ch in riem.man.charts:
         chk = _fields(riem, ch, bracket_F.pop(ch.name), CHECK_ORDER)
-        if table is None:
-            tab = _fields(riem, ch, table_F.pop(ch.name), TABLE_ORDER)
-            rows = max(1, SLAB_POINTS * ch.shape[0] // int(np.prod(ch.shape)))
-            slabs = [slice(i, i + rows) for i in range(0, ch.shape[0], rows)]
-        else:
-            tab, slabs = None, [slice(None)]
-        for sl in slabs:
-            if table is None:
-                sym = _symbols({k: v[sl] for k, v in tab.items()}, C)
-            else:
-                sym = {key: getattr(table, key)[ch.name] for key in _PER_CHART}
-            pieces = _chart_residuals(sym, {k: v[sl] for k, v in chk.items()}, C)
-            for key, value in [("vertical_lift_lift_symbol", _sup(sym["hh_v"])), *pieces]:
-                worst[key] = float(np.maximum(worst[key], value))
+        tab = _fields(riem, ch, table_F.pop(ch.name), TABLE_ORDER)
+        rows = max(1, SLAB_POINTS * ch.shape[0] // int(np.prod(ch.shape)))
+        for i in range(0, ch.shape[0], rows):
+            sl = slice(i, i + rows)
+            sym = _symbols({k: v[sl] for k, v in tab.items()}, C)
+            pieces.append(("vertical_lift_lift_symbol", sup(sym["hh_v"])))
+            pieces.extend(_chart_residuals(sym, {k: v[sl] for k, v in chk.items()}, C))
         del chk, tab  # a chart's fields are released before the next chart's
-    return worst
+    return {key: sup(value for name, value in pieces if name == key)
+            for key in ("torsion", "metricity", "koszul", "vertical_lift_lift_symbol")}
 
 
 def _chart_residuals(sym: dict, chk: dict, C):
@@ -175,10 +166,10 @@ def _chart_residuals(sym: dict, chk: dict, C):
     # torsion, D_X Y - D_Y X - [X, Y] over frame pairs: the lift-lift
     # bracket is the field strength, the lift-inner rotation piece drops
     # from both sides, the inner-inner antisymmetric halves give C_ab^c
-    yield "torsion", _sup(2.0 * half_F - Ft)
+    yield "torsion", sup(2.0 * half_F - Ft)
     pairs = ((hh_h, hh_h), (hv_h, vh_h), (hv_v, vh_v), (vv_h, vv_h), (vv_v, vv_v))
     for fam, mirror in pairs:
-        yield "torsion", _sup(fam - np.swapaxes(mirror, -3, -2))
+        yield "torsion", sup(fam - np.swapaxes(mirror, -3, -2))
 
     # metricity, X g(Y,Z) - g(D_X Y, Z) - g(Y, D_X Z), and the Koszul
     # identity 2 g(D_X Y, Z) = X g(Y,Z) + Y g(X,Z) - Z g(X,Y)
@@ -190,59 +181,53 @@ def _chart_residuals(sym: dict, chk: dict, C):
 
     # lift, lift; lift
     low = _einsum("...mns,...sr->...mnr", hh_h, gM)
-    yield "metricity", _sup(dgM - low - np.swapaxes(low, -1, -2))
-    yield "koszul", _sup(
+    yield "metricity", sup(dgM - low - np.swapaxes(low, -1, -2))
+    yield "koszul", sup(
         2.0 * low - (dgM + np.swapaxes(dgM, -3, -2) - np.moveaxis(dgM, -3, -1)))
 
     # lift, lift; inner and lift, inner; lift
     low = _einsum("...mne,...ec->...mnc", half_F, gI)
     cross = _einsum("...mcs,...sn->...mcn", hv_h, gM)
-    yield "metricity", _sup(low + np.swapaxes(cross, -1, -2))
-    yield "koszul", _sup(2.0 * low - F_low)
-    yield "koszul", _sup(2.0 * cross + np.swapaxes(F_low, -1, -2))
+    yield "metricity", sup(low + np.swapaxes(cross, -1, -2))
+    yield "koszul", sup(2.0 * low - F_low)
+    yield "koszul", sup(2.0 * cross + np.swapaxes(F_low, -1, -2))
 
     # lift, inner; inner
     low = _einsum("...mbf,...fc->...mbc", N + hv_v, gI)
-    yield "metricity", _sup(dgI - low - np.swapaxes(low, -1, -2))
-    yield "koszul", _sup(2.0 * low - (dgI + rot - np.swapaxes(rot, -1, -2)))
+    yield "metricity", sup(dgI - low - np.swapaxes(low, -1, -2))
+    yield "koszul", sup(2.0 * low - (dgI + rot - np.swapaxes(rot, -1, -2)))
 
     # inner, lift; lift
     low = _einsum("...ans,...sr->...anr", vh_h, gM)
-    yield "metricity", _sup(low + np.swapaxes(low, -1, -2))
-    yield "koszul", _sup(2.0 * low + np.moveaxis(F_low, -1, -3))
+    yield "metricity", sup(low + np.swapaxes(low, -1, -2))
+    yield "koszul", sup(2.0 * low + np.moveaxis(F_low, -1, -3))
 
     # inner, lift; inner and inner, inner; lift
     low = _einsum("...and,...dc->...anc", vh_v, gI)
     cross = _einsum("...acs,...sn->...acn", vv_h, gM)
-    yield "metricity", _sup(low + np.swapaxes(cross, -1, -2))
+    yield "metricity", sup(low + np.swapaxes(cross, -1, -2))
     rhs = np.moveaxis(dgI, -3, -2) - np.moveaxis(rot, -3, -2) - np.moveaxis(rot, -1, -3)
-    yield "koszul", _sup(2.0 * low - rhs)
-    yield "koszul", _sup(2.0 * cross + np.moveaxis(_nabla_g_int(dgI, rot), -3, -1))
+    yield "koszul", sup(2.0 * low - rhs)
+    yield "koszul", sup(2.0 * cross + np.moveaxis(_nabla_g_int(dgI, rot), -3, -1))
 
     # inner, inner; inner
     low = _einsum("...abe,...ec->...abc", 0.5 * C + vv_v, gI)
-    yield "metricity", _sup(low + np.swapaxes(low, -1, -2))
+    yield "metricity", sup(low + np.swapaxes(low, -1, -2))
     C_low = _einsum("abe,...ec->...abc", C, gI)
     rhs = C_low - np.swapaxes(C_low, -1, -2) - np.moveaxis(C_low, -1, -3)
-    yield "koszul", _sup(2.0 * low - rhs)
+    yield "koszul", sup(2.0 * low - rhs)
 
 
-def torsion_residual(riem, table: ChristoffelTable | None = None) -> float:
+def torsion_residual(riem) -> float:
     """max |D_X Y - D_Y X - [X, Y]| over frame pairs, componentwise."""
-    return _residuals(riem, table)["torsion"]
+    return residual_table(riem)["torsion"]
 
 
-def metricity_residual(riem, table: ChristoffelTable | None = None) -> float:
+def metricity_residual(riem) -> float:
     """max |X g(Y,Z) - g(D_X Y, Z) - g(Y, D_X Z)| over frame triples."""
-    return _residuals(riem, table)["metricity"]
+    return residual_table(riem)["metricity"]
 
 
-def koszul_residual(riem, table: ChristoffelTable | None = None) -> float:
+def koszul_residual(riem) -> float:
     """max mismatch of the Koszul formula for 2 g(D_X Y, Z) over frame triples."""
-    return _residuals(riem, table)["koszul"]
-
-
-def residual_table(riem) -> dict:
-    """The diagnostic summary used by the command-line `lc check`, built slab
-    by slab: bitwise the residuals of the whole :func:`christoffel` table."""
-    return _residuals(riem)
+    return residual_table(riem)["koszul"]

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidRank, ShapeError, UnsupportedRepresentation
+from .geometry import sup
 
 __all__ = [
     "LieBasis",
@@ -131,11 +132,11 @@ def structure_constants(basis: np.ndarray) -> np.ndarray:
     Uses tr(E_c E_d) = -delta_cd / 2, so C_ab^c = -2 tr(E_c [E_a, E_b]).
     """
     c = -2.0 * np.einsum("cji,abij->abc", basis, _comm_pairs(basis))
-    if np.max(np.abs(c.imag)) > 1e-10:
+    if not sup(c.imag) <= 1e-10:
         raise ShapeError("structure constants acquired an imaginary part")
     c = c.real.copy()
     # verify the projection reproduces the commutators exactly
-    if np.max(np.abs(closure_defect(basis, c))) > 1e-10:
+    if not sup(closure_defect(basis, c)) <= 1e-10:
         raise ShapeError("basis does not close under commutators")
     return c
 
@@ -146,7 +147,7 @@ def _check_jacobi(c: np.ndarray) -> float:
         + np.einsum("bce,ead->abcd", c, c)
         + np.einsum("cae,ebd->abcd", c, c)
     )
-    return float(np.max(np.abs(jac)))
+    return sup(jac)
 
 
 def build_su(n: int) -> LieBasis:
@@ -165,11 +166,11 @@ def build_su(n: int) -> LieBasis:
     c = structure_constants(basis)
 
     # construction-time sanity (the cheap invariants, all exact-regime)
-    assert np.max(np.abs(basis + np.conj(np.transpose(basis, (0, 2, 1))))) < _ATOL
-    assert np.max(np.abs(np.trace(basis, axis1=1, axis2=2))) < _ATOL
+    assert sup(basis + np.conj(np.transpose(basis, (0, 2, 1)))) < _ATOL
+    assert sup(np.trace(basis, axis1=1, axis2=2)) < _ATOL
     gram = np.einsum("aij,bji->ab", basis, basis)
-    assert np.max(np.abs(gram + 0.5 * np.eye(m))) < _ATOL
-    assert np.max(np.abs(c + np.transpose(c, (1, 0, 2)))) < _ATOL
+    assert sup(gram + 0.5 * np.eye(m)) < _ATOL
+    assert sup(c + np.transpose(c, (1, 0, 2))) < _ATOL
     assert _check_jacobi(c) < 1e-10
     return LieBasis(n=int(n), basis=basis, structure=c)
 
@@ -196,7 +197,7 @@ def component_in_basis(lb: LieBasis, mat: np.ndarray) -> np.ndarray:
     Uses the trace pairing; imaginary residue beyond 1e-8 raises.
     """
     comp = -2.0 * np.einsum("aji,...ij->...a", lb.basis, mat)
-    if np.max(np.abs(comp.imag)) > 1e-8:
+    if not sup(comp.imag) <= 1e-8:
         raise ShapeError("matrix is not in the real span of the basis")
     return comp.real
 
@@ -268,9 +269,9 @@ def build_representation(lb: LieBasis, kind: str, **params) -> Representation:
 def _validate_rep(lb: LieBasis, rep: Representation) -> None:
     """Check [R_a, R_b] = C_ab^c R_c and anti-hermiticity."""
     r = rep.matrices
-    if np.max(np.abs(closure_defect(r, lb.structure))) > _REP_ATOL:
+    if not sup(closure_defect(r, lb.structure)) <= _REP_ATOL:
         raise UnsupportedRepresentation("candidate matrices do not represent the algebra")
-    if np.max(np.abs(r + np.conj(np.transpose(r, (0, 2, 1))))) > _REP_ATOL:
+    if not sup(r + np.conj(np.transpose(r, (0, 2, 1)))) <= _REP_ATOL:
         raise UnsupportedRepresentation("representation matrices must be anti-hermitian")
 
 

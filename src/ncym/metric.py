@@ -23,7 +23,7 @@ import numpy as np
 
 from .connections import OrdinaryConnection
 from .errors import ShapeError, SingularMetric
-from .geometry import BaseMetric, Manifold, _spd_inverse
+from .geometry import BaseMetric, Manifold, _spd_inverse, sup
 from .lie_core import LieBasis, Representation
 
 __all__ = [
@@ -137,7 +137,7 @@ def extract_connection(
             raise ShapeError(f"full metric on {ch.name}: bad shape {G.shape}")
         fiber = G[..., d:, d:]
         det = np.linalg.det(fiber)
-        if np.min(np.abs(det)) < 1e-14:
+        if not np.min(np.abs(det)) >= 1e-14:
             idx = np.unravel_index(int(np.argmin(np.abs(det))), det.shape)
             raise SingularMetric(
                 f"fiber block singular at grid index {idx} on chart {ch.name}"
@@ -179,7 +179,7 @@ def identity_residuals(riem: RiemannianStructure) -> dict:
       product:       (g)(h) - Id with both from the closed formulas
     """
     d = riem.d
-    out = {"base_inverse": 0.0, "potential": 0.0, "fiber_inverse": 0.0, "product": 0.0}
+    per_chart = []
     for ch in riem.man.charts:
         name = ch.name
         G = riem.full_metric(name)
@@ -193,27 +193,23 @@ def identity_residuals(riem: RiemannianStructure) -> dict:
             "...ma,...mn,...nb->...ab", A, riem.hbase[name], A
         )
         prod = np.einsum("...ij,...jk->...ik", G, H)
-        errs = {
-            "base_inverse": Hbrute[..., :d, :d] - riem.hbase[name],
-            "potential": A_from_h - A,
-            "fiber_inverse": hint_from_h - riem.hint[name],
-            "product": prod - np.eye(d + riem.m),
-        }
-        for key, err in errs.items():
-            out[key] = float(np.maximum(out[key], np.max(np.abs(err))))
-    return out
+        per_chart.append({
+            "base_inverse": sup(Hbrute[..., :d, :d] - riem.hbase[name]),
+            "potential": sup(A_from_h - A),
+            "fiber_inverse": sup(hint_from_h - riem.hint[name]),
+            "product": sup(prod - np.eye(d + riem.m)),
+        })
+    return {key: sup(c[key] for c in per_chart) for key in per_chart[0]}
 
 
 def orthogonality_residual(riem: RiemannianStructure) -> float:
     """Max over charts and points of |g(nabla_mu, ad(E_b))| of the assembled
     structure: zero up to rounding, NaN if a NaN enters anywhere."""
     d = riem.d
-    worst = 0.0
-    for ch in riem.man.charts:
-        G = riem.full_metric(ch.name)
-        gI = G[..., d:, d:]
+
+    def resid(name):
+        G = riem.full_metric(name)
         mixed = np.swapaxes(G[..., :d, d:], -1, -2)  # g_b_mu
-        A = riem.conn.A[ch.name]
-        resid = mixed + np.einsum("...ba,...ma->...bm", gI, A)
-        worst = float(np.maximum(worst, np.max(np.abs(resid))))
-    return worst
+        return mixed + np.einsum("...ba,...ma->...bm", G[..., d:, d:], riem.conn.A[name])
+
+    return sup(resid(ch.name) for ch in riem.man.charts)

@@ -43,7 +43,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ShapeError
-from .geometry import ChartGrid, Manifold, grid_points, partial_derivative
+from .geometry import ChartGrid, Manifold, grid_points, partial_derivative, sup
 
 __all__ = [
     "MixedForm",
@@ -167,7 +167,7 @@ class MixedForm:
         """Drop stored components that are identically zero (a component
         holding a NaN is kept)."""
         self.comps = {
-            k: v for k, v in self.comps.items() if np.max(np.abs(v)) != 0.0
+            k: v for k, v in self.comps.items() if sup(v) != 0.0
         }
         return self
 
@@ -237,9 +237,7 @@ def random_form(ref, chart: ChartGrid, degree: int, seed: int,
 
 def form_norm(w: MixedForm) -> float:
     """Max absolute value over all stored components; NaN if any is NaN."""
-    if not w.comps:
-        return 0.0
-    return float(np.max([np.max(np.abs(v)) for v in w.comps.values()]))
+    return sup(w.comps.values())
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 
 from .connections import NCConnection, _comm, nc_curvature, nc_curvature_via_forms
 from .errors import ClassificationRefused, ShapeError
-from .geometry import adjoint_partial_derivative
+from .geometry import adjoint_partial_derivative, sup
 from .lie_core import LieBasis, closure_defect
 from .nc_forms import scalar_product
 
@@ -426,18 +426,18 @@ def classify_vacuum(phi, basis: LieBasis, hint: dict | None = None) -> dict:
         phi = {"_": phi}
     m = basis.dim
 
-    worst = 0.0
+    resids = []
     spectra = []
     nullities = set()
     for name, f in phi.items():
-        resid = float(np.max(np.abs(closure_defect(f, basis.structure))))
+        resid = sup(closure_defect(f, basis.structure))
         # written so that a NaN residual refuses too
         if not resid <= RESIDUAL_TOL:
             raise ClassificationRefused(
                 f"closure residual {resid:.3e} exceeds {RESIDUAL_TOL:.1e} on "
                 f"chart {name!r}; fields are not a representation"
             )
-        worst = max(worst, resid)
+        resids.append(resid)
         h = np.eye(m) if hint is None else hint[name]
         quad = np.einsum("...ab,...aij,...bjl->...il", np.broadcast_to(
             h, f.shape[:-3] + (m, m)), f, f)
@@ -454,8 +454,8 @@ def classify_vacuum(phi, basis: LieBasis, hint: dict | None = None) -> dict:
 
     allspec = np.concatenate(spectra, axis=0)
     mean = allspec.mean(axis=0)
-    deviation = float(np.max(np.abs(allspec - mean)))
-    if deviation > SPECTRUM_TOL:
+    deviation = sup(allspec - mean)
+    if not deviation <= SPECTRUM_TOL:
         raise ClassificationRefused(
             f"spectrum varies over the grid by {deviation:.3e} "
             f"(> {SPECTRUM_TOL:.1e}); no single class fits"
@@ -468,7 +468,7 @@ def classify_vacuum(phi, basis: LieBasis, hint: dict | None = None) -> dict:
         "casimir_spectrum": tuple(float(x) for x in mean),
         "casimir_deviation": deviation,
         "commutant_dim": int(nullities.pop()),
-        "residual": worst,
+        "residual": sup(resids),
     }
 
 
