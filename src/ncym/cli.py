@@ -19,10 +19,11 @@ non-finite number writes its report (non-finite values as the strings
 "NaN", "Infinity", "-Infinity") and exits 5 as well.
 
 `--threads` (or the NCYM_THREADS environment variable) is a parallelism
-hint handed to the BLAS runtime before the numerical modules load; it changes
-wall time, and results only within the determinism contract stated in
-:mod:`ncym.serialize`.  A hint that is not a positive integer exits 2 before
-anything runs.
+hint handed to the BLAS runtime before the numerical modules load; it wins
+over OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and MKL_NUM_THREADS already set.
+It changes wall time, and results only within the determinism contract stated
+in :mod:`ncym.serialize`.  A hint that is not a positive integer exits 2
+before anything runs.
 """
 
 import argparse
@@ -57,7 +58,7 @@ def _apply_threads_hint(threads: str | None) -> None:
     if count < 1:
         raise ConfigError(f"{source} must be a positive integer, got {n!r}")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(count))
+        os.environ[var] = str(count)
 
 
 def _non_finite(obj) -> bool:

@@ -32,6 +32,7 @@ from .geometry import (
 from .lie_core import (
     LieBasis,
     Representation,
+    _comm,
     _comm_pairs,
     build_representation,
     build_su,
@@ -105,6 +106,8 @@ class OrdinaryConnection:
             want = ch.shape + (ch.dim, self.basis.dim)
             if a.shape != want:
                 raise ShapeError(f"A[{ch.name}] has shape {a.shape}, want {want}")
+            if not np.isfinite(a).all():
+                raise ShapeError("gauge potential components must be finite")
             if np.iscomplexobj(a) and not sup(a.imag) <= 1e-12:
                 raise ShapeError("gauge potential components must be real")
 
@@ -556,19 +559,15 @@ def ncc_from_omegas(ref: OrdinaryConnection, omegas: dict) -> NCConnection:
     return NCConnection(ref, a, phi)
 
 
-def _comm(x, y):
-    return x @ y - y @ x
-
-
 def nc_curvature(ncc: NCConnection) -> dict:
     """Curvature components per chart from the closed formulas.
 
     Returns {name: {"hh": shape+(d,d,k,k), "hv": shape+(d,m,k,k),
-    "vv": shape+(m,m,k,k)}} with hh and vv antisymmetric.  The coordinate
-    derivatives of a and phi come from ``geometry.derivatives``, and ``vv``
+    "vv": shape+(m,m,k,k)}} with hh and vv antisymmetric.  a and phi are
+    stacked on one slot axis, where D_mu = partial_mu + [R(A_mu), .] acts on
+    both in one ``geometry.derivatives`` call and one block product; ``vv``
     is the closure defect [phi_a, phi_b] - C_ab^c phi_c
-    (``lie_core.closure_defect``), the one contraction that also decides
-    whether a vacuum is classified.
+    (``lie_core.closure_defect``), which also decides vacuum classification.
 
     On a chart whose reference potential is exactly zero (the trivial
     bundle's reference, ``OrdinaryConnection.zero_potential``) the terms in
@@ -582,27 +581,19 @@ def nc_curvature(ncc: NCConnection) -> dict:
     out = {}
     for ch in ref.man.charts:
         name = ch.name
-        a = ncc.a[name]
-        phi = ncc.phi[name]
-
-        # covariant derivatives of a and phi along the frame
-        da = derivatives(a, ch)
-        dphi = derivatives(phi, ch)
+        a, phi = ncc.a[name], ncc.phi[name]
+        X = np.concatenate([a, phi], axis=-3)
+        cov = derivatives(X, ch)
         if ref.zero_potential(name):
-            hh = da - np.swapaxes(da, -4, -3)
-            cov_phi = dphi
+            cov_a, cov_phi = np.split(cov, [ch.dim], axis=-3)
+            hh = cov_a - np.swapaxes(cov_a, -4, -3)
         else:
-            A = ref.A[name]
-            F = ref.curvature()[name]
-            RA = ref.rep_potential(name)
-            cov_a = da + _comm(RA[..., :, None, :, :], a[..., None, :, :, :])
-            cov_phi = dphi + _comm(RA[..., :, None, :, :], phi[..., None, :, :, :])
-            cov_phi = cov_phi - np.einsum(
-                "...ma,abc,...cij->...mbij", A, C, phi
-            )
-            RF = ref.rep.contract(F)
+            A, F, RA = ref.A[name], ref.curvature()[name], ref.rep_potential(name)
+            cov = cov + _comm(RA[..., :, None, :, :], X[..., None, :, :, :])
+            cov_a, cov_phi = np.split(cov, [ch.dim], axis=-3)
+            cov_phi = cov_phi - np.einsum("...ma,abc,...cij->...mbij", A, C, phi)
             phiF = np.einsum("...mna,...aij->...mnij", F, phi)
-            hh = RF - phiF + cov_a - np.swapaxes(cov_a, -4, -3)
+            hh = ref.rep.contract(F) - phiF + cov_a - np.swapaxes(cov_a, -4, -3)
         hh = hh + _comm_pairs(a)
 
         hv = cov_phi + _comm(a[..., :, None, :, :], phi[..., None, :, :, :])

@@ -112,6 +112,11 @@ def _gell_mann_like(n: int) -> np.ndarray:
     return np.asarray(mats)
 
 
+def _comm(x, y):
+    """[x, y] of broadcast block stacks."""
+    return x @ y - y @ x
+
+
 def _comm_pairs(x):
     """[x_i, x_j] for every ordered pair of a stack x of shape (..., n, k, k):
     one product P_ij = x_i x_j per pair, then P - P^T in (i, j), bitwise the

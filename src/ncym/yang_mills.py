@@ -20,10 +20,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .connections import NCConnection, _comm, nc_curvature, nc_curvature_via_forms
+from .connections import NCConnection, _random_antiherm, nc_curvature, nc_curvature_via_forms
 from .errors import ClassificationRefused, ShapeError
 from .geometry import adjoint_partial_derivative, sup
-from .lie_core import LieBasis, closure_defect
+from .lie_core import LieBasis, _comm, closure_defect
 from .nc_forms import scalar_product
 
 
@@ -189,65 +189,46 @@ def gradient(ncc: NCConnection, riem) -> dict:
     return evaluate(ncc, riem)[1]
 
 
-def _cov_adjoint(T, ch, mu, a, RA):
-    """The adjoint of T -> D_mu T = partial_mu T + [R(A_mu) + a_mu, T],
-    with ``RA`` None on a chart whose reference potential is zero."""
-    out = adjoint_partial_derivative(T, ch, mu)
-    if RA is not None:
-        out = out - _comm(RA[..., mu, :, :], T)
-    return out - _comm(a[..., mu, :, :], T)
-
-
 def _adjoint(ncc: NCConnection, raised: dict) -> dict:
     """The adjoint of the curvature map applied to the raised tensors.
 
-    As in ``nc_curvature``, a chart whose reference potential is exactly
-    zero skips the R(A), A and F terms, which vanish there identically; the
-    remaining terms run in the same order on every chart, so the gradient
-    has the same bits either way.
+    The transpose of ``nc_curvature`` term by term: T_hh and T_hv share the
+    slot axis of (a, phi), so the transpose of D_mu = partial_mu + [R(A_mu)
+    + a_mu, .] acts on both in one batched step per mu.  As there, a chart
+    whose reference potential is exactly zero skips the R(A), A and F
+    terms, which vanish there identically; the remaining terms run in the
+    same order on every chart, so the gradient has the same bits either way.
     """
-    man = ncc.ref.man
-    C = ncc.ref.basis.structure
+    ref = ncc.ref
+    C = ref.basis.structure
     out_a, out_p = {}, {}
-    for ch in man.charts:
+    for ch in ref.man.charts:
         name = ch.name
         Thh, Thv, Tvv = raised[name]
-        a = ncc.a[name]
-        phi = ncc.phi[name]
-        zero = ncc.ref.zero_potential(name)
-        RA = None if zero else ncc.ref.rep_potential(name)
-        d = man.dim
-        m = ncc.ref.basis.dim
+        a, phi = ncc.a[name], ncc.phi[name]
+        zero = ref.zero_potential(name)
+        T = np.concatenate([Thh, Thv], axis=-3)  # grid + (mu, d + m, k, k)
 
-        ga = np.zeros_like(a)
-        gp = np.zeros_like(phi)
-
-        for nu in range(d):
-            acc = np.zeros_like(a[..., 0, :, :])
-            for mu in range(d):
-                T = Thh[..., mu, nu, :, :]
-                acc = acc + 2.0 * _cov_adjoint(T, ch, mu, a, RA)
-            for b in range(m):
-                acc = acc + 2.0 * _comm(phi[..., b, :, :], Thv[..., nu, b, :, :])
-            ga[..., nu, :, :] = acc
-
+        acc = np.zeros_like(T[..., 0, :, :, :])
         if not zero:
-            F = ncc.ref.curvature()[name]
-            mixed = np.einsum("...ma,abc,...mbij->...cij", ncc.ref.A[name], C, Thv)
-        struct = np.einsum("abc,...abij->...cij", C, Tvv)
-        for c in range(m):
-            acc = 0.0 if zero else -np.einsum("...mn,...mnij->...ij", F[..., c], Thh)
-            for mu in range(d):
-                T = Thv[..., mu, c, :, :]
-                acc = acc + 2.0 * _cov_adjoint(T, ch, mu, a, RA)
+            RA = ref.rep_potential(name)
+            F = ref.curvature()[name]
+            acc[..., ch.dim:, :, :] = -np.einsum("...mnc,...mnij->...cij", F, Thh)
+        for mu in range(ch.dim):
+            Tmu = T[..., mu, :, :, :]
+            cov = adjoint_partial_derivative(Tmu, ch, mu)
             if not zero:
-                acc = acc - 2.0 * mixed[..., c, :, :]
-            for aa in range(m):
-                acc = acc - 2.0 * _comm(phi[..., aa, :, :], Tvv[..., aa, c, :, :])
-            acc = acc - struct[..., c, :, :]
-            gp[..., c, :, :] = acc
+                cov = cov - _comm(RA[..., mu, None, :, :], Tmu)
+            acc = acc + 2.0 * (cov - _comm(a[..., mu, None, :, :], Tmu))
+
+        ga, gp = np.split(acc, [ch.dim], axis=-3)
+        if not zero:
+            gp = gp - 2.0 * np.einsum("...ma,abc,...mbij->...cij", ref.A[name], C, Thv)
+        for b in range(ref.basis.dim):
+            ga = ga + 2.0 * _comm(phi[..., b, None, :, :], Thv[..., :, b, :, :])
+            gp = gp - 2.0 * _comm(phi[..., b, None, :, :], Tvv[..., b, :, :, :])
         out_a[name] = ga
-        out_p[name] = gp
+        out_p[name] = gp - np.einsum("abc,...abij->...cij", C, Tvv)
     return {"a": out_a, "phi": out_p}
 
 
@@ -495,18 +476,10 @@ def criticality_probe(ncc: NCConnection, riem) -> float:
     S0 = action(ncc, riem).s_total
     worst = np.inf
     for _ in range(PROBE_DIRECTIONS):
-        direction = {"a": {}, "phi": {}}
-        total = 0.0
-        for part, fields in (("a", ncc.a), ("phi", ncc.phi)):
-            for name, f in fields.items():
-                z = rng.normal(size=f.shape) + 1j * rng.normal(size=f.shape)
-                z = 0.5 * (z - np.conj(np.swapaxes(z, -1, -2)))
-                direction[part][name] = z
-                total += float(np.sum(np.abs(z) ** 2))
-        scale = 1.0 / np.sqrt(total)
-        for part in ("a", "phi"):
-            for name in direction[part]:
-                direction[part][name] = direction[part][name] * scale
+        draw = _fields_map(lambda f: _random_antiherm(rng, f.shape[:-2], f.shape[-1], 1.0),
+                           {"a": ncc.a, "phi": ncc.phi})
+        scale = 1.0 / grad_norm(draw)
+        direction = _fields_map(lambda z: z * scale, draw)
         Sp = action(_step(ncc, direction, PROBE_EPS, False), riem).s_total
         Sm = action(_step(ncc, direction, -PROBE_EPS, False), riem).s_total
         worst = min(worst, (Sp - 2.0 * S0 + Sm) / (PROBE_EPS * PROBE_EPS))

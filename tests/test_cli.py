@@ -2,12 +2,13 @@
 
 import csv
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ncym.cli import main
+from ncym.cli import _apply_threads_hint, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -220,6 +221,17 @@ def test_thread_hint_must_be_a_positive_integer(hint, source, monkeypatch, capsy
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert named in err and repr(hint) in err
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_thread_hint_overrides_blas_variables(source, monkeypatch):
+    """A hint replaces BLAS thread counts already in the environment."""
+    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    for var in blas:
+        monkeypatch.setenv(var, "2")
+    monkeypatch.setenv("NCYM_THREADS", "1")
+    _apply_threads_hint("1" if source == "flag" else None)
+    assert [os.environ[var] for var in blas] == ["1", "1", "1"]
 
 
 def test_budget_exhaustion_exits_3(tmp_path):

@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from ncym.errors import GluingError, ShapeError
 from ncym.geometry import build_torus, derivatives, expm_antihermitian, grid_points, interp_chart
-from ncym.lie_core import _comm_pairs, build_su, build_u1, build_representation, closure_defect
+from ncym.lie_core import _comm, _comm_pairs, build_su, build_u1, build_representation, closure_defect
 from ncym.connections import (
-    _comm,
     bpst_connection,
     canonical_ncc,
     constant_connection,

@@ -68,6 +68,19 @@ def test_transition_round_trip_check_fails_on_nan(monkeypatch):
     assert "nan" in detail.lower()
 
 
+def test_lc_flat_check_fails_on_a_nonzero_family(monkeypatch):
+    """Every symbol family counts, not only the zero-strided hh_v."""
+    real = sc.christoffel
+
+    def shifted(riem):
+        table = real(riem)
+        return replace(table, hv_h={k: v + 1e-3 for k, v in table.hv_h.items()})
+
+    monkeypatch.setattr(sc, "christoffel", shifted)
+    passed, _ = sc._check_lc_flat()
+    assert not passed
+
+
 def _poison_last_chern_component(real):
     def poisoned(conn, q):
         cf = real(conn, q)

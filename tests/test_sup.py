@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 import ncym
-from ncym.connections import gauge_transform, gauge_transform_ordinary, zero_connection, zero_ncc
+from ncym.connections import (
+    OrdinaryConnection,
+    gauge_transform,
+    gauge_transform_ordinary,
+    zero_connection,
+    zero_ncc,
+)
 from ncym.errors import ClassificationRefused, ShapeError, SingularMetric
 from ncym.geometry import Manifold, build_torus, sup
 from ncym.lie_core import build_representation, build_su, component_in_basis
@@ -109,6 +115,16 @@ def _manifold():
     Manifold(charts=man.charts, weights={"t0": np.full(man.charts[0].shape, np.nan)})
 
 
+def _ordinary_connection(at, value):
+    def call():
+        man, lb, conn = _su2_torus()
+        A = conn.A["t0"].copy()
+        A[at] = value
+        OrdinaryConnection(man, lb, conn.rep, {"t0": A})
+
+    return call
+
+
 REFUSALS = {
     "gauge_transform": (_gauge_transform, ShapeError, "not unitary"),
     "gauge_transform_ordinary": (_gauge_transform_ordinary, ShapeError, "not unitary"),
@@ -117,6 +133,10 @@ REFUSALS = {
     "classify_vacuum": (_classify_vacuum, ClassificationRefused, "spectrum varies"),
     "ChartGrid": (_chart_grid, ShapeError, "spacing must be positive"),
     "Manifold": (_manifold, ShapeError, "weights must be non-negative"),
+    "OrdinaryConnection-nan": (_ordinary_connection((1, 2, 0, 0), np.nan), ShapeError,
+                               "must be finite"),
+    "OrdinaryConnection-inf": (_ordinary_connection((0, 0, 0, 0), np.inf), ShapeError,
+                               "must be finite"),
 }
 
 
