@@ -11,8 +11,13 @@ The diagnostics re-evaluate the defining relations with their own
 derivative stencils (one order higher than the table's), so that on smooth
 position-dependent data they measure a genuine discretization error instead
 of cancelling the table's stencil identically.  All three are evaluated in
-one pass that shares the check-order fields between them.  The symbols are
-pointwise, so `residual_table` builds them one slab of grid points at a time.
+one pass that shares the check-order fields between them.
+
+The symbols are pointwise.  They are built on the grid flattened to one
+point axis, index axes first and points last, so that every einsum's inner
+loop runs over the points and every transpose moves whole contiguous rows:
+`residual_table` one slab of SLAB_POINTS points at a time, `christoffel` a
+chart at a time, returned as grid-first views.
 """
 
 from dataclasses import dataclass, fields
@@ -33,12 +38,7 @@ __all__ = [
 
 TABLE_ORDER = 2
 CHECK_ORDER = 4
-SLAB_POINTS = 2048  # per slab of `residual_table`, in whole rows of the first grid axis
-
-
-def _einsum(subscripts, *operands):
-    """einsum along an optimized path: ~10x faster here, equal up to rounding."""
-    return np.einsum(subscripts, *operands, optimize=True)
+SLAB_POINTS = 1024  # flattened grid points per slab of `residual_table`
 
 
 @dataclass(frozen=True)
@@ -72,57 +72,64 @@ class ChristoffelTable:
     half_structure: np.ndarray
 
 
-def _rotation(N, gI):
-    """N_mu_a^f g_fb: the potential's rotation of the fiber metric."""
-    return _einsum("...maf,...fb->...mab", N, gI)
-
-
-def _nabla_g_int(dgI, rot):
-    """nabla_mu g_ab = del_mu g_ab - N_mu_a^f g_fb - N_mu_b^f g_af."""
-    return dgI - rot - np.swapaxes(rot, -1, -2)
-
-
 def _fields(riem, ch, F, order: int) -> dict:
-    """A chart's fields the symbols are built from, derivatives at ``order``."""
+    """A chart's fields the symbols are built from, derivatives at ``order``,
+    each with its grid flattened to one leading point axis."""
     gM, gI = riem.base.g[ch.name], riem.internal[ch.name]
-    return {"gM": gM, "hM": riem.base.inv[ch.name], "dgM": derivatives(gM, ch, order),
-            "gI": gI, "hI": riem.hint[ch.name], "dgI": derivatives(gI, ch, order),
-            "A": riem.conn.A[ch.name], "F": F}
+    f = {"gM": gM, "hM": riem.base.inv[ch.name], "dgM": derivatives(gM, ch, order),
+         "gI": gI, "hI": riem.hint[ch.name], "dgI": derivatives(gI, ch, order),
+         "A": riem.conn.A[ch.name], "F": F}
+    return {k: v.reshape((-1,) + v.shape[ch.dim:]) for k, v in f.items()}
+
+
+def _slab(f: dict, keys, sl: slice) -> dict:
+    """The points ``sl`` of the flattened fields ``keys``, index axes first
+    and the points last, each a contiguous copy."""
+    return {k: np.ascontiguousarray(np.moveaxis(f[k][sl], 0, -1)) for k in keys}
 
 
 def _symbols(f: dict, C) -> dict:
-    """The table's per-chart entries at the points of the fields ``f``."""
+    """The table's per-chart entries at the points of the points-last fields
+    ``f``, plus the rotation N g_I and the lowered structure C g_I, which the
+    residuals reuse."""
     hM, gI, hI, dgM = f["hM"], f["gI"], f["hI"], f["dgM"]
     out = {"hh_v": np.broadcast_to(0.0, f["F"].shape), "half_curvature": 0.5 * f["F"]}
-    sym = dgM + np.swapaxes(dgM, -3, -2) - np.moveaxis(dgM, -3, -1)
-    out["hh_h"] = 0.5 * _einsum("...sr,...mnr->...mns", hM, sym)
+    sym = dgM + dgM.swapaxes(0, 1) - np.moveaxis(dgM, 0, 2)
+    out["hh_h"] = 0.5 * np.einsum("srp,mnrp->mnsp", hM, sym)
 
-    lowered = _einsum("...mre,...eb->...mbr", f["F"], gI)  # F^e_{mu rho} g_eb
-    out["hv_h"] = -0.5 * _einsum("...sr,...mbr->...mbs", hM, lowered)
-    out["vh_h"] = np.swapaxes(out["hv_h"], -3, -2)
+    lowered = np.einsum("mrep,ebp->mbrp", f["F"], gI)  # F^e_{mu rho} g_eb
+    out["hv_h"] = -0.5 * np.einsum("srp,mbrp->mbsp", hM, lowered)
+    out["vh_h"] = out["hv_h"].swapaxes(0, 1)
 
-    N = out["mixed_rotation"] = _einsum("...me,ebf->...mbf", f["A"], C)
-    nab = _nabla_g_int(f["dgI"], _rotation(N, gI))
-    out["hv_v"] = 0.5 * _einsum("...dc,...mbc->...mbd", hI, nab)
-    out["vh_v"] = np.swapaxes(out["hv_v"], -3, -2)
-    out["vv_h"] = -0.5 * _einsum("...sr,...rab->...abs", hM, nab)
+    N = out["mixed_rotation"] = np.einsum("mep,ebf->mbfp", f["A"], C)
+    rot = out["rotation"] = np.einsum("mafp,fbp->mabp", N, gI)  # N_mu_a^f g_fb
+    nab = f["dgI"] - rot - rot.swapaxes(1, 2)  # nabla_mu g_ab
+    out["hv_v"] = 0.5 * np.einsum("dcp,mbcp->mbdp", hI, nab)
+    out["vh_v"] = out["hv_v"].swapaxes(0, 1)
+    out["vv_h"] = -0.5 * np.einsum("srp,rabp->absp", hM, nab)
 
-    lie = -_einsum("cae,...eb->...cab", C, gI)
-    lie = lie + np.swapaxes(lie, -1, -2)
-    out["vv_v"] = -0.5 * _einsum("...dc,...cab->...abd", hI, lie)
+    C_low = out["C_low"] = np.einsum("abe,ecp->abcp", C, gI)
+    out["vv_v"] = 0.5 * np.einsum("dcp,cabp->abdp", hI, C_low + C_low.swapaxes(1, 2))
     return out
 
 
 _PER_CHART = [f.name for f in fields(ChristoffelTable) if f.name != "half_structure"]
+_SHARED = ("gM", "hM", "gI", "hI", "A")  # the same fields at both stencil orders
+_ORDERED = ("dgM", "dgI", "F")
 
 
 def christoffel(riem) -> ChristoffelTable:
-    """All eight symbol families of the metric connection, plus the pieces."""
+    """All eight symbol families of the metric connection, plus the pieces,
+    as grid-first views of the points-last symbols."""
     C = riem.conn.basis.structure
     Fd = curvature_F(riem.conn)
-    charts = {ch.name: _symbols(_fields(riem, ch, Fd[ch.name], TABLE_ORDER), C)
-              for ch in riem.man.charts}
-    out = {key: {name: sym[key] for name, sym in charts.items()} for key in _PER_CHART}
+    out = {key: {} for key in _PER_CHART}
+    for ch in riem.man.charts:
+        f = _fields(riem, ch, Fd[ch.name], TABLE_ORDER)
+        sym = _symbols(_slab(f, f, slice(None)), C)
+        for key in _PER_CHART:  # three index axes each
+            arr = sym[key].reshape(sym[key].shape[:-1] + ch.shape)
+            out[key][ch.name] = np.moveaxis(arr, (0, 1, 2), (-3, -2, -1))
     return ChristoffelTable(half_structure=0.5 * C, **out)
 
 
@@ -130,7 +137,7 @@ def residual_table(riem) -> dict:
     """Torsion, metricity, Koszul and vertical lift-lift sup norms, the
     diagnostic summary of the command-line `lc check`, in one pass over the
     charts (NaN if a piece is NaN); the symbols are built and checked one
-    slab of about SLAB_POINTS grid points at a time."""
+    slab of SLAB_POINTS grid points at a time."""
     pieces = []
     C = riem.conn.basis.structure
     table_F = curvature_F(riem.conn)
@@ -138,30 +145,26 @@ def residual_table(riem) -> dict:
     for ch in riem.man.charts:
         chk = _fields(riem, ch, bracket_F.pop(ch.name), CHECK_ORDER)
         tab = _fields(riem, ch, table_F.pop(ch.name), TABLE_ORDER)
-        rows = max(1, SLAB_POINTS * ch.shape[0] // int(np.prod(ch.shape)))
-        for i in range(0, ch.shape[0], rows):
-            sl = slice(i, i + rows)
-            sym = _symbols({k: v[sl] for k, v in tab.items()}, C)
-            pieces.append(("vertical_lift_lift_symbol", sup(sym["hh_v"])))
-            pieces.extend(_chart_residuals(sym, {k: v[sl] for k, v in chk.items()}, C))
+        for start in range(0, len(tab["gM"]), SLAB_POINTS):
+            pieces.extend(_chart_residuals(tab, chk, slice(start, start + SLAB_POINTS), C))
         del chk, tab  # a chart's fields are released before the next chart's
     return {key: sup(value for name, value in pieces if name == key)
             for key in ("torsion", "metricity", "koszul", "vertical_lift_lift_symbol")}
 
 
-def _chart_residuals(sym: dict, chk: dict, C):
-    """(identity, sup norm) of each mismatch piece on a chart or a slab of one.
-
-    ``sym`` holds the table's entries there, ``chk`` the check-order fields
-    at the same points.  Each lowered symbol g(D_X Y, Z) is formed once:
-    metricity uses it as it is, the Koszul formula doubled.  Each piece is
-    reduced as soon as it is formed.
-    """
+def _chart_residuals(tab: dict, chk: dict, sl: slice, C):
+    """(identity, sup norm) of each mismatch piece at the points ``sl`` of a
+    chart with flattened fields ``tab`` (table order) and ``chk`` (check
+    order), copied points-last and released when the generator ends.  Each
+    lowered symbol g(D_X Y, Z) is formed once: metricity uses it as it is, the
+    Koszul formula doubled; each piece is reduced as soon as it is formed."""
+    shared = _slab(tab, _SHARED, sl)
+    sym = _symbols(shared | _slab(tab, _ORDERED, sl), C)
+    chk = shared | _slab(chk, _ORDERED, sl)
+    yield "vertical_lift_lift_symbol", sup(sym["hh_v"])
     gM, gI, Ft = chk["gM"], chk["gI"], chk["F"]
-    N = sym["mixed_rotation"]
-    hh_h, hv_h, hv_v = sym["hh_h"], sym["hv_h"], sym["hv_v"]
-    vh_h, vh_v, half_F = sym["vh_h"], sym["vh_v"], sym["half_curvature"]
-    vv_h, vv_v = sym["vv_h"], sym["vv_v"]
+    hh_h, _, hv_h, hv_v, vh_h, vh_v, vv_h, vv_v, half_F, N = (sym[k] for k in _PER_CHART)
+    rot, C_low = sym["rotation"], sym["C_low"]
 
     # torsion, D_X Y - D_Y X - [X, Y] over frame pairs: the lift-lift
     # bracket is the field strength, the lift-inner rotation piece drops
@@ -169,52 +172,49 @@ def _chart_residuals(sym: dict, chk: dict, C):
     yield "torsion", sup(2.0 * half_F - Ft)
     pairs = ((hh_h, hh_h), (hv_h, vh_h), (hv_v, vh_v), (vv_h, vv_h), (vv_v, vv_v))
     for fam, mirror in pairs:
-        yield "torsion", sup(fam - np.swapaxes(mirror, -3, -2))
+        yield "torsion", sup(fam - mirror.swapaxes(0, 1))
 
     # metricity, X g(Y,Z) - g(D_X Y, Z) - g(Y, D_X Z), and the Koszul
     # identity 2 g(D_X Y, Z) = X g(Y,Z) + Y g(X,Z) - Z g(X,Y)
     #   + g([X,Y],Z) - g([X,Z],Y) - g([Y,Z],X), over frame triples.
     # Inner derivations annihilate the (central) metric coefficients.
     dgM, dgI = chk["dgM"], chk["dgI"]
-    rot = _rotation(N, gI)
-    F_low = _einsum("...mne,...ec->...mnc", Ft, gI)
+    F_low = np.einsum("mnep,ecp->mncp", Ft, gI)
 
     # lift, lift; lift
-    low = _einsum("...mns,...sr->...mnr", hh_h, gM)
-    yield "metricity", sup(dgM - low - np.swapaxes(low, -1, -2))
-    yield "koszul", sup(
-        2.0 * low - (dgM + np.swapaxes(dgM, -3, -2) - np.moveaxis(dgM, -3, -1)))
+    low = np.einsum("mnsp,srp->mnrp", hh_h, gM)
+    yield "metricity", sup(dgM - low - low.swapaxes(1, 2))
+    yield "koszul", sup(2.0 * low - (dgM + dgM.swapaxes(0, 1) - np.moveaxis(dgM, 0, 2)))
 
     # lift, lift; inner and lift, inner; lift
-    low = _einsum("...mne,...ec->...mnc", half_F, gI)
-    cross = _einsum("...mcs,...sn->...mcn", hv_h, gM)
-    yield "metricity", sup(low + np.swapaxes(cross, -1, -2))
+    low = np.einsum("mnep,ecp->mncp", half_F, gI)
+    cross = np.einsum("mcsp,snp->mcnp", hv_h, gM)
+    yield "metricity", sup(low + cross.swapaxes(1, 2))
     yield "koszul", sup(2.0 * low - F_low)
-    yield "koszul", sup(2.0 * cross + np.swapaxes(F_low, -1, -2))
+    yield "koszul", sup(2.0 * cross + F_low.swapaxes(1, 2))
 
     # lift, inner; inner
-    low = _einsum("...mbf,...fc->...mbc", N + hv_v, gI)
-    yield "metricity", sup(dgI - low - np.swapaxes(low, -1, -2))
-    yield "koszul", sup(2.0 * low - (dgI + rot - np.swapaxes(rot, -1, -2)))
+    low = np.einsum("mbfp,fcp->mbcp", N + hv_v, gI)
+    yield "metricity", sup(dgI - low - low.swapaxes(1, 2))
+    yield "koszul", sup(2.0 * low - (dgI + rot - rot.swapaxes(1, 2)))
 
     # inner, lift; lift
-    low = _einsum("...ans,...sr->...anr", vh_h, gM)
-    yield "metricity", sup(low + np.swapaxes(low, -1, -2))
-    yield "koszul", sup(2.0 * low + np.moveaxis(F_low, -1, -3))
+    low = np.einsum("ansp,srp->anrp", vh_h, gM)
+    yield "metricity", sup(low + low.swapaxes(1, 2))
+    yield "koszul", sup(2.0 * low + np.moveaxis(F_low, 2, 0))
 
     # inner, lift; inner and inner, inner; lift
-    low = _einsum("...and,...dc->...anc", vh_v, gI)
-    cross = _einsum("...acs,...sn->...acn", vv_h, gM)
-    yield "metricity", sup(low + np.swapaxes(cross, -1, -2))
-    rhs = np.moveaxis(dgI, -3, -2) - np.moveaxis(rot, -3, -2) - np.moveaxis(rot, -1, -3)
+    low = np.einsum("andp,dcp->ancp", vh_v, gI)
+    cross = np.einsum("acsp,snp->acnp", vv_h, gM)
+    yield "metricity", sup(low + cross.swapaxes(1, 2))
+    rhs = dgI.swapaxes(0, 1) - rot.swapaxes(0, 1) - np.moveaxis(rot, 2, 0)
     yield "koszul", sup(2.0 * low - rhs)
-    yield "koszul", sup(2.0 * cross + np.moveaxis(_nabla_g_int(dgI, rot), -3, -1))
+    yield "koszul", sup(2.0 * cross + np.moveaxis(dgI - rot - rot.swapaxes(1, 2), 0, 2))
 
     # inner, inner; inner
-    low = _einsum("...abe,...ec->...abc", 0.5 * C + vv_v, gI)
-    yield "metricity", sup(low + np.swapaxes(low, -1, -2))
-    C_low = _einsum("abe,...ec->...abc", C, gI)
-    rhs = C_low - np.swapaxes(C_low, -1, -2) - np.moveaxis(C_low, -1, -3)
+    low = np.einsum("abep,ecp->abcp", 0.5 * C[..., None] + vv_v, gI)
+    yield "metricity", sup(low + low.swapaxes(1, 2))
+    rhs = C_low - C_low.swapaxes(1, 2) - np.moveaxis(C_low, 2, 0)
     yield "koszul", sup(2.0 * low - rhs)
 
 

@@ -306,11 +306,14 @@ def test_non_finite_lc_check_exits_5(tmp_path):
     [
         ("eval", {"initial": {"kind": "random", "amplitude": 1e200}}),
         ("chern", {"connection": {"kind": "random", "amplitude": 1e200}}),
+        ("geom-check", {"bundle": {"kind": "monopole", "npts": 16, "charge": 10**20}}),
     ],
 )
 def test_non_finite_result_exits_5(task, extra, tmp_path):
     """Every task whose result holds a non-finite number writes its report,
-    with NaN as a string, and exits 5."""
+    with NaN as a string, and exits 5.  A monopole of charge 10**20 is such
+    a config by contract: its phase overflows, so no result can be finite,
+    and that shows only after the run."""
     doc = {
         "task": task,
         "bundle": {"kind": "torus", "dim": 2, "npts": 8},
@@ -482,6 +485,17 @@ def test_chern_on_a_sphere_beyond_floats_exits_2(key, value, tmp_path, capsys):
     assert main(["run", _write(tmp_path, doc), "--output-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "radius" in err and "margin" in err and f"{key} {value!r}" in err
+
+
+def test_underflowing_cell_volume_exits_2(tmp_path, capsys):
+    """A torus side of 1e-300 gives positive spacings whose product is 0.
+    Every weight would vanish and the gradient read exactly zero beside a
+    NaN action; the chart grid refuses it."""
+    doc = {"task": "eval", "bundle": {"kind": "torus", "npts": 8, "side": 1e-300}}
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, doc), "--output-dir", str(out)]) == 2
+    assert "ncym: grid cell volume underflows to 0" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 def test_chern_degree_is_half_the_base_dimension(tmp_path):

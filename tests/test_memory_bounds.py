@@ -6,8 +6,9 @@ allocator's reuse of freed memory.  Each bound is a measured value plus at
 least 15% headroom (numpy 2.4.6, scipy 1.17.1, one BLAS thread, with the
 field strength cached and scipy.sparse imported before the measurement):
 
-- ``residual_table``: 72.6 MiB measured, bound 84 MiB (whole-chart symbol
-  tables of both charts gave 168.2 MiB);
+- ``residual_table``: 68.4 MiB measured, bound 79 MiB, with 1024-point
+  slabs copied points-last (grid-row slabs of 2048 points gave 72.6 MiB,
+  whole-chart symbol tables of both charts 168.2 MiB);
 - ``gluing_residuals``: 57.2 MiB measured, bound 66 MiB (contracting the
   potential and field strength on the whole source grid gave 93.8 MiB).
 """
@@ -24,7 +25,7 @@ import ncym.levi_civita as lc
 from ncym.levi_civita import residual_table
 
 MiB = 2**20
-RESIDUAL_TABLE_MIB = 84
+RESIDUAL_TABLE_MIB = 79
 GLUING_MIB = 66
 
 
