@@ -71,8 +71,9 @@ class ChartGrid:
             raise ShapeError("need at least 4 grid points per axis")
         if not all(h > 0 for h in self.spacing):
             raise ShapeError("grid spacing must be positive")
-        if not self.cell_volume > 0:
-            raise ShapeError(f"grid cell volume underflows to 0 (spacing {self.spacing})")
+        with np.errstate(over="ignore"):  # refuses underflow only, silent on overflow
+            if not self.cell_volume > 0:
+                raise ShapeError(f"grid cell volume underflows to 0 (spacing {self.spacing})")
 
     @property
     def cell_volume(self) -> float:
