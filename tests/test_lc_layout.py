@@ -195,9 +195,3 @@ def test_christoffel_matches_grid_first_formulas(riem):
             assert _agree(new, old[key]), (name, key)
         assert np.all(table.hh_v[name] == 0.0)
 
-
-def test_flat_table_stays_exactly_zero():
-    riem = _riem({"kind": "torus", "npts": 8})
-    table = christoffel(riem)
-    assert all(sup(getattr(table, key)["t0"]) == 0.0 for key in PIECES)
-    assert residual_table(riem)["vertical_lift_lift_symbol"] == 0.0
