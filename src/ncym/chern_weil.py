@@ -21,7 +21,7 @@ import numpy as np
 
 from .connections import OrdinaryConnection, curvature_F
 from .errors import InvalidRank
-from .geometry import interp_chart, partial_derivative, sup
+from .geometry import interp_chart, partial_derivative, row_slabs, sup
 from .nc_forms import _perm_sign
 
 __all__ = ["ChernForm", "chern_form", "closedness_residual", "chern_number"]
@@ -93,30 +93,34 @@ def chern_form(conn: OrdinaryConnection, q: int) -> ChernForm:
         raise InvalidRank("characteristic classes shipped through degree 4")
     comps = {}
     F = curvature_F(conn, order=STENCIL_ORDER)
+    keys = list(itertools.combinations(range(d), 2 * q))
     for ch in conn.man.charts:
-        # pair-major: Fm[mu, nu] is the (..., k, k) matrix field of F_mu_nu
-        Fm = np.moveaxis(conn.rep.contract(F[ch.name]), (-4, -3), (0, 1))
-        trF = np.einsum("...aa->...", Fm)
-        here = {}
-        for key in itertools.combinations(range(d), 2 * q):
-            acc = 0.0
-            for pairing in PAIRINGS[q]:
-                idx = [key[p] for p in pairing]
-                sign = _perm_sign(idx)
-                if q == 1:
-                    acc = acc + sign * trF[idx[0], idx[1]]
-                else:
-                    i, j, k, l = idx
-                    pair = np.einsum("...ab,...ba->...", Fm[i, j], Fm[k, l])
-                    acc = acc + sign * (trF[i, j] * trF[k, l] - pair)
-            # q! turns the pairing sum into the shuffle sum of the wedge; the
-            # extra 1/2 below is the determinant-expansion factor.
-            acc = acc * math.factorial(q) * (1j / TWO_PI) ** q
-            if q == 2:
-                acc = acc * 0.5
-            if sup(acc.imag) > 1e-10 * max(sup(acc.real), 1.0):
+        here, imag = {key: np.empty(ch.shape) for key in keys}, {key: [] for key in keys}
+        for rows, slab in row_slabs(ch, {"F": F.pop(ch.name)}):
+            # pair-major, points last: Fm[mu, nu] is the (k, k, p) matrix field of F_mu_nu
+            Fm = np.einsum("mnap,aij->mnijp", slab["F"], conn.rep.matrices)
+            trF = np.einsum("mniip->mnp", Fm)
+            for key in keys:
+                acc = 0.0
+                for pairing in PAIRINGS[q]:
+                    idx = [key[p] for p in pairing]
+                    sign = _perm_sign(idx)
+                    if q == 1:
+                        acc = acc + sign * trF[idx[0], idx[1]]
+                    else:
+                        i, j, k, l = idx
+                        pair = np.einsum("abp,bap->p", Fm[i, j], Fm[k, l])
+                        acc = acc + sign * (trF[i, j] * trF[k, l] - pair)
+                # q! turns the pairing sum into the shuffle sum of the wedge; the
+                # extra 1/2 below is the determinant-expansion factor.
+                acc = acc * math.factorial(q) * (1j / TWO_PI) ** q
+                if q == 2:
+                    acc = acc * 0.5
+                imag[key].append(sup(acc.imag))
+                here[key][rows] = acc.real.reshape((-1,) + ch.shape[1:])
+        for key in keys:
+            if sup(imag[key]) > 1e-10 * max(sup(here[key]), 1.0):
                 raise InvalidRank("characteristic component failed to be real")
-            here[key] = np.ascontiguousarray(acc.real)
         comps[ch.name] = here
     return ChernForm(conn.man, q, comps)
 

@@ -27,6 +27,7 @@ from .geometry import (
     derivatives,
     grid_points,
     interp_chart,
+    row_slabs,
     sup,
 )
 from .lie_core import (
@@ -140,17 +141,23 @@ def curvature_F(conn: OrdinaryConnection, order: int = 2) -> dict:
 
     ``order`` selects the stencil width of the derivative; evaluators that
     integrate the field strength pass 4 for a faster approach to the
-    continuum.
+    continuum.  Each chart is filled one row slab at a time.
     """
     out = {}
     C = conn.basis.structure
     for ch in conn.man.charts:
-        A = conn.A[ch.name]
-        dA = derivatives(A, ch, order)  # shape + (mu, nu, a)
-        F = dA - np.swapaxes(dA, -3, -2)
-        F = F + np.einsum("...mb,...nc,bca->...mna", A, A, C, optimize=True)
-        out[ch.name] = F
+        F = out[ch.name] = np.empty(ch.shape + (ch.dim, ch.dim, conn.basis.dim))
+        for rows, slab in row_slabs(ch, {"A": conn.A[ch.name]}, {"dA": ("A", order)}):
+            block = F[rows].reshape((-1,) + F.shape[ch.dim:])
+            block[...] = np.moveaxis(_field_strength(slab["A"], slab["dA"], C), -1, 0)
     return out
+
+
+def _field_strength(A: np.ndarray, dA: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """F^a_mu_nu = d_mu A^a_nu - d_nu A^a_mu + C_bc^a A^b_mu A^c_nu from a
+    points-last potential (mu, a, p) and its derivatives (mu, nu, a, p)."""
+    AC = np.einsum("ncp,bca->nbap", A, C)
+    return dA - dA.swapaxes(0, 1) + np.einsum("mbp,nbap->mnap", A, AC)
 
 
 def zero_connection(man: Manifold, basis: LieBasis, rep: Representation) -> OrdinaryConnection:
@@ -352,39 +359,48 @@ def gluing_residuals(conn: OrdinaryConnection) -> dict:
     field strength with t F t^-1, in the defining matrices.  Returns relative
     sup-norm residuals per overlap; interpolation and stencils limit the
     attainable residual to second order in the grid spacing.
-    Beyond t^-1 and its derivative, only the sample points are contracted;
-    the scale is the source's chart peak, contracted a grid row at a time.
+    The source chart is visited one row slab at a time: d(t^-1) is taken
+    there, and the sample points in those rows (a contiguous run of them,
+    since the mask is in grid order) are contracted there; the scale is the
+    source's chart peak.
     """
     out = {}
     basis = conn.basis
+    F = conn.curvature()
     for ov in conn.man.overlaps:
         if ov.transition is None:
             continue
         src = conn.man.chart(ov.src)
         dst = conn.man.chart(ov.dst)
-        mask, jac = ov.mask, ov.jac  # J[i, j] = d y^i / d x^j
+        tinv_grid = np.conj(np.swapaxes(ov.transition(grid_points(src)), -1, -2))
+        fields = {"tinv": tinv_grid, "A": conn.A[ov.src], "F": F[ov.src]}
+        start = 0
+        res, scale = {"A": [], "F": []}, {"A": [], "F": []}
+        for rows, slab in row_slabs(src, fields, {"dtinv": ("tinv", 2)}):
+            scale["A"].append(sup(basis.contract(np.moveaxis(slab["A"], -1, 0))))
+            scale["F"].append(sup(basis.contract(np.moveaxis(slab["F"], -1, 0))))
+            here = ov.mask[rows].reshape(-1)
+            p = slice(start, start + int(np.count_nonzero(here)))
+            start = p.stop
+            # the slab's sample points, points first; J[i, j] = d y^i / d x^j
+            tinv, dtinv, A_src, F_src = (np.moveaxis(slab[k][..., here], -1, 0)
+                                         for k in ("tinv", "dtinv", "A", "F"))
+            t, y, jac = np.conj(np.swapaxes(tinv, -1, -2)), ov.y[p], ov.jac[p]
+            inhom = np.einsum("pij,pmjk->pmik", t, dtinv, optimize=True)
 
-        t_grid = ov.transition(grid_points(src))
-        tinv_grid = np.conj(np.swapaxes(t_grid, -1, -2))
-        t, tinv = t_grid[mask], tinv_grid[mask]
-        dtinv = derivatives(tinv_grid, src)[mask]
-        inhom = np.einsum("pij,pmjk->pmik", t, dtinv, optimize=True)
+            # destination fields are sampled as real components, then contracted
+            A_dst_at = basis.contract(interp_chart(dst, conn.A[ov.dst], y))
+            lhs_A = np.einsum("pmij,pmn->pnij", A_dst_at, jac, optimize=True)
+            rhs_A = np.einsum("pij,pmjk,pkl->pmil", t, basis.contract(A_src), tinv,
+                              optimize=True) + inhom
+            res["A"].append(sup(lhs_A - rhs_A))
 
-        # destination fields are sampled as real components, then contracted
-        A_dst_at = basis.contract(interp_chart(dst, conn.A[ov.dst], ov.y))
-        lhs_A = np.einsum("pmij,pmn->pnij", A_dst_at, jac, optimize=True)
-        A_src = basis.contract(conn.A[ov.src][mask])
-        rhs_A = np.einsum("pij,pmjk,pkl->pmil", t, A_src, tinv, optimize=True) + inhom
-        scale_A = max(sup(basis.contract(row) for row in conn.A[ov.src]), 1e-30)
-        res_A = sup(lhs_A - rhs_A) / scale_A
-
-        F_dst_at = basis.contract(interp_chart(dst, conn.curvature()[ov.dst], ov.y))
-        lhs_F = np.einsum("pmnij,pmr,pns->prsij", F_dst_at, jac, jac, optimize=True)
-        F_src = basis.contract(conn.curvature()[ov.src][mask])
-        rhs_F = np.einsum("pij,pmnjk,pkl->pmnil", t, F_src, tinv, optimize=True)
-        scale_F = max(sup(basis.contract(row) for row in conn.curvature()[ov.src]), 1e-30)
-        res_F = sup(lhs_F - rhs_F) / scale_F
-
+            F_dst_at = basis.contract(interp_chart(dst, F[ov.dst], y))
+            lhs_F = np.einsum("pmnij,pmr,pns->prsij", F_dst_at, jac, jac, optimize=True)
+            rhs_F = np.einsum("pij,pmnjk,pkl->pmnil", t, basis.contract(F_src), tinv,
+                              optimize=True)
+            res["F"].append(sup(lhs_F - rhs_F))
+        res_A, res_F = (sup(res[k]) / max(sup(scale[k]), 1e-30) for k in ("A", "F"))
         out[(ov.src, ov.dst)] = {"potential": res_A, "field_strength": res_F}
     if not out:
         raise GluingError("no overlap carries a transition function")

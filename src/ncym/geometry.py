@@ -14,6 +14,10 @@ order), realized as small dense one-dimensional matrices applied along an
 axis; this makes the exact adjoint of every stencil available as the
 transposed matrix.  All reductions go through ``numpy``'s pairwise
 summation, which is deterministic for a fixed shape and order.
+
+Pointwise work on a whole chart runs through :func:`row_slabs`, which cuts
+the chart into blocks of whole first-axis rows of about SLAB_POINTS grid
+points and yields the fields and their derivatives there, points last.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ __all__ = [
     "diff_matrix",
     "partial_derivative",
     "derivatives",
+    "row_slabs",
     "adjoint_partial_derivative",
     "integrate",
     "build_torus",
@@ -246,6 +251,73 @@ def derivatives(arr: np.ndarray, chart: ChartGrid, order: int = 2) -> np.ndarray
         [partial_derivative(arr, chart, mu, order=order) for mu in range(chart.dim)],
         axis=chart.dim,
     )
+
+
+SLAB_POINTS = 1024  # grid points per block of `row_slabs`, at least one whole row
+
+
+def _row_stencil(d: np.ndarray) -> tuple:
+    """The non-zero columns of each row of a derivative matrix, ascending,
+    and their coefficients; shorter rows are padded with zero coefficients."""
+    nonzero = d != 0.0
+    cols = np.argsort(~nonzero, axis=1, kind="stable")[:, : int(nonzero.sum(axis=1).max())]
+    return cols, np.take_along_axis(d, cols, axis=1)
+
+
+def _derivatives_at(arr: np.ndarray, chart: ChartGrid, rows: slice, order: int) -> list:
+    """``derivatives(arr, chart, order)[rows]`` as one grid-first array per
+    axis.  Along axis 0 each row sums only its own stencil columns, in a fixed
+    order, so the bits do not depend on the block bounds and only the
+    stencil's halo rows are read; the other axes are products on the block."""
+    d = diff_matrix(chart.shape[0], chart.spacing[0], chart.periodic[0], order)
+    cols, coef = _row_stencil(d)
+    cols, coef = cols[rows], coef[rows, :, None]
+    block = arr[rows]
+    flat = (len(block), -1)
+    first = coef[:, 0] * arr[cols[:, 0]].reshape(flat)
+    for k in range(1, cols.shape[1]):
+        first += coef[:, k] * arr[cols[:, k]].reshape(flat)
+    out = [first.reshape(block.shape)]
+    for axis in range(1, chart.dim):
+        d = diff_matrix(chart.shape[axis], chart.spacing[axis], chart.periodic[axis], order)
+        out.append(_apply_along_axis(d, block, axis))
+    return out
+
+
+def _points_last(arr: np.ndarray, dim: int) -> np.ndarray:
+    """A grid-first block with its ``dim`` grid axes flattened to one point
+    axis, moved last."""
+    return np.moveaxis(arr.reshape((-1,) + arr.shape[dim:]), 0, -1)
+
+
+def row_slabs(chart: ChartGrid, fields: dict, diff: dict | None = None):
+    """Cut ``chart`` into blocks of whole first-axis rows, as many rows as fit
+    in SLAB_POINTS grid points and at least one, and yield ``(rows, slab)``
+    per block: ``rows`` is the slice of first-axis rows, and ``slab`` holds,
+    points last (index axes first, then the block's grid points in C order)
+    and contiguous,
+
+    - ``slab[key]``, the grid-first field ``fields[key]`` at those rows;
+    - ``slab[name]`` for each ``name: (key, order)`` of ``diff``, the stencil
+      derivative of ``fields[key]`` at ``order`` along every chart axis,
+      stacked on a leading axis.
+
+    A derivative reads the field's halo rows only, and has the same bits
+    whatever the block bounds; it agrees with :func:`derivatives` to
+    rounding.  Only one block's copies are alive at a time.
+    """
+    step = max(1, SLAB_POINTS // int(np.prod(chart.shape[1:])))
+    for start in range(0, chart.shape[0], step):
+        rows = slice(start, min(start + step, chart.shape[0]))
+        slab = {key: np.ascontiguousarray(_points_last(arr[rows], chart.dim))
+                for key, arr in fields.items()}
+        for name, (key, order) in (diff or {}).items():
+            parts = [_points_last(part, chart.dim)
+                     for part in _derivatives_at(fields[key], chart, rows, order)]
+            slab[name] = np.empty((chart.dim,) + parts[0].shape, parts[0].dtype)
+            for mu, part in enumerate(parts):
+                slab[name][mu] = part
+        yield rows, slab
 
 
 def adjoint_partial_derivative(

@@ -13,19 +13,22 @@ position-dependent data they measure a genuine discretization error instead
 of cancelling the table's stencil identically.  All three are evaluated in
 one pass that shares the check-order fields between them.
 
-The symbols are pointwise.  They are built on the grid flattened to one
-point axis, index axes first and points last, so that every einsum's inner
-loop runs over the points and every transpose moves whole contiguous rows:
-`residual_table` one slab of SLAB_POINTS points at a time, `christoffel` a
-chart at a time, returned as grid-first views.
+The symbols are pointwise.  Their fields come one row slab at a time from
+`geometry.row_slabs`, index axes first and the slab's grid points last, so
+that every einsum's inner loop runs over the points and every transpose
+moves whole contiguous rows; no field, derivative or field strength is
+formed for a whole chart.  `residual_table` builds and checks the symbols
+in sub-slabs of at most SLAB_POINTS points of each row slab, `christoffel`
+joins its slabs into grid-first views.
 """
 
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .connections import curvature_F
-from .geometry import derivatives, sup
+from . import geometry
+from .connections import _field_strength
+from .geometry import sup
 
 __all__ = [
     "ChristoffelTable",
@@ -38,7 +41,6 @@ __all__ = [
 
 TABLE_ORDER = 2
 CHECK_ORDER = 4
-SLAB_POINTS = 1024  # flattened grid points per slab of `residual_table`
 
 
 @dataclass(frozen=True)
@@ -72,20 +74,21 @@ class ChristoffelTable:
     half_structure: np.ndarray
 
 
-def _fields(riem, ch, F, order: int) -> dict:
-    """A chart's fields the symbols are built from, derivatives at ``order``,
-    each with its grid flattened to one leading point axis."""
-    gM, gI = riem.base.g[ch.name], riem.internal[ch.name]
-    f = {"gM": gM, "hM": riem.base.inv[ch.name], "dgM": derivatives(gM, ch, order),
-         "gI": gI, "hI": riem.hint[ch.name], "dgI": derivatives(gI, ch, order),
-         "A": riem.conn.A[ch.name], "F": F}
-    return {k: v.reshape((-1,) + v.shape[ch.dim:]) for k, v in f.items()}
-
-
-def _slab(f: dict, keys, sl: slice) -> dict:
-    """The points ``sl`` of the flattened fields ``keys``, index axes first
-    and the points last, each a contiguous copy."""
-    return {k: np.ascontiguousarray(np.moveaxis(f[k][sl], 0, -1)) for k in keys}
+def _slabs(riem, ch, orders):
+    """Per row slab of chart ``ch`` (:func:`geometry.row_slabs`), the fields
+    the symbols are built from, one points-last dict per stencil order in
+    ``orders``: both metric blocks and their inverses, the potential (shared
+    between the orders), and the metric derivatives and the field strength
+    at that order."""
+    name, C = ch.name, riem.conn.basis.structure
+    fields = {"gM": riem.base.g[name], "hM": riem.base.inv[name], "gI": riem.internal[name],
+              "hI": riem.hint[name], "A": riem.conn.A[name]}
+    diff = {(key, order): (key, order) for key in ("gM", "gI", "A") for order in orders}
+    for _, slab in geometry.row_slabs(ch, fields, diff):
+        shared = {key: slab[key] for key in fields}
+        yield [shared | {"dgM": slab["gM", order], "dgI": slab["gI", order],
+                         "F": _field_strength(slab["A"], slab["A", order], C)}
+               for order in orders]
 
 
 def _symbols(f: dict, C) -> dict:
@@ -114,22 +117,20 @@ def _symbols(f: dict, C) -> dict:
 
 
 _PER_CHART = [f.name for f in fields(ChristoffelTable) if f.name != "half_structure"]
-_SHARED = ("gM", "hM", "gI", "hI", "A")  # the same fields at both stencil orders
-_ORDERED = ("dgM", "dgI", "F")
 
 
 def christoffel(riem) -> ChristoffelTable:
     """All eight symbol families of the metric connection, plus the pieces,
     as grid-first views of the points-last symbols."""
     C = riem.conn.basis.structure
-    Fd = curvature_F(riem.conn)
     out = {key: {} for key in _PER_CHART}
     for ch in riem.man.charts:
-        f = _fields(riem, ch, Fd[ch.name], TABLE_ORDER)
-        sym = _symbols(_slab(f, f, slice(None)), C)
+        blocks = [_symbols(tab, C) for tab, in _slabs(riem, ch, (TABLE_ORDER,))]
         for key in _PER_CHART:  # three index axes each
-            arr = sym[key].reshape(sym[key].shape[:-1] + ch.shape)
+            arr = np.concatenate([sym[key] for sym in blocks], axis=-1)
+            arr = arr.reshape(arr.shape[:-1] + ch.shape)
             out[key][ch.name] = np.moveaxis(arr, (0, 1, 2), (-3, -2, -1))
+        out["hh_v"][ch.name] = np.broadcast_to(0.0, out["hh_v"][ch.name].shape)
     return ChristoffelTable(half_structure=0.5 * C, **out)
 
 
@@ -137,30 +138,26 @@ def residual_table(riem) -> dict:
     """Torsion, metricity, Koszul and vertical lift-lift sup norms, the
     diagnostic summary of the command-line `lc check`, in one pass over the
     charts (NaN if a piece is NaN); the symbols are built and checked one
-    slab of SLAB_POINTS grid points at a time."""
+    row slab at a time, in sub-slabs of at most SLAB_POINTS grid points."""
     pieces = []
     C = riem.conn.basis.structure
-    table_F = curvature_F(riem.conn)
-    bracket_F = curvature_F(riem.conn, order=CHECK_ORDER)
     for ch in riem.man.charts:
-        chk = _fields(riem, ch, bracket_F.pop(ch.name), CHECK_ORDER)
-        tab = _fields(riem, ch, table_F.pop(ch.name), TABLE_ORDER)
-        for start in range(0, len(tab["gM"]), SLAB_POINTS):
-            pieces.extend(_chart_residuals(tab, chk, slice(start, start + SLAB_POINTS), C))
-        del chk, tab  # a chart's fields are released before the next chart's
+        for tab, chk in _slabs(riem, ch, (TABLE_ORDER, CHECK_ORDER)):
+            step = geometry.SLAB_POINTS
+            for start in range(0, tab["A"].shape[-1], step):
+                pieces.extend(_chart_residuals(tab, chk, slice(start, start + step), C))
     return {key: sup(value for name, value in pieces if name == key)
             for key in ("torsion", "metricity", "koszul", "vertical_lift_lift_symbol")}
 
 
 def _chart_residuals(tab: dict, chk: dict, sl: slice, C):
     """(identity, sup norm) of each mismatch piece at the points ``sl`` of a
-    chart with flattened fields ``tab`` (table order) and ``chk`` (check
-    order), copied points-last and released when the generator ends.  Each
-    lowered symbol g(D_X Y, Z) is formed once: metricity uses it as it is, the
-    Koszul formula doubled; each piece is reduced as soon as it is formed."""
-    shared = _slab(tab, _SHARED, sl)
-    sym = _symbols(shared | _slab(tab, _ORDERED, sl), C)
-    chk = shared | _slab(chk, _ORDERED, sl)
+    row slab with points-last fields ``tab`` (table order) and ``chk`` (check
+    order).  Each lowered symbol g(D_X Y, Z) is formed once: metricity uses it
+    as it is, the Koszul formula doubled; each piece is reduced as soon as it
+    is formed."""
+    tab, chk = ({key: value[..., sl] for key, value in f.items()} for f in (tab, chk))
+    sym = _symbols(tab, C)
     yield "vertical_lift_lift_symbol", sup(sym["hh_v"])
     gM, gI, Ft = chk["gM"], chk["gI"], chk["F"]
     hh_h, _, hv_h, hv_v, vh_h, vh_v, vv_h, vv_v, half_F, N = (sym[k] for k in _PER_CHART)

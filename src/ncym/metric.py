@@ -92,9 +92,9 @@ def assemble(base: BaseMetric, internal, conn: OrdinaryConnection) -> Riemannian
     The fiber metric ``internal`` is one (m, m) block for every chart or a
     dict of per-chart (m, m) blocks or pointwise ``shape + (m, m)`` fields.
     Each chart's value is checked and inverted as given, then it, its
-    inverse and its density are broadcast over the grid: a constant block is
-    inverted once, and the results are the bits the pointwise field of the
-    same block gives.
+    inverse and its density are broadcast over the grid as read-only views:
+    a constant block is inverted once and stored once, and the results are
+    the bits the pointwise field of the same block gives.
     """
     man = conn.man
     if base.man is not man:
@@ -110,9 +110,9 @@ def assemble(base: BaseMetric, internal, conn: OrdinaryConnection) -> Riemannian
                 f"or {ch.shape + (m, m)}"
             )
         hint, sqrt_det = _spd_inverse(ch.name, gI, "fiber metric")
-        riem.internal[ch.name] = np.broadcast_to(gI, ch.shape + (m, m)).copy()
-        riem.hint[ch.name] = np.broadcast_to(hint, ch.shape + (m, m)).copy()
-        riem.sqrt_det_int[ch.name] = np.broadcast_to(sqrt_det, ch.shape).copy()
+        riem.internal[ch.name] = np.broadcast_to(gI.copy(), ch.shape + (m, m))
+        riem.hint[ch.name] = np.broadcast_to(hint, ch.shape + (m, m))
+        riem.sqrt_det_int[ch.name] = np.broadcast_to(sqrt_det, ch.shape)
         riem.hbase[ch.name] = base.inv[ch.name]
         riem.sqrtg[ch.name] = base.sqrt_det[ch.name] * riem.sqrt_det_int[ch.name]
     return riem

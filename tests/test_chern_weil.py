@@ -8,7 +8,6 @@ import pytest
 
 import ncym.chern_weil as cw
 import ncym.connections as connections
-import ncym.levi_civita as lc
 from ncym.chern_weil import ChernForm, chern_form, chern_number, closedness_residual
 from ncym.connections import (
     OrdinaryConnection,
@@ -215,7 +214,7 @@ def test_one_field_strength_and_one_form_per_chern_task(monkeypatch, tmp_path):
 
     # every binding site of each function
     field_strength = counted("curvature_F", connections.curvature_F)
-    for module in (connections, cw, lc):
+    for module in (connections, cw):
         monkeypatch.setattr(module, "curvature_F", field_strength)
     monkeypatch.setattr(cw, "chern_form", counted("chern_form", cw.chern_form))
 

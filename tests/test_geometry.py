@@ -23,11 +23,13 @@ from ncym.geometry import (
     partial_derivative,
     rep_of_group,
     round_sphere_metric,
+    row_slabs,
     su_log,
     transition_conjugate,
 )
 from ncym.geometry import _apply_along_axis, _radial_profile, _spd_inverse
 from ncym.geometry import diff_matrix
+import ncym.geometry as geometry
 from ncym.lie_core import build_representation, build_su
 
 
@@ -542,3 +544,37 @@ def test_stencil_product_is_bitwise_the_tensordot_form(shape, dim, periodic, dty
         want = _stencil_oracle(mat, arr, axis)
         assert got.shape == want.shape
         assert got.tobytes() == np.ascontiguousarray(want).tobytes(), axis
+
+
+def _slab_derivative(arr, ch, order):
+    """The row slabs' derivative of ``arr``, joined along the points and
+    returned grid first."""
+    slabs = [slab["d"] for _, slab in row_slabs(ch, {"f": arr}, {"d": ("f", order)})]
+    joined = np.concatenate(slabs, axis=-1)
+    joined = joined.reshape(joined.shape[:-1] + ch.shape)
+    return np.moveaxis(joined, tuple(range(joined.ndim - ch.dim)),
+                       tuple(range(ch.dim, joined.ndim)))
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("bundle", ["torus", "sphere"])
+def test_slab_derivative_is_bitwise_across_block_widths(bundle, order, monkeypatch):
+    """The row slabs' stencil derivative has the same bits for blocks of 1, 2,
+    3 and 5 rows and the whole chart, and agrees with ``derivatives`` to
+    1e-14 relative; the fields come points last and contiguous."""
+    man = build_torus(3, 9) if bundle == "torus" else build_sphere_two_charts(4, 12)
+    ch = man.charts[0]
+    arr = np.random.default_rng(order).normal(size=ch.shape + (4, 3))
+    row = int(np.prod(ch.shape[1:]))
+    got = {}
+    for width in (1, 2, 3, 5, ch.shape[0]):
+        monkeypatch.setattr(geometry, "SLAB_POINTS", width * row)
+        for rows, slab in row_slabs(ch, {"f": arr}, {"d": ("f", order)}):
+            assert rows.stop - rows.start <= width
+            assert slab["f"].flags.c_contiguous and slab["d"].flags.c_contiguous
+            assert slab["f"].shape == (4, 3, (rows.stop - rows.start) * row)
+        got[width] = _slab_derivative(arr, ch, order)
+    for width in (2, 3, 5, ch.shape[0]):
+        assert got[width].tobytes() == got[1].tobytes(), width
+    want = derivatives(arr, ch, order)
+    assert np.max(np.abs(got[1] - want)) <= 1e-14 * np.max(np.abs(want))

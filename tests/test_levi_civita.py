@@ -199,19 +199,32 @@ def test_residuals_propagate_nan(su2):
 
 
 def test_one_check_order_field_strength_per_lc_check(monkeypatch, tmp_path):
-    """The table takes the field strength at its own order, the three
-    residuals share one at the check order."""
-    orders = []
+    """Each row slab forms its field strength once at the table order and
+    once at the check order, which the three residuals share; no whole-chart
+    field strength is formed."""
+    orders, slabs, strengths = [], [], []
 
-    def counted(conn, order=2):
-        orders.append(order)
-        return field_strength(conn, order=order)
+    def counted_slabs(chart, fields, diff=None):
+        orders.append(sorted({order for _, order in diff.values()}))
+        for rows, slab in row_slabs(chart, fields, diff):
+            slabs.append(rows)
+            yield rows, slab
 
-    field_strength = connections.curvature_F
-    for module in (connections, lc):
-        monkeypatch.setattr(module, "curvature_F", counted)
+    def counted(A, dA, C):
+        strengths.append(len(slabs))
+        return field_strength(A, dA, C)
+
+    def whole_chart(conn, order=2):
+        raise AssertionError("lc-check formed a whole-chart field strength")
+
+    row_slabs, field_strength = lc.geometry.row_slabs, lc._field_strength
+    monkeypatch.setattr(lc.geometry, "row_slabs", counted_slabs)
+    monkeypatch.setattr(lc, "_field_strength", counted)
+    monkeypatch.setattr(connections, "curvature_F", whole_chart)
     doc = {"task": "lc-check", "bundle": {"kind": "instanton", "npts": 8}}
     path = tmp_path / "lc.json"
     path.write_text(json.dumps(doc))
     assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 0
-    assert sorted(orders) == [lc.TABLE_ORDER, lc.CHECK_ORDER]
+    assert orders == [[lc.TABLE_ORDER, lc.CHECK_ORDER]] * 2  # one pass per chart
+    assert len(slabs) > 2
+    assert strengths == [n for n in range(1, len(slabs) + 1) for _ in range(2)]

@@ -4,13 +4,20 @@ The bounds are tracemalloc peaks in MiB: numpy reports its array buffers to
 tracemalloc, so they count every array a call allocates, independent of the
 allocator's reuse of freed memory.  Each bound is a measured value plus at
 least 15% headroom (numpy 2.4.6, scipy 1.17.1, one BLAS thread, with the
-field strength cached and scipy.sparse imported before the measurement):
+order-2 field strength cached and scipy.sparse imported before the
+measurement).  All three run through `geometry.row_slabs`, so no derivative,
+field strength or contraction of a whole chart is formed beyond the field
+strength that `curvature_F` returns:
 
-- ``residual_table``: 68.4 MiB measured, bound 79 MiB, with 1024-point
-  slabs copied points-last (grid-row slabs of 2048 points gave 72.6 MiB,
-  whole-chart symbol tables of both charts 168.2 MiB);
-- ``gluing_residuals``: 57.2 MiB measured, bound 66 MiB (contracting the
-  potential and field strength on the whole source grid gave 93.8 MiB).
+- ``residual_table``: 12.6 MiB measured, bound 15 MiB (1024-point slabs
+  copied points-last from whole-chart fields gave 68.4 MiB, whole-chart
+  symbol tables of both charts 168.2 MiB);
+- ``gluing_residuals``: 10.7 MiB measured, bound 13 MiB (the sample points
+  contracted all at once, with d(t^-1) on the whole source grid, gave
+  57.2 MiB);
+- ``chern_form``: 20.1 MiB measured, bound 24 MiB, of which 15.2 MiB is the
+  order-4 field strength of both charts (each chart contracted whole gave
+  76.7 MiB).
 """
 
 import tracemalloc
@@ -19,14 +26,16 @@ import numpy as np
 import pytest
 import scipy.sparse  # noqa: F401  (imported before measuring: its import allocates)
 
+from ncym.chern_weil import chern_form
 from ncym.config import build_problem, resolve
 from ncym.connections import gluing_residuals
-import ncym.levi_civita as lc
+import ncym.geometry as geometry
 from ncym.levi_civita import residual_table
 
 MiB = 2**20
-RESIDUAL_TABLE_MIB = 79
-GLUING_MIB = 66
+RESIDUAL_TABLE_MIB = 15
+GLUING_MIB = 13
+CHERN_FORM_MIB = 24
 
 
 @pytest.fixture(scope="module")
@@ -57,10 +66,20 @@ def test_gluing_residuals_peak_is_bounded(instanton12):
     assert peak <= GLUING_MIB
 
 
+def test_chern_form_peak_is_bounded(instanton12):
+    _, peak = _peak_mib(lambda: chern_form(instanton12.conn, 2))
+    assert peak <= CHERN_FORM_MIB
+
+
 def test_slab_residuals_are_bitwise_the_whole_chart_residuals(instanton12, monkeypatch):
+    """Row slabs and sub-slabs of the default size give the bits of one slab
+    holding the whole chart."""
     riem = instanton12.riem
+    ch = riem.man.charts[0]
     out = residual_table(riem)
     assert out["vertical_lift_lift_symbol"] == 0.0
+    assert len(list(geometry.row_slabs(ch, {}))) > 1
     whole_chart = max(int(np.prod(ch.shape)) for ch in riem.man.charts)
-    monkeypatch.setattr(lc, "SLAB_POINTS", whole_chart)
+    monkeypatch.setattr(geometry, "SLAB_POINTS", whole_chart)
+    assert len(list(geometry.row_slabs(ch, {}))) == 1
     assert out == residual_table(riem)
