@@ -256,22 +256,16 @@ def derivatives(arr: np.ndarray, chart: ChartGrid, order: int = 2) -> np.ndarray
 SLAB_POINTS = 1024  # grid points per block of `row_slabs`, at least one whole row
 
 
-def _row_stencil(d: np.ndarray) -> tuple:
-    """The non-zero columns of each row of a derivative matrix, ascending,
-    and their coefficients; shorter rows are padded with zero coefficients."""
-    nonzero = d != 0.0
-    cols = np.argsort(~nonzero, axis=1, kind="stable")[:, : int(nonzero.sum(axis=1).max())]
-    return cols, np.take_along_axis(d, cols, axis=1)
-
-
 def _derivatives_at(arr: np.ndarray, chart: ChartGrid, rows: slice, order: int) -> list:
     """``derivatives(arr, chart, order)[rows]`` as one grid-first array per
     axis.  Along axis 0 each row sums only its own stencil columns, in a fixed
     order, so the bits do not depend on the block bounds and only the
     stencil's halo rows are read; the other axes are products on the block."""
     d = diff_matrix(chart.shape[0], chart.spacing[0], chart.periodic[0], order)
-    cols, coef = _row_stencil(d)
-    cols, coef = cols[rows], coef[rows, :, None]
+    # each row's non-zero columns, ascending, padded with zero coefficients
+    nonzero = d != 0.0
+    cols = np.argsort(~nonzero, axis=1, kind="stable")[:, : int(nonzero.sum(axis=1).max())]
+    cols, coef = cols[rows], np.take_along_axis(d, cols, axis=1)[rows, :, None]
     block = arr[rows]
     flat = (len(block), -1)
     first = coef[:, 0] * arr[cols[:, 0]].reshape(flat)
