@@ -146,8 +146,10 @@ def curvature_F(conn: OrdinaryConnection, order: int = 2) -> dict:
     out = {}
     C = conn.basis.structure
     for ch in conn.man.charts:
-        F = out[ch.name] = np.empty(ch.shape + (ch.dim, ch.dim, conn.basis.dim))
-        for rows, slab in row_slabs(ch, {"A": conn.A[ch.name]}, {"dA": ("A", order)}):
+        A = conn.A[ch.name]
+        F = out[ch.name] = np.empty(ch.shape + (ch.dim, ch.dim, conn.basis.dim),
+                                    np.result_type(A, float))
+        for rows, slab in row_slabs(ch, {"A": A}, {"dA": ("A", order)}):
             block = F[rows].reshape((-1,) + F.shape[ch.dim:])
             block[...] = np.moveaxis(_field_strength(slab["A"], slab["dA"], C), -1, 0)
     return out
