@@ -12,6 +12,8 @@ The action and the gradient share one curvature evaluation: the curvature
 with its indices raised and the integration weight applied is contracted
 with the curvature for the action, and fed to the adjoint for the gradient,
 so :func:`evaluate` returns both from a single call of ``nc_curvature``.
+The vacuum solver evaluates each state once: the line search feeds the
+accepted candidate's raised tensors to the adjoint for the next gradient.
 """
 
 from __future__ import annotations
@@ -286,27 +288,28 @@ def _step(ncc: NCConnection, direction: dict, eta: float, project: bool) -> NCCo
     )
 
 
-def _fields_map(fn, fields: dict) -> dict:
-    return {p: _dict_map(fn, fields[p]) for p in ("a", "phi")}
+def _fields_map(fn, *fields: dict) -> dict:
+    return {p: _dict_map(fn, *(f[p] for f in fields)) for p in ("a", "phi")}
 
 
 def _steepest(g: dict, gn: float) -> tuple:
     """Plain steepest descent: direction -g, velocity reset to g, slope -|g|^2."""
-    return _fields_map(np.negative, g), _fields_map(np.copy, g), -gn * gn
+    return _fields_map(np.negative, g), g, -gn * gn
 
 
 def _line_search(state, S, direction, slope, eta, riem):
     """Armijo backtracking from step ``eta``; every candidate is projected
     back to anti-hermitian fields.
 
-    Returns ``(candidate, its action, accepted eta)``, or None when
-    ``MAX_BACKTRACKS`` shrinks find no sufficient decrease.
+    Returns ``(candidate, its breakdown, its gradient, accepted eta)``, or None
+    when ``MAX_BACKTRACKS`` shrinks find no sufficient decrease.
     """
     for _ in range(MAX_BACKTRACKS):
         cand = _step(state, direction, eta, True)
-        S_new = action(cand, riem).s_total
-        if S_new <= S + ARMIJO * eta * slope:
-            return cand, S_new, eta
+        bd, raised = _evaluate(cand, riem)
+        if bd.s_total <= S + ARMIJO * eta * slope:
+            return cand, bd, _adjoint(cand, raised), eta
+        del raised  # not held through the next candidate's evaluation
         eta *= SHRINK
     return None
 
@@ -317,7 +320,9 @@ def solve_vacuum(init: NCConnection, riem, opts: SolverOptions | None = None):
     Heavy-ball momentum with Armijo backtracking; the step grows again after
     easy accepts and shrinks on rejection, and a rejected momentum step falls
     back to plain steepest descent before declaring a stall.  Deterministic:
-    no randomness enters the loop.
+    no randomness enters the loop.  Each state is evaluated once: the
+    accepted candidate's raised tensors give the next gradient, and its
+    breakdown the next trace row and the report.
 
     Returns ``(terminal connection, VacuumReport, trace)`` where ``trace`` is
     the per-iteration list of ``(action, gradient norm)``.  Non-convergence
@@ -325,16 +330,15 @@ def solve_vacuum(init: NCConnection, riem, opts: SolverOptions | None = None):
     exception.
     """
     opts = opts or SolverOptions()
-    state = replace(init, a={k: v.copy() for k, v in init.a.items()},
-                    phi={k: v.copy() for k, v in init.phi.items()})
+    state = init.copy()
     vel = None
-    S = action(state, riem).s_total
+    bd, g = evaluate(state, riem)
     eta = STEP
     trace = []
     stop = "budget"
     it = 0
     for it in range(1, opts.max_iters + 1):
-        g = gradient(state, riem)
+        S = bd.s_total
         gn = grad_norm(g)
         trace.append((S, gn))
         if not (np.isfinite(S) and np.isfinite(gn)):
@@ -343,13 +347,7 @@ def solve_vacuum(init: NCConnection, riem, opts: SolverOptions | None = None):
         if gn <= opts.tol:
             stop = "converged"
             break
-        if vel is None:
-            vel = _fields_map(np.copy, g)
-        else:
-            vel = {
-                p: _dict_map(lambda v, gg: opts.momentum * v + gg, vel[p], g[p])
-                for p in ("a", "phi")
-            }
+        vel = g if vel is None else _fields_map(lambda v, gg: opts.momentum * v + gg, vel, g)
         direction = _fields_map(np.negative, vel)
         slope = pairing(g, direction)
         if slope >= 0.0:
@@ -363,13 +361,12 @@ def solve_vacuum(init: NCConnection, riem, opts: SolverOptions | None = None):
         if found is None:
             stop = "stalled"  # at line-search resolution
             break
-        state, S, eta = found
-    report = _report(state, riem, stop, it)
+        state, bd, g, eta = found
+    report = _report(state, bd, riem, stop, it)
     return state, report, trace
 
 
-def _report(ncc: NCConnection, riem, stop_reason: str, iterations: int) -> VacuumReport:
-    bd = action(ncc, riem)
+def _report(ncc: NCConnection, bd, riem, stop_reason: str, iterations: int) -> VacuumReport:
     report = VacuumReport(bd.residuals, bd.s_total, stop_reason, iterations)
     try:
         cls = classify_vacuum(ncc.phi, ncc.ref.basis, riem.hint)

@@ -1,5 +1,6 @@
 """Yang-Mills functional: action terms, gradient, vacuum solver, classification."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -254,11 +255,12 @@ def test_one_curvature_evaluation_per_state(request, bundle, kind, monkeypatch, 
         fn(ncc, riem)
         assert len(calls) == 1, fn.__name__
 
-    # an exactly flat start: the initial action, one gradient, the final report
+    # an exactly flat start: one evaluation gives the action, the gradient
+    # and the report
     calls.clear()
     _, report, _ = solve_vacuum(canonical_ncc(ref), riem)
     assert report.converged and report.iterations == 1
-    assert len(calls) == 3
+    assert len(calls) == 1
 
     doc = {
         "task": "eval",
@@ -270,6 +272,50 @@ def test_one_curvature_evaluation_per_state(request, bundle, kind, monkeypatch, 
     calls.clear()
     assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 0
     assert len(calls) == 1
+
+
+def test_solver_evaluates_each_state_once(torus, monkeypatch):
+    """The solver evaluates the start and each line-search candidate once, and
+    the action and gradient it carries are a fresh evaluation's bits."""
+    *_, ref, riem = torus
+    digests, projected = [], []
+    curvature, step = ym.nc_curvature, ym._step
+
+    def digest_curvature(ncc):
+        h = hashlib.sha256()
+        for part in (ncc.a, ncc.phi):
+            for name in sorted(part):
+                h.update(part[name].tobytes())
+        digests.append(h.hexdigest())
+        return curvature(ncc)
+
+    def count_step(ncc, direction, eta, project):
+        projected.append(project)
+        return step(ncc, direction, eta, project)
+
+    monkeypatch.setattr(ym, "nc_curvature", digest_curvature)
+    monkeypatch.setattr(ym, "_step", count_step)
+    start = random_ncc(ref, seed=11, amplitude=0.2, x_dependent=True)
+
+    def solve(tol):
+        digests.clear()
+        projected.clear()
+        out = solve_vacuum(start, riem, SolverOptions(max_iters=20, tol=tol))
+        assert len(set(digests)) == len(digests)
+        assert len(digests) == 1 + projected.count(True)
+        return out
+
+    _, report, trace = solve(0.0)
+    assert report.stop_reason == "budget"
+    # stopped at the first state whose gradient norm reaches the budget run's
+    # last, the returned state is the one the last trace row describes
+    state, report, trace = solve(trace[-1][1])
+    assert report.converged
+
+    monkeypatch.undo()
+    bd, g = evaluate(state, riem)
+    assert bd.s_total == report.action == trace[-1][0]
+    assert grad_norm(g) == trace[-1][1]
 
 
 @pytest.fixture(scope="module")
