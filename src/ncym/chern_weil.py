@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .connections import OrdinaryConnection, curvature_F
+from .connections import OrdinaryConnection, _field_strength
 from .errors import InvalidRank
 from .geometry import interp_chart, partial_derivative, row_slabs, sup
 from .nc_forms import _perm_sign
@@ -91,14 +91,14 @@ def chern_form(conn: OrdinaryConnection, q: int) -> ChernForm:
         raise InvalidRank(f"degree-{2 * q} form on a {d}-dimensional base")
     if q > 2:
         raise InvalidRank("characteristic classes shipped through degree 4")
-    comps = {}
-    F = curvature_F(conn, order=STENCIL_ORDER)
+    comps, C = {}, conn.basis.structure
     keys = list(itertools.combinations(range(d), 2 * q))
     for ch in conn.man.charts:
         here, imag = {key: np.empty(ch.shape) for key in keys}, {key: [] for key in keys}
-        for rows, slab in row_slabs(ch, {"F": F.pop(ch.name)}):
+        for rows, slab in row_slabs(ch, {"A": conn.A[ch.name]}, {"dA": ("A", STENCIL_ORDER)}):
+            F = _field_strength(slab["A"], slab["dA"], C)
             # pair-major, points last: Fm[mu, nu] is the (k, k, p) matrix field of F_mu_nu
-            Fm = np.einsum("mnap,aij->mnijp", slab["F"], conn.rep.matrices)
+            Fm = np.einsum("mnap,aij->mnijp", F, conn.rep.matrices)
             trF = np.einsum("mniip->mnp", Fm)
             for key in keys:
                 acc = 0.0

@@ -11,12 +11,15 @@ through :func:`ncym.config.read`, strictly, and write through
 
 Exit codes: 0 success, 1 a selfcheck failed, 2 validation failure (a config
 or report that cannot be read, holds NaN or Infinity, or records no config;
-a refused setting; an output directory that cannot be made); a solve that
-did not converge still writes its artifacts and exits 3 when it ran out of
-iterations, 4 when the line search stalled, 5 when the action or the
-gradient became non-finite.  Every other task whose result holds a
+a refused setting; an output directory that cannot be made; an array that
+cannot be allocated, a MemoryError, after which no report is written); a
+solve that did not converge still writes its artifacts and exits 3 when it
+ran out of iterations, 4 when the line search stalled, 5 when the action or
+the gradient became non-finite.  Every other task whose result holds a
 non-finite number writes its report (non-finite values as the strings
-"NaN", "Infinity", "-Infinity") and exits 5 as well.
+"NaN", "Infinity", "-Infinity") and exits 5 as well.  Exit 2 covers only an
+allocation that fails when it is made: one that the kernel grants but cannot
+later back with memory still ends in the OOM killer.
 
 `--threads` (or the NCYM_THREADS environment variable) is a parallelism
 hint handed to the BLAS runtime before the numerical modules load; it wins
@@ -348,9 +351,10 @@ def main(argv=None) -> int:
     try:
         _apply_threads_hint(args.threads)
         return command(args)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         # every package validation error (ConfigError, ShapeError, InvalidRank,
-        # ...) means the inputs were unusable
+        # ...) means the inputs were unusable, and so does a grid too large
+        # to allocate
         print(f"ncym: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -136,12 +136,9 @@ class OrdinaryConnection:
         return self.basis.contract(self.A[name])
 
 
-def curvature_F(conn: OrdinaryConnection, order: int = 2) -> dict:
-    """Field strength F^a = dA^a + C_bc^a A^b A^c, antisymmetric in (mu, nu).
-
-    ``order`` selects the stencil width of the derivative; evaluators that
-    integrate the field strength pass 4 for a faster approach to the
-    continuum.  Each chart is filled one row slab at a time.
+def curvature_F(conn: OrdinaryConnection) -> dict:
+    """Field strength F^a = dA^a + C_bc^a A^b A^c, antisymmetric in (mu, nu),
+    from the order-2 stencil.  Each chart is filled one row slab at a time.
     """
     out = {}
     C = conn.basis.structure
@@ -149,7 +146,7 @@ def curvature_F(conn: OrdinaryConnection, order: int = 2) -> dict:
         A = conn.A[ch.name]
         F = out[ch.name] = np.empty(ch.shape + (ch.dim, ch.dim, conn.basis.dim),
                                     np.result_type(A, float))
-        for rows, slab in row_slabs(ch, {"A": A}, {"dA": ("A", order)}):
+        for rows, slab in row_slabs(ch, {"A": A}, {"dA": ("A", 2)}):
             block = F[rows].reshape((-1,) + F.shape[ch.dim:])
             block[...] = np.moveaxis(_field_strength(slab["A"], slab["dA"], C), -1, 0)
     return out
@@ -359,8 +356,8 @@ def gluing_residuals(conn: OrdinaryConnection) -> dict:
     For every directed overlap with a transition t: compares the pullback of
     the destination potential with t A t^-1 + t d(t^-1), and the pulled-back
     field strength with t F t^-1, in the defining matrices.  Returns relative
-    sup-norm residuals per overlap; interpolation and stencils limit the
-    attainable residual to second order in the grid spacing.
+    sup-norm residuals per overlap; interpolation and stencil error limit
+    the attainable residual (its measured orders: ROADMAP item 6).
     The source chart is visited one row slab at a time: d(t^-1) is taken
     there, and the sample points in those rows (a contiguous run of them,
     since the mask is in grid order) are contracted there; the scale is the

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .connections import OrdinaryConnection
-from .errors import ShapeError, SingularMetric
+from .errors import ShapeError
 from .geometry import BaseMetric, Manifold, _spd_inverse, sup
 from .lie_core import LieBasis, Representation
 
@@ -127,7 +127,8 @@ def extract_connection(
     """Recover the unique connection orthogonalizing the two frames.
 
     ``g_full[name]`` are coordinate-frame blocks, shape + (d+m, d+m); the
-    potential is A^a_mu = -h_Int^ab g_b_mu from the fiber block's inverse.
+    potential is A^a_mu = -h_Int^ab g_b_mu from the inverse of the fiber
+    block, which must be symmetric positive definite (SingularMetric otherwise).
     """
     d, m = man.dim, basis.dim
     A = {}
@@ -135,14 +136,7 @@ def extract_connection(
         G = np.asarray(g_full[ch.name], dtype=float)
         if G.shape != ch.shape + (d + m, d + m):
             raise ShapeError(f"full metric on {ch.name}: bad shape {G.shape}")
-        fiber = G[..., d:, d:]
-        det = np.linalg.det(fiber)
-        if not np.min(np.abs(det)) >= 1e-14:
-            idx = np.unravel_index(int(np.argmin(np.abs(det))), det.shape)
-            raise SingularMetric(
-                f"fiber block singular at grid index {idx} on chart {ch.name}"
-            )
-        hint = np.linalg.inv(fiber)
+        hint, _ = _spd_inverse(ch.name, G[..., d:, d:], "fiber block")
         A[ch.name] = -np.einsum("...ab,...bm->...ma", hint, G[..., d:, :d])
     return OrdinaryConnection(man, basis, rep, A)
 

@@ -202,24 +202,39 @@ def test_form_degree_and_keys(bpst16_form):
         assert comp[TOP4].dtype == np.float64
 
 
-def test_one_field_strength_and_one_form_per_chern_task(monkeypatch, tmp_path):
-    calls = {"curvature_F": 0, "chern_form": 0}
+def test_one_field_strength_per_slab_and_one_form_per_chern_task(monkeypatch, tmp_path):
+    """Each row slab forms its field strength once, at the Chern-Weil stencil
+    order, and the task forms one Chern form; no whole-chart field strength
+    is formed."""
+    orders, slabs, strengths, forms = [], [], [], []
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+    def counted_slabs(chart, fields, diff=None):
+        orders.append(sorted({order for _, order in diff.values()}))
+        for rows, slab in row_slabs(chart, fields, diff):
+            slabs.append(rows)
+            yield rows, slab
 
-        return wrapper
+    def counted(A, dA, C):
+        strengths.append(len(slabs))
+        return field_strength(A, dA, C)
 
-    # every binding site of each function
-    field_strength = counted("curvature_F", connections.curvature_F)
-    for module in (connections, cw):
-        monkeypatch.setattr(module, "curvature_F", field_strength)
-    monkeypatch.setattr(cw, "chern_form", counted("chern_form", cw.chern_form))
+    def counted_form(conn, q):
+        forms.append(q)
+        return form(conn, q)
 
+    def whole_chart(conn):
+        raise AssertionError("chern formed a whole-chart field strength")
+
+    row_slabs, field_strength, form = cw.row_slabs, cw._field_strength, cw.chern_form
+    monkeypatch.setattr(cw, "row_slabs", counted_slabs)
+    monkeypatch.setattr(cw, "_field_strength", counted)
+    monkeypatch.setattr(cw, "chern_form", counted_form)
+    monkeypatch.setattr(connections, "curvature_F", whole_chart)
     doc = {"task": "chern", "bundle": {"kind": "instanton", "npts": 8}}
     path = tmp_path / "chern.json"
     path.write_text(json.dumps(doc))
     assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 0
-    assert calls == {"curvature_F": 1, "chern_form": 1}
+    assert orders == [[cw.STENCIL_ORDER]] * 2  # one pass per chart
+    assert len(slabs) > 2
+    assert strengths == list(range(1, len(slabs) + 1))
+    assert forms == [2]

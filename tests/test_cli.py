@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +234,32 @@ def test_thread_hint_overrides_blas_variables(source, monkeypatch):
     monkeypatch.setenv("NCYM_THREADS", "1")
     _apply_threads_hint("1" if source == "flag" else None)
     assert [os.environ[var] for var in blas] == ["1", "1", "1"]
+
+
+def test_snapshot_is_the_solved_state(tmp_path):
+    """`snapshots: true` writes state.json, whose fields read back bitwise as
+    the state that solve_vacuum returns for the run's resolved config."""
+    from ncym.config import build_problem
+    from ncym.serialize import json_to_array
+    from ncym.yang_mills import SolverOptions, solve_vacuum
+
+    doc = json.loads((ROOT / "configs" / "torus_vacuum.json").read_text())
+    doc["solver"]["max_iters"] = 20
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, {**doc, "snapshots": True}),
+                 "--output-dir", str(out)]) == 3
+    config = json.loads((out / "report.json").read_text())["config"]
+    assert config["snapshots"] is True
+    problem = build_problem(config)
+    state, _, _ = solve_vacuum(problem.init, problem.riem, SolverOptions(**config["solver"]))
+    snap = json.loads((out / "state.json").read_text())
+    for key in ("a", "phi"):
+        fields = getattr(state, key)
+        assert set(snap[key]) == set(fields)
+        for name, arr in fields.items():
+            back = json_to_array(snap[key][name])
+            assert back.dtype == arr.dtype and back.shape == arr.shape, (key, name)
+            assert back.tobytes() == np.ascontiguousarray(arr).tobytes(), (key, name)
 
 
 def test_budget_exhaustion_exits_3(tmp_path):
@@ -495,6 +523,27 @@ def test_underflowing_cell_volume_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", _write(tmp_path, doc), "--output-dir", str(out)]) == 2
     assert "ncym: grid cell volume underflows to 0" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_grid_that_cannot_be_allocated_exits_2(tmp_path):
+    """A 10^6 x 10^6 torus asks numpy for 7.28 TiB: a MemoryError, which exits
+    2 with a `ncym:` line, not 1 with a traceback.  The run is one child
+    process that caps its own address space first, so the refusal does not
+    depend on how the machine overcommits memory."""
+    doc = {"task": "eval", "bundle": {"kind": "torus", "npts": 1000000}}
+    out = tmp_path / "out"
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+              "from ncym.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "run", _write(tmp_path, doc), "--output-dir", str(out)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("ncym: ") and "Traceback" not in proc.stderr
     assert not (out / "report.json").exists()
 
 

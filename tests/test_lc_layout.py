@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from ncym.config import build_problem, resolve
-from ncym.connections import curvature_F
 from ncym.geometry import BaseMetric, derivatives, grid_points, sup
 from ncym.levi_civita import CHECK_ORDER, TABLE_ORDER, christoffel, residual_table
 from ncym.lie_core import build_representation, build_su
@@ -33,6 +32,17 @@ def _rotation(N, gI):
 
 def _nabla_g_int(dgI, rot):
     return dgI - rot - np.swapaxes(rot, -1, -2)
+
+
+def _field_strength(conn, order):
+    """F = dA - dA^T + C A A per chart, grid-first, each chart as a whole."""
+    out = {}
+    for ch in conn.man.charts:
+        A = conn.A[ch.name]
+        dA = derivatives(A, ch, order)  # shape + (mu, nu, a)
+        F = dA - np.swapaxes(dA, -3, -2)
+        out[ch.name] = F + _einsum("...mb,...nc,bca->...mna", A, A, conn.basis.structure)
+    return out
 
 
 def _fields(riem, ch, F, order):
@@ -115,15 +125,15 @@ def _chart_residuals(sym, chk, C):
 
 def _oracle_table(riem):
     C = riem.conn.basis.structure
-    Fd = curvature_F(riem.conn)
+    Fd = _field_strength(riem.conn, TABLE_ORDER)
     return {ch.name: _symbols(_fields(riem, ch, Fd[ch.name], TABLE_ORDER), C)
             for ch in riem.man.charts}
 
 
 def _oracle_residuals(riem):
     C = riem.conn.basis.structure
-    table_F = curvature_F(riem.conn)
-    bracket_F = curvature_F(riem.conn, order=CHECK_ORDER)
+    table_F = _field_strength(riem.conn, TABLE_ORDER)
+    bracket_F = _field_strength(riem.conn, CHECK_ORDER)
     pieces = []
     for ch in riem.man.charts:
         sym = _symbols(_fields(riem, ch, table_F[ch.name], TABLE_ORDER), C)

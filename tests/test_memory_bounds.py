@@ -6,8 +6,8 @@ allocator's reuse of freed memory.  Each bound is a measured value plus at
 least 15% headroom (numpy 2.4.6, scipy 1.17.1, one BLAS thread, with the
 order-2 field strength cached and scipy.sparse imported before the
 measurement).  All three run through `geometry.row_slabs`, so no derivative,
-field strength or contraction of a whole chart is formed beyond the field
-strength that `curvature_F` returns:
+field strength or contraction of a whole chart is formed beyond the cached
+order-2 field strength that `curvature_F` returns:
 
 - ``residual_table``: 12.6 MiB measured, bound 15 MiB (1024-point slabs
   copied points-last from whole-chart fields gave 68.4 MiB, whole-chart
@@ -15,9 +15,10 @@ strength that `curvature_F` returns:
 - ``gluing_residuals``: 10.7 MiB measured, bound 13 MiB (the sample points
   contracted all at once, with d(t^-1) on the whole source grid, gave
   57.2 MiB);
-- ``chern_form``: 20.1 MiB measured, bound 24 MiB, of which 15.2 MiB is the
-  order-4 field strength of both charts (each chart contracted whole gave
-  76.7 MiB).
+- ``chern_form``: 6.45 MiB measured, bound 8 MiB, with the order-4 field
+  strength formed per slab (the order-4 field strength of both charts,
+  15.2 MiB, sliced into slabs gave 20.1 MiB; each chart contracted whole
+  gave 76.7 MiB).
 """
 
 import tracemalloc
@@ -35,7 +36,7 @@ from ncym.levi_civita import residual_table
 MiB = 2**20
 RESIDUAL_TABLE_MIB = 15
 GLUING_MIB = 13
-CHERN_FORM_MIB = 24
+CHERN_FORM_MIB = 8
 
 
 @pytest.fixture(scope="module")

@@ -143,6 +143,17 @@ def test_extract_rejects_degenerate_fiber(stage):
         extract_connection(man, lb, rep, {"t0": G})
 
 
+def test_extract_rejects_indefinite_fiber(stage):
+    """A fiber block with |det| = 1 that is not positive definite is refused,
+    as assemble refuses it."""
+    man, lb, rep = stage
+    riem = assemble(flat_metric(man), np.eye(M), random_connection(man, lb, rep, seed=2))
+    G = riem.full_metric("t0").copy()
+    G[..., D:, D:] = np.diag([1.0, -1.0, 1.0])
+    with pytest.raises(SingularMetric, match="fiber block on t0 not positive definite"):
+        extract_connection(man, lb, rep, {"t0": G})
+
+
 # ---------------------------------------------------------------- inversion
 
 

@@ -129,7 +129,7 @@ REFUSALS = {
     "gauge_transform": (_gauge_transform, ShapeError, "not unitary"),
     "gauge_transform_ordinary": (_gauge_transform_ordinary, ShapeError, "not unitary"),
     "component_in_basis": (_component_in_basis, ShapeError, "not in the real span"),
-    "extract_connection": (_extract_connection, SingularMetric, "fiber block singular"),
+    "extract_connection": (_extract_connection, SingularMetric, "not finite"),
     "classify_vacuum": (_classify_vacuum, ClassificationRefused, "spectrum varies"),
     "ChartGrid": (_chart_grid, ShapeError, "spacing must be positive"),
     "Manifold": (_manifold, ShapeError, "weights must be non-negative"),
