@@ -26,8 +26,8 @@ from .geometry import (
     build_sphere_two_charts,
     derivatives,
     grid_points,
-    interp_chart,
     row_slabs,
+    sampling_operator,
     sup,
 )
 from .lie_core import (
@@ -295,7 +295,8 @@ def bpst_connection(
         ex = (x.reshape(-1, 4) @ eta.transpose(2, 1, 0).reshape(4, -1)).reshape(
             ch.shape + (4, 3)
         )
-        out[ch.name] = 2.0 * ex / den[..., None, None]
+        ex *= 2.0
+        out[ch.name] = np.divide(ex, den[..., None, None], out=ex)
     return OrdinaryConnection(man, basis, rep, out)
 
 
@@ -361,7 +362,8 @@ def gluing_residuals(conn: OrdinaryConnection) -> dict:
     The source chart is visited one row slab at a time: d(t^-1) is taken
     there, and the sample points in those rows (a contiguous run of them,
     since the mask is in grid order) are contracted there; the scale is the
-    source's chart peak.
+    source's chart peak.  One ``sampling_operator`` per overlap samples the
+    destination fields, a row slice of it per slab.
     """
     out = {}
     basis = conn.basis
@@ -373,6 +375,8 @@ def gluing_residuals(conn: OrdinaryConnection) -> dict:
         dst = conn.man.chart(ov.dst)
         tinv_grid = np.conj(np.swapaxes(ov.transition(grid_points(src)), -1, -2))
         fields = {"tinv": tinv_grid, "A": conn.A[ov.src], "F": F[ov.src]}
+        sample = sampling_operator(dst, ov.y)
+        A_dst, F_dst = (f[ov.dst].reshape(sample.shape[1], -1) for f in (conn.A, F))
         start = 0
         res, scale = {"A": [], "F": []}, {"A": [], "F": []}
         for rows, slab in row_slabs(src, fields, {"dtinv": ("tinv", 2)}):
@@ -384,17 +388,17 @@ def gluing_residuals(conn: OrdinaryConnection) -> dict:
             # the slab's sample points, points first; J[i, j] = d y^i / d x^j
             tinv, dtinv, A_src, F_src = (np.moveaxis(slab[k][..., here], -1, 0)
                                          for k in ("tinv", "dtinv", "A", "F"))
-            t, y, jac = np.conj(np.swapaxes(tinv, -1, -2)), ov.y[p], ov.jac[p]
+            t, jac = np.conj(np.swapaxes(tinv, -1, -2)), ov.jac[p]
             inhom = np.einsum("pij,pmjk->pmik", t, dtinv, optimize=True)
 
             # destination fields are sampled as real components, then contracted
-            A_dst_at = basis.contract(interp_chart(dst, conn.A[ov.dst], y))
+            A_dst_at = basis.contract((sample[p] @ A_dst).reshape(A_src.shape))
             lhs_A = np.einsum("pmij,pmn->pnij", A_dst_at, jac, optimize=True)
             rhs_A = np.einsum("pij,pmjk,pkl->pmil", t, basis.contract(A_src), tinv,
                               optimize=True) + inhom
             res["A"].append(sup(lhs_A - rhs_A))
 
-            F_dst_at = basis.contract(interp_chart(dst, F[ov.dst], y))
+            F_dst_at = basis.contract((sample[p] @ F_dst).reshape(F_src.shape))
             lhs_F = np.einsum("pmnij,pmr,pns->prsij", F_dst_at, jac, jac, optimize=True)
             rhs_F = np.einsum("pij,pmnjk,pkl->pmnil", t, basis.contract(F_src), tinv,
                               optimize=True)

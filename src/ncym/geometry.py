@@ -46,6 +46,7 @@ __all__ = [
     "flat_metric",
     "round_sphere_metric",
     "grid_points",
+    "sampling_operator",
     "overlap_round_trip",
     "transition_conjugate",
     "sup",
@@ -363,15 +364,16 @@ def _spd_inverse(name: str, block: np.ndarray, what: str) -> tuple:
         if not sup(block - np.swapaxes(block, -1, -2)) <= 1e-12:
             raise SingularMetric(f"{what} on {name} must be symmetric")
         ev, vec = np.linalg.eigh(block)
-    low = np.min(ev, axis=-1)
+    low = ev[..., 0]  # ev is ascending in both paths
     if np.min(low) <= 0:
         where = _at(int(np.argmin(low)), low.shape)
         raise SingularMetric(f"{what} on {name} not positive definite{where}")
-    cond = float(np.max(ev) / np.min(low))
+    cond = float(np.max(ev[..., -1]) / np.min(low))
     if cond > _COND_WARN:
         warnings.warn(f"{what} on {name}: condition number {cond:.3e}")
     if closed:
-        inv = (1.0 / diag)[..., None] * np.eye(block.shape[-1])
+        inv = np.zeros(block.shape)
+        np.einsum("...ii->...i", inv)[...] = 1.0 / diag
     else:
         inv = (vec / ev[..., None, :]) @ np.swapaxes(vec, -1, -2)
     return inv, np.sqrt(np.prod(ev, axis=-1))
@@ -379,20 +381,25 @@ def _spd_inverse(name: str, block: np.ndarray, what: str) -> tuple:
 
 class BaseMetric:
     """Base-manifold metric g^M as per-chart (..., d, d) arrays, checked
-    symmetric positive definite, with cached inverse and sqrt(det)."""
+    symmetric positive definite, with cached inverse and sqrt(det).  Each
+    distinct block array is inverted once: charts holding the same array
+    share one read-only inverse and sqrt(det)."""
 
     def __init__(self, man: Manifold, g: dict):
         self.man = man
         self.g = g
         self.inv = {}
         self.sqrt_det = {}
+        done = {}
         for ch in man.charts:
             gm = g[ch.name]
             if gm.shape != ch.shape + (ch.dim, ch.dim):
                 raise ShapeError("metric block shape mismatch")
-            self.inv[ch.name], self.sqrt_det[ch.name] = _spd_inverse(
-                ch.name, gm, "base metric"
-            )
+            if id(gm) not in done:
+                done[id(gm)] = _spd_inverse(ch.name, gm, "base metric")
+                for arr in done[id(gm)]:
+                    arr.setflags(write=False)
+            self.inv[ch.name], self.sqrt_det[ch.name] = done[id(gm)]
 
 
 def integrate(man: Manifold, metric: BaseMetric, f: dict):
@@ -420,18 +427,23 @@ def flat_metric(man: Manifold) -> BaseMetric:
 
 def round_sphere_metric(man: Manifold) -> BaseMetric:
     """Stereographic-chart round metric g = 4 r^4 / (r^2 + |x|^2)^2 delta,
-    with r the sphere's radius."""
+    with r the sphere's radius; charts on the same grid share one read-only
+    block array, so its inverse is formed once (see :class:`BaseMetric`)."""
     r = man.params["radius"]
     try:
         scale = 4.0 * r**4
     except OverflowError:
         raise SingularMetric(f"round-sphere metric: radius {r!r} overflows 4 r^4") from None
-    g = {}
+    g, by_grid = {}, {}
     for ch in man.charts:
-        x = grid_points(ch)
-        rho2 = np.sum(x * x, axis=-1)
-        conf = scale / (r**2 + rho2) ** 2
-        g[ch.name] = conf[..., None, None] * np.eye(man.dim)
+        key = tuple(c.tobytes() for c in ch.coords)
+        if key not in by_grid:
+            x = grid_points(ch)
+            rho2 = np.sum(x * x, axis=-1)
+            conf = scale / (r**2 + rho2) ** 2
+            by_grid[key] = conf[..., None, None] * np.eye(man.dim)
+            by_grid[key].setflags(write=False)
+        g[ch.name] = by_grid[key]
     return BaseMetric(man, g)
 
 
@@ -583,15 +595,14 @@ def build_sphere_two_charts(
 # ---------------------------------------------------------------------------
 
 
-def interp_chart(chart: ChartGrid, arr: np.ndarray, pts: np.ndarray):
-    """Sample a per-chart array at arbitrary coordinates, multilinearly.
-
-    ``arr`` has shape ``chart.shape + extra``; ``pts`` is (..., dim).  Extra
-    axes are interpolated independently.  Each call builds one sparse
-    sampling matrix, a row of 2^dim corner weights per point, and applies it
-    to ``arr`` flattened to (grid points, extra); the corners and the weight
-    products are taken in the order of scipy's regular-grid interpolator.
-    A point outside the grid hull, NaN or infinite, raises ValueError.
+def sampling_operator(chart: ChartGrid, pts: np.ndarray):
+    """Sparse (points, grid points) matrix that samples a chart field at
+    ``pts`` (..., dim), flattened to one point axis, multilinearly: each row
+    holds the 2^dim corner weights of one point, the corners and the weight
+    products taken in the order of scipy's regular-grid interpolator.  A
+    point outside the grid hull, NaN or infinite, raises ValueError.  Applied
+    to a field flattened to (grid points, extra); a row slice of it samples
+    the slice's points with the same bits.
     """
     from scipy.sparse import csr_matrix
 
@@ -611,12 +622,19 @@ def interp_chart(chart: ChartGrid, arr: np.ndarray, pts: np.ndarray):
         cols = cols[:, :, None] * len(grid) + np.stack([i, i + 1], axis=-1)[:, None]
         weights = weights[:, :, None] * np.stack([1 - t, t], axis=-1)[:, None]
         cols, weights = cols.reshape(len(flat), -1), weights.reshape(len(flat), -1)
-    sample = csr_matrix(
+    return csr_matrix(
         (weights.ravel(), cols.ravel(), np.arange(0, cols.size + 1, cols.shape[1])),
         shape=(len(flat), int(np.prod(chart.shape))),
     )
+
+
+def interp_chart(chart: ChartGrid, arr: np.ndarray, pts: np.ndarray):
+    """Sample ``arr`` (shape ``chart.shape + extra``) at ``pts`` (..., dim),
+    multilinearly: the :func:`sampling_operator` of ``pts`` applied to ``arr``
+    flattened to (grid points, extra), so extra axes are independent."""
+    sample = sampling_operator(chart, pts)
     out = sample @ arr.reshape(sample.shape[1], -1)
-    return out.reshape(pts.shape[:-1] + arr.shape[chart.dim :])
+    return out.reshape(np.shape(pts)[:-1] + arr.shape[chart.dim :])
 
 
 def expm_antihermitian(x: np.ndarray) -> np.ndarray:

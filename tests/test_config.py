@@ -9,7 +9,7 @@ import pytest
 from ncym.config import SCHEMA, build_problem, resolve
 from ncym.connections import monopole_connection
 from ncym.errors import ConfigError
-from ncym.geometry import flat_metric, round_sphere_metric
+from ncym.geometry import _spd_inverse, flat_metric, grid_points, round_sphere_metric
 from ncym.yang_mills import SolverOptions
 
 
@@ -57,6 +57,26 @@ def test_base_metric_follows_the_bundle(bundle, base):
     want = base(p.man)
     for ch in p.man.charts:
         assert np.array_equal(p.riem.base.g[ch.name], want.g[ch.name])
+
+
+@pytest.mark.parametrize("bundle", [{"kind": "instanton", "npts": 8},
+                                    {"kind": "monopole", "npts": 8, "charge": 2}])
+def test_charts_on_one_grid_share_one_base_metric(bundle):
+    """Both stereographic charts are built on the same grid, so the set-up
+    forms the round-sphere blocks, their inverse and sqrt(det) once and both
+    charts hold the same read-only arrays, bitwise the per-chart ones."""
+    p = build_problem(resolve({"task": "geom-check", "bundle": bundle}))
+    base, r = p.riem.base, p.man.params["radius"]
+    for table in (base.g, base.inv, base.sqrt_det):
+        assert table["north"] is table["south"]
+        with pytest.raises(ValueError, match="read-only"):
+            table["south"][...] = 1.0
+    for ch in p.man.charts:
+        x = grid_points(ch)
+        g = (4.0 * r**4 / (r**2 + np.sum(x * x, axis=-1)) ** 2)[..., None, None] * np.eye(ch.dim)
+        inv, sqrt_det = _spd_inverse(ch.name, g, "base metric")
+        for got, want in ((base.g, g), (base.inv, inv), (base.sqrt_det, sqrt_det)):
+            assert got[ch.name].tobytes() == want.tobytes()
 
 
 def test_monopole_defaults_inherit_charge():

@@ -1,5 +1,6 @@
 """Ordinary and module connections, curvature by two routes, gauge actions."""
 
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
@@ -7,7 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncym.errors import GluingError, ShapeError
-from ncym.geometry import build_torus, derivatives, expm_antihermitian, grid_points, interp_chart
+import ncym.connections as connections
+import ncym.geometry as geometry
+from ncym.geometry import (
+    build_torus,
+    derivatives,
+    expm_antihermitian,
+    grid_points,
+    interp_chart,
+    sampling_operator,
+)
 from ncym.lie_core import _comm, _comm_pairs, build_su, build_u1, build_representation, closure_defect
 from ncym.connections import (
     bpst_connection,
@@ -234,6 +244,49 @@ def test_gluing_on_the_sample_points_matches_the_whole_grid_formula(bundle):
     for pair, res in want.items():
         for key, value in res.items():
             assert abs(got[pair][key] - value) <= 1e-12 * value, (pair, key)
+
+
+def test_gluing_builds_one_sampling_operator_per_overlap(monkeypatch):
+    """The destination fields are sampled through one operator per overlap
+    with a transition, sliced per slab; interp_chart is not called."""
+    man, lb, rep = instanton_bundle(8)
+    conn = bpst_connection(man, lb, rep, rho=1.0)
+    want = gluing_residuals(conn)
+    built = []
+
+    def counted(chart, pts):
+        built.append(chart.name)
+        return sampling_operator(chart, pts)
+
+    def refused(*args):
+        raise AssertionError("interp_chart called")
+
+    monkeypatch.setattr(connections, "sampling_operator", counted)
+    monkeypatch.setattr(geometry, "interp_chart", refused)
+    monkeypatch.setattr(connections, "interp_chart", refused, raising=False)
+    assert gluing_residuals(conn) == want
+    assert built == ["south", "north"]
+    # an overlap without a transition is skipped, and builds nothing
+    first, second = man.overlaps
+    one_way = replace(man, overlaps=(first, replace(second, transition=None)))
+    built.clear()
+    assert set(gluing_residuals(bpst_connection(one_way, lb, rep, rho=1.0))) == {
+        ("north", "south")}
+    assert built == ["south"]
+
+
+def test_sliced_sampling_operator_is_bitwise_interp_chart():
+    man, lb, rep = instanton_bundle(8)
+    conn = bpst_connection(man, lb, rep, rho=1.0)
+    for ov in man.overlaps:
+        dst = man.chart(ov.dst)
+        sample = sampling_operator(dst, ov.y)
+        n = sample.shape[0]
+        for field in (conn.A[ov.dst], conn.curvature()[ov.dst]):
+            flat = field.reshape(sample.shape[1], -1)
+            for rows in (slice(0, n), slice(5, 6), slice(n // 3, 2 * n // 3)):
+                got = (sample[rows] @ flat).reshape((-1,) + field.shape[dst.dim:])
+                assert got.tobytes() == interp_chart(dst, field, ov.y[rows]).tobytes()
 
 
 def test_gluing_requires_transitions(torus_su2):

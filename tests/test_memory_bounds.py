@@ -18,7 +18,10 @@ order-2 field strength that `curvature_F` returns:
 - ``chern_form``: 6.45 MiB measured, bound 8 MiB, with the order-4 field
   strength formed per slab (the order-4 field strength of both charts,
   15.2 MiB, sliced into slabs gave 20.1 MiB; each chart contracted whole
-  gave 76.7 MiB).
+  gave 76.7 MiB);
+- a ``geom-check`` set-up (``build_problem``) retains 10.84 MiB, bound
+  12.5 MiB: both charts share one round-sphere metric and its inverse (a
+  copy per chart retained 16.06 MiB).
 """
 
 import tracemalloc
@@ -37,6 +40,7 @@ MiB = 2**20
 RESIDUAL_TABLE_MIB = 15
 GLUING_MIB = 13
 CHERN_FORM_MIB = 8
+SETUP_MIB = 12.5
 
 
 @pytest.fixture(scope="module")
@@ -48,13 +52,20 @@ def instanton12():
     return problem
 
 
-def _peak_mib(fn):
+def _traced_mib(fn):
+    """``fn()`` with the memory it leaves allocated and its peak, in MiB."""
     tracemalloc.start()
     try:
         result = fn()
-        return result, tracemalloc.get_traced_memory()[1] / MiB
+        current, peak = tracemalloc.get_traced_memory()
+        return result, current / MiB, peak / MiB
     finally:
         tracemalloc.stop()
+
+
+def _peak_mib(fn):
+    result, _, peak = _traced_mib(fn)
+    return result, peak
 
 
 def test_residual_table_peak_is_bounded(instanton12):
@@ -70,6 +81,16 @@ def test_gluing_residuals_peak_is_bounded(instanton12):
 def test_chern_form_peak_is_bounded(instanton12):
     _, peak = _peak_mib(lambda: chern_form(instanton12.conn, 2))
     assert peak <= CHERN_FORM_MIB
+
+
+def test_geom_check_setup_retains_a_bounded_set(instanton12):
+    """The instanton N=12 set-up of a geom-check, with the caches that the
+    fixture's build warmed; the problem is held while measuring."""
+    doc = {"task": "geom-check", "bundle": {"kind": "instanton", "npts": 12},
+           "connection": {"kind": "bpst", "rho": 1.0}}
+    problem, retained, _ = _traced_mib(lambda: build_problem(resolve(doc)))
+    assert problem.riem is not None
+    assert retained <= SETUP_MIB
 
 
 def test_slab_residuals_are_bitwise_the_whole_chart_residuals(instanton12, monkeypatch):
