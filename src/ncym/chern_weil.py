@@ -21,7 +21,7 @@ import numpy as np
 
 from .connections import OrdinaryConnection, _field_strength
 from .errors import InvalidRank
-from .geometry import interp_chart, partial_derivative, row_slabs, sup
+from .geometry import interp_chart, partial_derivative, relative, require_samples, row_slabs, sup
 from .nc_forms import _perm_sign
 
 __all__ = ["ChernForm", "chern_form", "closedness_residual", "chern_number"]
@@ -151,9 +151,10 @@ def closedness_residual(cf: ChernForm) -> float:
     key = tuple(range(d))
 
     def mismatch(ov):
+        require_samples(man, ov)
         c_src = cf.comps[ov.src][key]
         c_dst = interp_chart(man.chart(ov.dst), cf.comps[ov.dst][key], ov.y)
-        return sup(c_src[ov.mask] - c_dst * np.linalg.det(ov.jac)) / max(sup(c_src), 1e-30)
+        return relative(sup(c_src[ov.mask] - c_dst * np.linalg.det(ov.jac)), sup(c_src))
 
     return sup(mismatch(ov) for ov in man.overlaps)
 

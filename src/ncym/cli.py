@@ -3,7 +3,9 @@
 One run per process.  A run reads a JSON config, dispatches its task through
 `TASK_RUNNERS`, and writes artifacts into the output directory:
 `report.json` always (carrying the resolved config verbatim), `trace.csv`
-for solves, field snapshots when requested.  `ncym plot` writes plot-ready
+for solves, and, when a solve sets `snapshots`, `state.json` with the
+solved fields a and phi alone (the report's config rebuilds the manifold and
+the reference connection they live on).  `ncym plot` writes plot-ready
 CSV from the problem that a run's recorded config rebuilds.  Both read JSON
 through :func:`ncym.config.read`, strictly, and write through
 :mod:`ncym.serialize`.  The invariant suite has one entry, `ncym selfcheck`

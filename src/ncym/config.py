@@ -4,13 +4,13 @@ A config document is a single JSON object selecting a bundle, a reference
 connection, an initial field pair, and a task.  The bundle fixes the base
 metric (flat on the torus, round on the sphere) and the charge of a monopole
 connection; the optional ``metric`` block sets only the fiber metric.  Every
-setting must change the run: a bundle accepts only the keys its kind reads,
-and ``metric`` (eval, solve, classify, lc-check), ``initial`` (eval, solve,
-classify), ``solver`` and ``snapshots`` (solve) and ``chern`` (chern) are
-accepted, and defaulted where they have defaults, only for those tasks.
-Validation happens before any computation; the fully resolved document
-(defaults filled in) is what every run records verbatim in its report, so a
-report always carries the exact inputs that produced it.
+setting must change the run: :data:`TASKS` gives the optional blocks each
+task reads, and :data:`BUNDLES` and :data:`KINDS` the keys each kind of
+bundle, algebra, connection, initial field pair and representation reads,
+with their defaults; :func:`resolve` fills those in and refuses any other
+block or key.  Validation happens before any computation; the fully resolved
+document (defaults filled in) is what every run records verbatim in its
+report, so a report always carries the exact inputs that produced it.
 
 Every JSON file ncym reads, a config or the report a plot starts from,
 goes through :func:`read`, which refuses NaN and Infinity tokens, unreadable
@@ -24,6 +24,7 @@ import copy
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import jsonschema
 import numpy as np
@@ -46,24 +47,58 @@ from .lie_core import build_representation, build_su, build_u1
 from .metric import assemble
 from .yang_mills import SolverOptions
 
-__all__ = ["read", "resolve", "build_problem", "SCHEMA"]
+__all__ = ["read", "resolve", "build_problem", "SCHEMA", "TASKS", "BUNDLES", "KINDS"]
 
-TASKS = ["eval", "solve", "classify", "chern", "lc-check", "geom-check"]
-
-# the bundle keys each bundle kind reads; any other key is refused
-BUNDLE_KEYS = {
-    "torus": {"kind", "npts", "dim", "side", "algebra"},
-    "instanton": {"kind", "npts", "radius", "margin"},
-    "monopole": {"kind", "npts", "charge", "radius", "margin"},
+# task -> the optional blocks it reads; any other block is refused
+TASKS = {
+    "eval": ("metric", "initial"),
+    "solve": ("metric", "initial", "solver", "snapshots"),
+    "classify": ("metric", "initial"),
+    "chern": ("chern",),
+    "lc-check": ("metric",),
+    "geom-check": (),
 }
 
-# the tasks that read each optional block; the block is refused elsewhere
-TASK_BLOCKS = {
-    "metric": {"eval", "solve", "classify", "lc-check"},
-    "initial": {"eval", "solve", "classify"},
-    "solver": {"solve"},
-    "snapshots": {"solve"},
-    "chern": {"chern"},
+# the default of a seed key: the document's seed
+SEED = object()
+
+
+class BundleKind(NamedTuple):
+    keys: dict  # bundle key it reads -> default (None: no default)
+    base_dim: int | None  # None: the bundle's "dim" sets it
+    connections: tuple  # the reference connection kinds it admits, default first
+    representation: dict | None = None  # default; None: the bundle fixes its own
+
+
+BUNDLES = {
+    "torus": BundleKind(
+        {"npts": None, "dim": 2, "side": float(2.0 * np.pi), "algebra": {"kind": "su"}},
+        None, ("zero", "constant", "random"), {"kind": "fundamental"},
+    ),
+    "instanton": BundleKind({"npts": None, "radius": 1.0, "margin": 1.6}, 4, ("bpst", "zero")),
+    "monopole": BundleKind(
+        {"npts": None, "charge": 1, "radius": 1.0, "margin": 1.6}, 2, ("monopole", "zero")
+    ),
+}
+
+_RANDOM_INITIAL = {"seed": SEED, "amplitude": 0.5, "x_dependent": False}
+
+# block -> kind -> the keys that kind reads, with their defaults (None: no
+# default, SEED: the document's seed); a bundle's keys are in BUNDLES
+KINDS = {
+    "algebra": {"su": {"n": 2}, "u1": {}},
+    "representation": {
+        "trivial": {"dim": None}, "fundamental": {}, "adjoint": {},
+        "spin": {"j": None}, "sum": {"parts": None},
+    },
+    "connection": {
+        "zero": {}, "constant": {"coeffs": None}, "random": {"seed": SEED, "amplitude": 0.3},
+        "bpst": {"rho": 1.0}, "monopole": {},
+    },
+    "initial": {
+        "canonical": {}, "zero": {},
+        "random": _RANDOM_INITIAL, "canonical-plus-random": _RANDOM_INITIAL,
+    },
 }
 
 SCHEMA = {
@@ -72,7 +107,7 @@ SCHEMA = {
         "representation": {
             "type": "object",
             "properties": {
-                "kind": {"enum": ["trivial", "fundamental", "adjoint", "spin", "sum"]},
+                "kind": {"enum": list(KINDS["representation"])},
                 "dim": {"type": "integer", "minimum": 1},
                 "j": {"type": "number", "minimum": 0},
                 "parts": {
@@ -96,11 +131,11 @@ SCHEMA = {
         }
     },
     "properties": {
-        "task": {"enum": TASKS},
+        "task": {"enum": list(TASKS)},
         "bundle": {
             "type": "object",
             "properties": {
-                "kind": {"enum": ["torus", "instanton", "monopole"]},
+                "kind": {"enum": list(BUNDLES)},
                 "dim": {"type": "integer", "minimum": 1, "maximum": 4},
                 "npts": {"type": "integer", "minimum": 8},
                 "side": {"type": "number", "exclusiveMinimum": 0},
@@ -110,7 +145,7 @@ SCHEMA = {
                 "algebra": {
                     "type": "object",
                     "properties": {
-                        "kind": {"enum": ["su", "u1"]},
+                        "kind": {"enum": list(KINDS["algebra"])},
                         "n": {"type": "integer", "minimum": 2},
                     },
                     "required": ["kind"],
@@ -135,7 +170,7 @@ SCHEMA = {
         "connection": {
             "type": "object",
             "properties": {
-                "kind": {"enum": ["zero", "constant", "random", "bpst", "monopole"]},
+                "kind": {"enum": list(KINDS["connection"])},
                 "coeffs": {
                     "type": "array",
                     "items": {"type": "array", "items": {"type": "number"}},
@@ -150,7 +185,7 @@ SCHEMA = {
         "initial": {
             "type": "object",
             "properties": {
-                "kind": {"enum": ["canonical", "zero", "random", "canonical-plus-random"]},
+                "kind": {"enum": list(KINDS["initial"])},
                 "seed": {"type": "integer", "minimum": 0},
                 "amplitude": {"type": "number"},
                 "x_dependent": {"type": "boolean"},
@@ -192,55 +227,6 @@ def _compile(schema: dict):
 _VALIDATOR = _compile(SCHEMA)
 
 
-def _base_dim(bundle: dict) -> int:
-    """Dimension of the base of a bundle with its defaults filled in."""
-    return {"instanton": 4, "monopole": 2}.get(bundle["kind"]) or bundle["dim"]
-
-
-def _defaults_for(doc: dict) -> dict:
-    doc = copy.deepcopy(doc)
-    bundle = doc["bundle"]
-    kind = bundle["kind"]
-    if kind == "torus":
-        bundle.setdefault("dim", 2)
-        bundle.setdefault("side", float(2.0 * np.pi))
-        bundle.setdefault("algebra", {"kind": "su", "n": 2})
-        if bundle["algebra"]["kind"] == "su":
-            bundle["algebra"].setdefault("n", 2)
-        doc.setdefault("representation", {"kind": "fundamental"})
-        doc.setdefault("connection", {"kind": "zero"})
-    elif kind == "instanton":
-        bundle.setdefault("radius", 1.0)
-        bundle.setdefault("margin", 1.6)
-        doc.setdefault("connection", {"kind": "bpst", "rho": 1.0})
-    else:  # monopole
-        bundle.setdefault("charge", 1)
-        bundle.setdefault("radius", 1.0)
-        bundle.setdefault("margin", 1.6)
-        doc.setdefault("connection", {"kind": "monopole"})
-    conn = doc["connection"]
-    if conn["kind"] == "random":
-        conn.setdefault("seed", doc.get("seed", 0))
-        conn.setdefault("amplitude", 0.3)
-    if conn["kind"] == "bpst":
-        conn.setdefault("rho", 1.0)
-    task = doc["task"]
-    if task in TASK_BLOCKS["initial"]:
-        doc.setdefault("initial", {"kind": "canonical"})
-        init = doc["initial"]
-        if init["kind"] in ("random", "canonical-plus-random"):
-            init.setdefault("seed", doc.get("seed", 0))
-            init.setdefault("amplitude", 0.5)
-            init.setdefault("x_dependent", False)
-    if task == "solve":
-        doc["solver"] = {**asdict(SolverOptions()), **doc.get("solver", {})}
-        doc.setdefault("snapshots", False)
-    if task == "chern":
-        doc.setdefault("chern", {}).setdefault("degree", _base_dim(bundle) // 2)
-    doc.setdefault("seed", 0)
-    return doc
-
-
 def _refuse_constant(token: str):
     """``parse_constant`` of :func:`read`: JSON has no NaN or infinity."""
     raise ConfigError(f"config holds {token}, which is not a JSON number")
@@ -259,6 +245,21 @@ def read(path) -> dict:
     return doc
 
 
+def _fill(block: str, spec: dict, seed: int, keys: dict | None = None) -> None:
+    """Refuse every key of a kinded block that its kind does not read, and
+    fill in the defaults of those it does, down to the parts of a sum."""
+    kind = spec["kind"]
+    keys = KINDS[block][kind] if keys is None else keys
+    for key in spec:
+        if key != "kind" and key not in keys:
+            raise ConfigError(f"a {kind} {block} does not read {key!r}")
+    for key, default in keys.items():
+        if default is not None and key not in spec:
+            spec[key] = seed if default is SEED else copy.deepcopy(default)
+    for part in spec.get("parts", ()):
+        _fill("representation", part, seed)
+
+
 def resolve(doc: dict) -> dict:
     """Validate a raw document and return it with the defaults filled in."""
     # the error jsonschema.validate would raise, without re-checking SCHEMA
@@ -267,52 +268,55 @@ def resolve(doc: dict) -> dict:
         path = ".".join(map(str, error.absolute_path))  # empty at the top level
         where = f"{path}: " if path else ""
         raise ConfigError(f"config rejected: {where}{error.message}") from error
-    resolved = _defaults_for(doc)
-    _cross_check(resolved)
-    return resolved
-
-
-def _cross_check(doc: dict) -> None:
-    bundle = doc["bundle"]
+    doc = copy.deepcopy(doc)
+    seed = doc.setdefault("seed", 0)
+    task, bundle = doc["task"], doc["bundle"]
     kind = bundle["kind"]
-    for key in bundle:
-        if key not in BUNDLE_KEYS[kind]:
-            raise ConfigError(f"a {kind} bundle does not read {key!r}")
-    for block, tasks in TASK_BLOCKS.items():
-        if block in doc and doc["task"] not in tasks:
-            raise ConfigError(f"task {doc['task']!r} does not read {block!r}")
+    spec = BUNDLES[kind]
+    _fill("bundle", bundle, seed, spec.keys)
+    if "algebra" in bundle:
+        _fill("algebra", bundle["algebra"], seed)
+    # the blocks in table order, so that the first refused is always the same
+    for block in (b for blocks in TASKS.values() for b in blocks):
+        if block in doc and block not in TASKS[task]:
+            raise ConfigError(f"task {task!r} does not read {block!r}")
+
+    _fill("connection", doc.setdefault("connection", {"kind": spec.connections[0]}), seed)
+    if spec.representation is not None:
+        doc.setdefault("representation", copy.deepcopy(spec.representation))
+    if "representation" in doc:
+        _fill("representation", doc["representation"], seed)
+    if "initial" in TASKS[task]:
+        _fill("initial", doc.setdefault("initial", {"kind": "canonical"}), seed)
+    if task == "solve":
+        doc["solver"] = {**asdict(SolverOptions()), **doc.get("solver", {})}
+        doc.setdefault("snapshots", False)
+    dim = spec.base_dim or bundle["dim"]
+    if task == "chern":
+        doc.setdefault("chern", {}).setdefault("degree", dim // 2)
+
     conn = doc["connection"]["kind"]
-    allowed = {
-        "torus": {"zero", "constant", "random"},
-        "instanton": {"zero", "bpst"},
-        "monopole": {"zero", "monopole"},
-    }[kind]
-    if conn not in allowed:
+    if conn not in spec.connections:
         raise ConfigError(f"connection kind {conn!r} not available on a {kind} bundle")
-    if kind != "torus" and "representation" in doc:
+    if spec.representation is None and "representation" in doc:
         raise ConfigError(f"the {kind} bundle fixes its own representation")
     if conn == "constant" and "coeffs" not in doc["connection"]:
         raise ConfigError("constant connection needs its coefficient matrix")
-    if doc["task"] == "chern":
-        dim = _base_dim(bundle)
+    if task == "chern":
         degree = doc["chern"]["degree"]
         if dim % 2 or degree != dim // 2:
             raise ConfigError(
                 f"chern.degree {degree} cannot saturate a {dim}-dimensional base: "
                 "a degree-q Chern-Weil form needs a 2q-dimensional base"
             )
+    return doc
 
 
 def _build_rep(lb, spec: dict):
-    kind = spec["kind"]
-    if kind == "trivial":
-        return build_representation(lb, "trivial", dim=spec.get("dim", 1))
-    if kind == "spin":
-        return build_representation(lb, "spin", j=spec["j"])
-    if kind == "sum":
-        parts = [_build_rep(lb, p) for p in spec["parts"]]
-        return build_representation(lb, "sum", parts=parts)
-    return build_representation(lb, kind)
+    params = {key: value for key, value in spec.items() if key != "kind"}
+    if "parts" in params:
+        params["parts"] = [_build_rep(lb, part) for part in params["parts"]]
+    return build_representation(lb, spec["kind"], **params)
 
 
 @dataclass(frozen=True)
@@ -331,20 +335,15 @@ def build_problem(doc: dict) -> Problem:
     """Assemble the problem of a resolved document (see :func:`resolve`)."""
     bundle = doc["bundle"]
     kind = bundle["kind"]
+    # resolve leaves in a kinded block only the keys its builder reads
+    params = {key: value for key, value in bundle.items() if key not in ("kind", "algebra")}
     if kind == "torus":
-        man = build_torus(bundle["dim"], bundle["npts"], bundle["side"])
+        man = build_torus(**params)
         alg = bundle["algebra"]
         lb = build_su(alg["n"]) if alg["kind"] == "su" else build_u1()
         rep = _build_rep(lb, doc["representation"])
-    elif kind == "instanton":
-        man, lb, rep = instanton_bundle(
-            bundle["npts"], radius=bundle["radius"], margin=bundle["margin"]
-        )
     else:
-        man, lb, rep = monopole_bundle(
-            bundle["npts"], bundle["charge"],
-            radius=bundle["radius"], margin=bundle["margin"],
-        )
+        man, lb, rep = (instanton_bundle if kind == "instanton" else monopole_bundle)(**params)
 
     cspec = doc["connection"]
     if cspec["kind"] == "zero":

@@ -26,6 +26,8 @@ from .geometry import (
     build_sphere_two_charts,
     derivatives,
     grid_points,
+    relative,
+    require_samples,
     row_slabs,
     sampling_operator,
     sup,
@@ -371,6 +373,7 @@ def gluing_residuals(conn: OrdinaryConnection) -> dict:
     for ov in conn.man.overlaps:
         if ov.transition is None:
             continue
+        require_samples(conn.man, ov)
         src = conn.man.chart(ov.src)
         dst = conn.man.chart(ov.dst)
         tinv_grid = np.conj(np.swapaxes(ov.transition(grid_points(src)), -1, -2))
@@ -403,7 +406,7 @@ def gluing_residuals(conn: OrdinaryConnection) -> dict:
             rhs_F = np.einsum("pij,pmnjk,pkl->pmnil", t, basis.contract(F_src), tinv,
                               optimize=True)
             res["F"].append(sup(lhs_F - rhs_F))
-        res_A, res_F = (sup(res[k]) / max(sup(scale[k]), 1e-30) for k in ("A", "F"))
+        res_A, res_F = (relative(sup(res[k]), sup(scale[k])) for k in ("A", "F"))
         out[(ov.src, ov.dst)] = {"potential": res_A, "field_strength": res_F}
     if not out:
         raise GluingError("no overlap carries a transition function")
@@ -430,10 +433,10 @@ def _check_unitary_field(k: int, U: np.ndarray) -> np.ndarray:
 
 
 def _check_group_valued(basis: LieBasis, U: np.ndarray) -> np.ndarray:
-    """Validate a pointwise structure-group field: unitary, unit determinant."""
+    """Validate a pointwise structure-group field: unitary, and of unit
+    determinant for SU(n); any phase is a U(1) element."""
     U = _check_unitary_field(basis.n, U)
-    det = np.linalg.det(U)
-    if not sup(det - 1.0) <= 1e-8:
+    if basis.n > 1 and not sup(np.linalg.det(U) - 1.0) <= 1e-8:
         raise ShapeError("group field must have unit determinant")
     return U
 

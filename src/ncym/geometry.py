@@ -164,6 +164,21 @@ def sup(arrays) -> float:
     return float(worst)
 
 
+def relative(residual: float, scale: float) -> float:
+    """A residual over the peak it is measured against; unscaled where that
+    peak is exactly 0, and NaN if either is NaN."""
+    return residual / max(scale, 1e-30) if scale != 0 else residual
+
+
+def require_samples(man: Manifold, ov: Overlap) -> None:
+    """Refuse an overlap with no sample points: nothing there can be compared."""
+    if not len(ov.x):
+        raise GluingError(
+            f"overlap {ov.src}->{ov.dst} has no sample points: chart margin "
+            f"{man.params['margin']!r} leaves no grid point in it"
+        )
+
+
 def overlap_round_trip(man: Manifold) -> float:
     """Worst coordinate error of mapping each overlap's sample points across
     and back through both point maps; 0.0 on a one-chart manifold, NaN if any
@@ -555,7 +570,8 @@ def build_sphere_two_charts(
     other = _radial_profile(r * r / np.maximum(rho, 1e-300), r, margin)
     tot = own + other
     weight = np.where(tot > 0, own / np.where(tot > 0, tot, 1.0), 0.0)
-    weights = {"north": weight, "south": weight.copy()}
+    weight.setflags(write=False)
+    weights = {"north": weight, "south": weight}
 
     mask = (rho > r / margin) & (rho < r * margin)
     y = point_map(x[mask])

@@ -1,12 +1,13 @@
-"""JSON snapshots of manifolds and fields, plus canonical report emission.
+"""JSON snapshots of solved fields, plus canonical report emission.
 
 Layout
 ------
 Arrays serialize row-major (C order) under their shape: real arrays as flat
-float lists, complex arrays as flat lists of ``[re, im]`` pairs.  A manifold
-serializes to its chart metadata (name, shape, spacing, periodicity,
-orientation) plus the constructor kind and parameters, which is enough to
-rebuild the shipped manifolds exactly.  A result tree (dicts, lists, numpy
+float lists, complex arrays as flat lists of ``[re, im]`` pairs.  A field
+snapshot holds the solved fields ``a`` and ``phi`` per chart and nothing
+else: the manifold and the reference connection are rebuilt bit for bit from
+the resolved config the run's report records (``build_problem(resolve(
+report["config"]))``).  A result tree (dicts, lists, numpy
 arrays and scalars) becomes JSON values through :func:`plain`, and a report
 is emitted through :func:`dumps_canonical`, which fixes key order and
 separators so identical results produce bytewise-identical files.  Every
@@ -33,14 +34,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .connections import NCConnection, OrdinaryConnection
+from .connections import NCConnection
 from .errors import ShapeError
 
 __all__ = [
     "array_to_json",
     "json_to_array",
-    "manifold_meta",
-    "connection_snapshot",
     "state_snapshot",
     "json_float",
     "plain",
@@ -102,38 +101,10 @@ def json_to_array(obj: dict) -> np.ndarray:
     return vals.reshape(shape, order="C")
 
 
-def manifold_meta(man) -> dict:
-    return {
-        "kind": man.kind,
-        "dim": man.dim,
-        "params": plain(man.params),
-        "charts": [
-            {
-                "name": ch.name,
-                "shape": list(ch.shape),
-                "spacing": [float(h) for h in ch.spacing],
-                "periodic": [bool(p) for p in ch.periodic],
-                "orientation": int(ch.orientation),
-            }
-            for ch in man.charts
-        ],
-    }
-
-
-def connection_snapshot(conn: OrdinaryConnection) -> dict:
-    """Serializable form of an ordinary reference connection."""
-    return {
-        "manifold": manifold_meta(conn.man),
-        "algebra_dim": conn.basis.dim,
-        "fiber_dim": conn.rep.k,
-        "potential": {name: array_to_json(A) for name, A in conn.A.items()},
-    }
-
-
 def state_snapshot(ncc: NCConnection) -> dict:
-    """Serializable form of a field pair (a, phi) over its reference."""
+    """Serializable form of a field pair (a, phi); its reference is not
+    written, since the run's config rebuilds it."""
     return {
-        "reference": connection_snapshot(ncc.ref),
         "a": {name: array_to_json(v) for name, v in ncc.a.items()},
         "phi": {name: array_to_json(v) for name, v in ncc.phi.items()},
     }

@@ -209,6 +209,53 @@ def test_removed_settings_exit_2(doc, named, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# keys a connection, initial or representation kind never reads, with the
+# message that refuses them
+_UNREAD_KIND_KEYS = [
+    ({"connection": {"kind": "zero", "seed": 3, "amplitude": 9.0}},
+     "a zero connection does not read 'seed'"),
+    ({"connection": {"kind": "constant", "coeffs": [[0.0] * 3] * 2, "rho": 2.0}},
+     "a constant connection does not read 'rho'"),
+    ({"initial": {"kind": "canonical", "amplitude": 0.1}},
+     "a canonical initial does not read 'amplitude'"),
+    ({"initial": {"kind": "zero", "x_dependent": True}},
+     "a zero initial does not read 'x_dependent'"),
+    ({"representation": {"kind": "fundamental", "dim": 3}},
+     "a fundamental representation does not read 'dim'"),
+    ({"representation": {"kind": "sum", "parts": [{"kind": "spin", "j": 0.5},
+                                                  {"kind": "trivial", "j": 1}]}},
+     "a trivial representation does not read 'j'"),
+    ({"bundle": {"kind": "torus", "npts": 8, "algebra": {"kind": "u1", "n": 3}}},
+     "a u1 algebra does not read 'n'"),
+]
+
+
+@pytest.mark.parametrize("block, message", _UNREAD_KIND_KEYS,
+                         ids=[m.split(" does")[0][2:] for _, m in _UNREAD_KIND_KEYS])
+def test_keys_a_kind_does_not_read_exit_2(block, message, tmp_path, capsys):
+    """Every kinded block holds only the keys its kind reads, so the
+    resolved config in a report is the exact description of the run."""
+    doc = {**_TORUS_EVAL, **block, "output_dir": str(tmp_path / "out")}
+    assert main(["run", _write(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == f"ncym: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("task, code", [("chern", 2), ("geom-check", 2),
+                                        ("eval", 0), ("lc-check", 0)])
+def test_overlap_without_sample_points(task, code, tmp_path, capsys):
+    """At margin 1.01 the N=8 instanton charts overlap in no grid point: the
+    cross-chart checks refuse, naming the overlap and the margin, and the
+    tasks that compare nothing across charts still run."""
+    doc = {"task": task, "bundle": {"kind": "instanton", "npts": 8, "margin": 1.01},
+           "output_dir": str(tmp_path / "out")}
+    assert main(["run", _write(tmp_path, doc)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == ("ncym: overlap north->south has no sample points: "
+                       "chart margin 1.01 leaves no grid point in it\n")
+
+
 @pytest.mark.parametrize("hint", ["abc", "0", "-3"])
 @pytest.mark.parametrize("source", ["flag", "env"])
 def test_thread_hint_must_be_a_positive_integer(hint, source, monkeypatch, capsys):
@@ -236,13 +283,24 @@ def test_thread_hint_overrides_blas_variables(source, monkeypatch):
     assert [os.environ[var] for var in blas] == ["1", "1", "1"]
 
 
-def test_snapshot_is_the_solved_state(tmp_path):
-    """`snapshots: true` writes state.json, whose fields read back bitwise as
-    the state that solve_vacuum returns for the run's resolved config."""
-    from ncym.config import build_problem
+def test_snapshot_is_the_solved_state(tmp_path, monkeypatch):
+    """`snapshots: true` writes state.json, which holds only the solved fields
+    a and phi: they read back bitwise as the state that solve_vacuum returns
+    for the run's resolved config, and that config rebuilds bitwise the
+    manifold and reference connection the run solved on."""
+    from ncym import yang_mills
+    from ncym.config import build_problem, resolve
+    from ncym.geometry import grid_points
     from ncym.serialize import json_to_array
     from ncym.yang_mills import SolverOptions, solve_vacuum
 
+    used = []
+
+    def recording(init, riem, opts):
+        used.append(init.ref)
+        return solve_vacuum(init, riem, opts)
+
+    monkeypatch.setattr(yang_mills, "solve_vacuum", recording)
     doc = json.loads((ROOT / "configs" / "torus_vacuum.json").read_text())
     doc["solver"]["max_iters"] = 20
     out = tmp_path / "out"
@@ -250,9 +308,19 @@ def test_snapshot_is_the_solved_state(tmp_path):
                  "--output-dir", str(out)]) == 3
     config = json.loads((out / "report.json").read_text())["config"]
     assert config["snapshots"] is True
-    problem = build_problem(config)
+    problem = build_problem(resolve(config))
+    (ref,) = used
+    for ch in ref.man.charts:
+        got = problem.man.chart(ch.name)
+        assert (got.shape, got.spacing, got.periodic, got.orientation) == (
+            ch.shape, ch.spacing, ch.periodic, ch.orientation)
+        pairs = ((grid_points(got), grid_points(ch)), (problem.conn.A[ch.name], ref.A[ch.name]),
+                 (problem.man.weights[ch.name], ref.man.weights[ch.name]))
+        for rebuilt, solved in pairs:
+            assert rebuilt.tobytes() == solved.tobytes(), ch.name
     state, _, _ = solve_vacuum(problem.init, problem.riem, SolverOptions(**config["solver"]))
     snap = json.loads((out / "state.json").read_text())
+    assert set(snap) == {"a", "phi"}
     for key in ("a", "phi"):
         fields = getattr(state, key)
         assert set(snap[key]) == set(fields)

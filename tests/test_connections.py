@@ -331,6 +331,32 @@ def test_ordinary_gauge_transform_rejects_non_group_fields(torus_su2):
         gauge_transform_ordinary(conn, {ch.name: 1j * eye})
 
 
+def test_ordinary_gauge_transform_accepts_a_u1_phase():
+    """U(1) has no determinant condition: a constant phase on the charge-2
+    monopole is a gauge transformation, and it leaves A and the charge."""
+    from ncym.chern_weil import chern_number
+
+    man, lb, rep = monopole_bundle(16, charge=2)
+    conn = monopole_connection(man, lb, rep, charge=2)
+    phase = {ch.name: np.full(ch.shape + (1, 1), np.exp(0.7j)) for ch in man.charts}
+    out = gauge_transform_ordinary(conn, phase)
+    for name in conn.A:
+        assert np.max(np.abs(out.A[name] - conn.A[name])) <= 1e-14
+    assert abs(chern_number(out, 1) - chern_number(conn, 1)) < 1e-12
+
+
+@pytest.mark.parametrize("bundle, want", [("instanton", 1.169), ("monopole", 0.0)])
+def test_zero_reference_gluing_is_unscaled(bundle, want):
+    """A zero potential has peak 0, so its gluing residual is reported
+    unscaled: the instanton transition's inhomogeneous term (about 1.169 at
+    N=8), and exactly 0.0 for the trivial charge-0 monopole bundle."""
+    man, lb, rep = instanton_bundle(8) if bundle == "instanton" else monopole_bundle(8, 0)
+    res = gluing_residuals(zero_connection(man, lb, rep))
+    for both in res.values():
+        assert both["field_strength"] == 0.0
+        assert both["potential"] == pytest.approx(want, rel=1e-3, abs=0.0)
+
+
 # ------------------------------------------------------- omega bookkeeping
 
 

@@ -211,6 +211,13 @@ def test_both_directions_share_one_sample_set():
     assert not fwd.mask.flags.writeable
 
 
+def test_both_charts_share_one_read_only_weight():
+    man = build_sphere_two_charts(4, 8, 1.0)
+    assert man.weights["north"] is man.weights["south"]
+    with pytest.raises(ValueError, match="read-only"):
+        man.weights["south"][...] = 0.5
+
+
 def test_small_two_sphere_drops_images_outside_the_hull():
     # at N=8 the 2-sphere annulus holds 48 points, 8 of which map outside
     man = build_sphere_two_charts(2, 8, 1.0)
