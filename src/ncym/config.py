@@ -88,7 +88,7 @@ _RANDOM_INITIAL = {"seed": SEED, "amplitude": 0.5, "x_dependent": False}
 KINDS = {
     "algebra": {"su": {"n": 2}, "u1": {}},
     "representation": {
-        "trivial": {"dim": None}, "fundamental": {}, "adjoint": {},
+        "trivial": {"dim": 1}, "fundamental": {}, "adjoint": {},
         "spin": {"j": None}, "sum": {"parts": None},
     },
     "connection": {

@@ -353,6 +353,40 @@ def monopole_connection(
 # ---------------------------------------------------------------------------
 
 
+def _einsum_on_path(paths: dict, spec: str, *operands) -> np.ndarray:
+    """``np.einsum(spec, *operands, optimize=True)``, its contraction path
+    searched on the first call with ``paths`` and read from there after."""
+    if spec not in paths:
+        paths[spec] = np.einsum_path(spec, *operands, optimize=True)[0]
+    return np.einsum(spec, *operands, optimize=paths[spec])
+
+
+def _gluing_at(basis, paths: dict, slab: dict, here: np.ndarray, sample, dst_fields: dict,
+               jac: np.ndarray) -> tuple:
+    """The potential and field-strength gluing residuals at the sample points
+    of one :func:`gluing_residuals` row slab: ``here`` picks them out of
+    the slab, ``sample`` samples the flattened destination fields there,
+    and ``jac`` holds their Jacobians.  Its arrays are freed on return,
+    before the next slab's are formed."""
+    # the slab's sample points, points first; J[i, j] = d y^i / d x^j
+    tinv, dtinv, A_src, F_src = (np.moveaxis(slab[k][..., here], -1, 0)
+                                 for k in ("tinv", "dtinv", "A", "F"))
+    t = np.conj(np.swapaxes(tinv, -1, -2))
+    inhom = _einsum_on_path(paths, "pij,pmjk->pmik", t, dtinv)
+
+    # destination fields are sampled as real components, then contracted
+    A_dst_at = basis.contract((sample @ dst_fields["A"]).reshape(A_src.shape))
+    lhs_A = _einsum_on_path(paths, "pmij,pmn->pnij", A_dst_at, jac)
+    rhs_A = _einsum_on_path(paths, "pij,pmjk,pkl->pmil", t, basis.contract(A_src),
+                           tinv) + inhom
+    res_A = sup(lhs_A - rhs_A)
+
+    F_dst_at = basis.contract((sample @ dst_fields["F"]).reshape(F_src.shape))
+    lhs_F = _einsum_on_path(paths, "pmnij,pmr,pns->prsij", F_dst_at, jac, jac)
+    rhs_F = _einsum_on_path(paths, "pij,pmnjk,pkl->pmnil", t, basis.contract(F_src), tinv)
+    return res_A, sup(lhs_F - rhs_F)
+
+
 def gluing_residuals(conn: OrdinaryConnection) -> dict:
     """Cross-chart consistency of the potential and field strength.
 
@@ -365,7 +399,8 @@ def gluing_residuals(conn: OrdinaryConnection) -> dict:
     there, and the sample points in those rows (a contiguous run of them,
     since the mask is in grid order) are contracted there; the scale is the
     source's chart peak.  One ``sampling_operator`` per overlap samples the
-    destination fields, a row slice of it per slab.
+    destination fields, a row slice of it per slab, and each contraction's
+    path is searched at the overlap's first slab and reused by the others.
     """
     out = {}
     basis = conn.basis
@@ -375,12 +410,12 @@ def gluing_residuals(conn: OrdinaryConnection) -> dict:
             continue
         require_samples(conn.man, ov)
         src = conn.man.chart(ov.src)
-        dst = conn.man.chart(ov.dst)
         tinv_grid = np.conj(np.swapaxes(ov.transition(grid_points(src)), -1, -2))
         fields = {"tinv": tinv_grid, "A": conn.A[ov.src], "F": F[ov.src]}
-        sample = sampling_operator(dst, ov.y)
-        A_dst, F_dst = (f[ov.dst].reshape(sample.shape[1], -1) for f in (conn.A, F))
-        start = 0
+        sample = sampling_operator(conn.man.chart(ov.dst), ov.y)
+        dst_fields = {"A": conn.A[ov.dst].reshape(sample.shape[1], -1),
+                      "F": F[ov.dst].reshape(sample.shape[1], -1)}
+        start, paths = 0, {}
         res, scale = {"A": [], "F": []}, {"A": [], "F": []}
         for rows, slab in row_slabs(src, fields, {"dtinv": ("tinv", 2)}):
             scale["A"].append(sup(basis.contract(np.moveaxis(slab["A"], -1, 0))))
@@ -388,24 +423,9 @@ def gluing_residuals(conn: OrdinaryConnection) -> dict:
             here = ov.mask[rows].reshape(-1)
             p = slice(start, start + int(np.count_nonzero(here)))
             start = p.stop
-            # the slab's sample points, points first; J[i, j] = d y^i / d x^j
-            tinv, dtinv, A_src, F_src = (np.moveaxis(slab[k][..., here], -1, 0)
-                                         for k in ("tinv", "dtinv", "A", "F"))
-            t, jac = np.conj(np.swapaxes(tinv, -1, -2)), ov.jac[p]
-            inhom = np.einsum("pij,pmjk->pmik", t, dtinv, optimize=True)
-
-            # destination fields are sampled as real components, then contracted
-            A_dst_at = basis.contract((sample[p] @ A_dst).reshape(A_src.shape))
-            lhs_A = np.einsum("pmij,pmn->pnij", A_dst_at, jac, optimize=True)
-            rhs_A = np.einsum("pij,pmjk,pkl->pmil", t, basis.contract(A_src), tinv,
-                              optimize=True) + inhom
-            res["A"].append(sup(lhs_A - rhs_A))
-
-            F_dst_at = basis.contract((sample[p] @ F_dst).reshape(F_src.shape))
-            lhs_F = np.einsum("pmnij,pmr,pns->prsij", F_dst_at, jac, jac, optimize=True)
-            rhs_F = np.einsum("pij,pmnjk,pkl->pmnil", t, basis.contract(F_src), tinv,
-                              optimize=True)
-            res["F"].append(sup(lhs_F - rhs_F))
+            slab_res = _gluing_at(basis, paths, slab, here, sample[p], dst_fields, ov.jac[p])
+            for key, value in zip(("A", "F"), slab_res):
+                res[key].append(value)
         res_A, res_F = (relative(sup(res[k]), sup(scale[k])) for k in ("A", "F"))
         out[(ov.src, ov.dst)] = {"potential": res_A, "field_strength": res_F}
     if not out:

@@ -18,6 +18,10 @@ summation, which is deterministic for a fixed shape and order.
 Pointwise work on a whole chart runs through :func:`row_slabs`, which cuts
 the chart into blocks of whole first-axis rows of about SLAB_POINTS grid
 points and yields the fields and their derivatives there, points last.
+
+A chart field is sampled off its grid, at an overlap's image points, by
+:func:`sampling_operator`: multilinear interpolation stored as the 2^dim
+corner indices and weights of each point, applied as a gather in numpy.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ __all__ = [
     "flat_metric",
     "round_sphere_metric",
     "grid_points",
+    "SamplingOperator",
     "sampling_operator",
     "overlap_round_trip",
     "transition_conjugate",
@@ -611,23 +616,59 @@ def build_sphere_two_charts(
 # ---------------------------------------------------------------------------
 
 
-def sampling_operator(chart: ChartGrid, pts: np.ndarray):
-    """Sparse (points, grid points) matrix that samples a chart field at
-    ``pts`` (..., dim), flattened to one point axis, multilinearly: each row
-    holds the 2^dim corner weights of one point, the corners and the weight
-    products taken in the order of scipy's regular-grid interpolator.  A
-    point outside the grid hull, NaN or infinite, raises ValueError.  Applied
-    to a field flattened to (grid points, extra); a row slice of it samples
-    the slice's points with the same bits.
+@dataclass(frozen=True, eq=False)
+class SamplingOperator:
+    """The (points, grid points) multilinear sampling matrix of
+    :func:`sampling_operator`, stored by row as a fixed number of corners:
+    ``cols[k, i]`` is the flat grid index of point i's k-th corner and
+    ``weights[k, i]`` its weight.  ``S @ field`` samples a field flattened
+    to (grid points, extra), and ``S[rows]`` is the operator of a slice of
+    the points.  The arrays are read-only and shared by row slices.
     """
-    from scipy.sparse import csr_matrix
 
+    cols: np.ndarray
+    weights: np.ndarray
+    grid_points: int
+
+    @property
+    def shape(self) -> tuple:
+        return (self.cols.shape[1], self.grid_points)
+
+    def __getitem__(self, rows: slice) -> SamplingOperator:
+        return SamplingOperator(self.cols[:, rows], self.weights[:, rows], self.grid_points)
+
+    def __matmul__(self, field: np.ndarray) -> np.ndarray:
+        """Each point's corners weighted and added in corner order onto
+        zero, as a CSR product adds a row's entries, so the sums carry its
+        bits."""
+        field = np.asarray(field)
+        if field.shape[0] != self.grid_points:
+            raise ShapeError(f"a field on {field.shape[0]} grid points, want {self.grid_points}")
+        flat = field.reshape(self.grid_points, -1)
+        out = np.zeros((self.shape[0], flat.shape[1]), np.result_type(flat, float))
+        term = np.empty_like(out)
+        for cols, weights in zip(self.cols, self.weights):
+            # every corner is on the grid; "clip" takes straight into `term`
+            np.take(flat, cols, axis=0, out=term, mode="clip")
+            term *= weights[:, None]
+            out += term
+        return out.reshape(self.shape[:1] + field.shape[1:])
+
+
+def sampling_operator(chart: ChartGrid, pts: np.ndarray) -> SamplingOperator:
+    """The :class:`SamplingOperator` that samples a chart field at ``pts``
+    (..., dim), flattened to one point axis, multilinearly: each point has
+    2^dim corners, the corners and the weight products taken in the order
+    of scipy's regular-grid interpolator.  A point outside the grid hull,
+    NaN or infinite, raises ValueError.  A row slice of it samples the
+    slice's points with the same bits.
+    """
     pts = np.asarray(pts, dtype=float)
     if pts.shape[-1] != chart.dim:
         raise ValueError(f"points of dimension {pts.shape[-1]} on a {chart.dim}-d chart")
     flat = pts.reshape(-1, chart.dim)
-    cols = np.zeros((len(flat), 1), dtype=np.intp)
-    weights = np.ones((len(flat), 1))
+    cols = np.zeros((1, len(flat)), dtype=np.intp)
+    weights = np.ones((1, len(flat)))
     for axis, grid in enumerate(chart.coords):
         x = flat[:, axis]
         if not np.all((grid[0] <= x) & (x <= grid[-1])):
@@ -635,13 +676,10 @@ def sampling_operator(chart: ChartGrid, pts: np.ndarray):
         i = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, len(grid) - 2)
         t = (x - grid[i]) / (grid[i + 1] - grid[i])
         # corner offsets 0 then 1 along this axis, inner to the axes before
-        cols = cols[:, :, None] * len(grid) + np.stack([i, i + 1], axis=-1)[:, None]
-        weights = weights[:, :, None] * np.stack([1 - t, t], axis=-1)[:, None]
-        cols, weights = cols.reshape(len(flat), -1), weights.reshape(len(flat), -1)
-    return csr_matrix(
-        (weights.ravel(), cols.ravel(), np.arange(0, cols.size + 1, cols.shape[1])),
-        shape=(len(flat), int(np.prod(chart.shape))),
-    )
+        cols = (cols[:, None] * len(grid) + np.stack([i, i + 1])).reshape(-1, len(flat))
+        weights = (weights[:, None] * np.stack([1 - t, t])).reshape(-1, len(flat))
+    cols.flags.writeable = weights.flags.writeable = False
+    return SamplingOperator(cols, weights, int(np.prod(chart.shape)))
 
 
 def interp_chart(chart: ChartGrid, arr: np.ndarray, pts: np.ndarray):

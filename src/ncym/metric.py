@@ -94,27 +94,36 @@ def assemble(base: BaseMetric, internal, conn: OrdinaryConnection) -> Riemannian
     Each chart's value is checked and inverted as given, then it, its
     inverse and its density are broadcast over the grid as read-only views:
     a constant block is inverted once and stored once, and the results are
-    the bits the pointwise field of the same block gives.
+    the bits the pointwise field of the same block gives.  Each distinct
+    value (by identity) is inverted once, and charts whose base and fiber
+    densities are the same arrays share one read-only ``sqrtg``.
     """
     man = conn.man
     if base.man is not man:
         raise ShapeError("base metric and connection live on different manifolds")
     m = conn.basis.dim
     riem = RiemannianStructure(man, base, {}, conn)
+    inverted, sqrtg = {}, {}
     for ch in man.charts:
-        gI = np.asarray(internal[ch.name] if isinstance(internal, dict) else internal,
-                        dtype=float)
+        value = internal[ch.name] if isinstance(internal, dict) else internal
+        gI = np.asarray(value, dtype=float)
         if gI.shape not in ((m, m), ch.shape + (m, m)):
             raise ShapeError(
                 f"fiber metric on {ch.name}: shape {gI.shape}, want {(m, m)} "
                 f"or {ch.shape + (m, m)}"
             )
-        hint, sqrt_det = _spd_inverse(ch.name, gI, "fiber metric")
+        if id(value) not in inverted:
+            inverted[id(value)] = _spd_inverse(ch.name, gI, "fiber metric")
+        hint, sqrt_det = inverted[id(value)]
         riem.internal[ch.name] = np.broadcast_to(gI.copy(), ch.shape + (m, m))
         riem.hint[ch.name] = np.broadcast_to(hint, ch.shape + (m, m))
         riem.sqrt_det_int[ch.name] = np.broadcast_to(sqrt_det, ch.shape)
         riem.hbase[ch.name] = base.inv[ch.name]
-        riem.sqrtg[ch.name] = base.sqrt_det[ch.name] * riem.sqrt_det_int[ch.name]
+        key = (id(base.sqrt_det[ch.name]), id(sqrt_det))
+        if key not in sqrtg:
+            sqrtg[key] = base.sqrt_det[ch.name] * riem.sqrt_det_int[ch.name]
+            sqrtg[key].setflags(write=False)
+        riem.sqrtg[ch.name] = sqrtg[key]
     return riem
 
 

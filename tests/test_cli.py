@@ -695,8 +695,8 @@ def _agree(got, want, path="report"):
 
 
 # instanton N=8 results as recorded with scipy's grid interpolator and the
-# LAPACK metric inverse; the sparse sampling operator and the eigendecomposition
-# reproduce them
+# LAPACK metric inverse; the corner-gather sampling operator and the
+# eigendecomposition reproduce them
 _INSTANTON8 = {
     "chern": {
         "estimated_error": 0.02648014415954969,
@@ -733,6 +733,27 @@ def test_instanton_topology_is_pinned(task, tmp_path):
     assert main(["run", _write(tmp_path, doc)]) == 0
     got = json.loads((tmp_path / "out" / "report.json").read_text())["result"]
     assert _agree(got, _INSTANTON8[task]) == []
+
+
+@pytest.mark.parametrize("task", sorted(_INSTANTON8))
+def test_topology_tasks_run_without_scipy(task, tmp_path):
+    """`ncym run` of a topology task imports no part of scipy: the sampling
+    operator is plain numpy.  Run in a child process, whose modules are its
+    own."""
+    doc = {"task": task, "bundle": {"kind": "instanton", "npts": 8}}
+    script = ("import sys\n"
+              "from ncym.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+              "sys.exit(code)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "run", _write(tmp_path, doc),
+         "--output-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def _csv_cells(path):

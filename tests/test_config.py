@@ -63,11 +63,12 @@ def test_base_metric_follows_the_bundle(bundle, base):
                                     {"kind": "monopole", "npts": 8, "charge": 2}])
 def test_charts_on_one_grid_share_one_base_metric(bundle):
     """Both stereographic charts are built on the same grid, so the set-up
-    forms the round-sphere blocks, their inverse and sqrt(det) once and both
-    charts hold the same read-only arrays, bitwise the per-chart ones."""
+    forms the round-sphere blocks, their inverse and sqrt(det) and the
+    volume density once and both charts hold the same read-only arrays,
+    bitwise the per-chart ones."""
     p = build_problem(resolve({"task": "geom-check", "bundle": bundle}))
     base, r = p.riem.base, p.man.params["radius"]
-    for table in (base.g, base.inv, base.sqrt_det):
+    for table in (base.g, base.inv, base.sqrt_det, p.riem.sqrtg):
         assert table["north"] is table["south"]
         with pytest.raises(ValueError, match="read-only"):
             table["south"][...] = 1.0
@@ -75,7 +76,9 @@ def test_charts_on_one_grid_share_one_base_metric(bundle):
         x = grid_points(ch)
         g = (4.0 * r**4 / (r**2 + np.sum(x * x, axis=-1)) ** 2)[..., None, None] * np.eye(ch.dim)
         inv, sqrt_det = _spd_inverse(ch.name, g, "base metric")
-        for got, want in ((base.g, g), (base.inv, inv), (base.sqrt_det, sqrt_det)):
+        sqrtg = sqrt_det * p.riem.sqrt_det_int[ch.name]
+        for got, want in ((base.g, g), (base.inv, inv), (base.sqrt_det, sqrt_det),
+                          (p.riem.sqrtg, sqrtg)):
             assert got[ch.name].tobytes() == want.tobytes()
 
 
@@ -216,6 +219,19 @@ def test_build_sum_representation():
     assert p.rep.k == 3
 
 
+def test_trivial_representation_records_its_dim():
+    """A trivial representation is one-dimensional unless its config says
+    otherwise, and the resolved config records the dim the run uses."""
+    doc = resolve(_torus(representation={"kind": "trivial"}))
+    assert doc["representation"] == {"kind": "trivial", "dim": 1}
+    assert build_problem(doc).rep.k == 1
+    doc = resolve(_torus(representation={"kind": "sum", "parts": [
+        {"kind": "fundamental"}, {"kind": "trivial"}, {"kind": "trivial", "dim": 2}]}))
+    assert doc["representation"]["parts"][1:] == [
+        {"kind": "trivial", "dim": 1}, {"kind": "trivial", "dim": 2}]
+    assert build_problem(doc).rep.k == 5
+
+
 def test_build_u1_torus():
     doc = _torus(bundle={"kind": "torus", "npts": 8, "algebra": {"kind": "u1"}})
     p = build_problem(resolve(doc))
@@ -251,12 +267,14 @@ def test_diagonal_metrics_are_inverted_without_eigh(monkeypatch, task):
     assert calls == []
 
 
-def test_non_diagonal_fiber_metric_takes_one_eigh_per_chart(monkeypatch):
+def test_non_diagonal_fiber_metric_takes_one_eigh(monkeypatch):
+    """The config's one fiber block serves both charts, and is inverted once."""
     internal = [[2.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 1.0]]
     calls = _count_eigh(monkeypatch)
-    build_problem(resolve({"task": "lc-check", "bundle": {"kind": "instanton", "npts": 12},
-                           "metric": {"internal": internal}}))
-    assert calls == [(3, 3), (3, 3)]
+    p = build_problem(resolve({"task": "lc-check", "bundle": {"kind": "instanton", "npts": 12},
+                               "metric": {"internal": internal}}))
+    assert calls == [(3, 3)]
+    assert p.riem.sqrtg["north"] is p.riem.sqrtg["south"]
 
 
 def test_build_random_initial_is_seeded():

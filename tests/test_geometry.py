@@ -24,6 +24,7 @@ from ncym.geometry import (
     rep_of_group,
     round_sphere_metric,
     row_slabs,
+    sampling_operator,
     su_log,
     transition_conjugate,
 )
@@ -377,6 +378,46 @@ def test_interp_chart_refuses_points_off_the_grid(bad):
     pts[3, 2] = bad
     with pytest.raises(ValueError, match="dimension 2"):
         interp_chart(ch, np.ones(ch.shape + (2,)), pts)
+
+
+@pytest.mark.parametrize("bundle", ["instanton8", "monopole8"])
+def test_sampling_operator_is_bitwise_a_csr_matrix(bundle):
+    """The operator applied to real and complex fields, whole and by row
+    slices, gives the bits of the CSR matrix holding the same corners and
+    weights, each row's entries in corner order; a field of negative zeros
+    samples to positive zeros, as sums started at zero do."""
+    from scipy.sparse import csr_matrix
+
+    from ncym.connections import (
+        bpst_connection, instanton_bundle, monopole_bundle, monopole_connection)
+
+    if bundle == "instanton8":
+        man, lb, rep = instanton_bundle(8)
+        conn = bpst_connection(man, lb, rep)
+    else:
+        man, lb, rep = monopole_bundle(8, charge=2)
+        conn = monopole_connection(man, lb, rep, charge=2)
+    rng = np.random.default_rng(3)
+    for ov in man.overlaps:
+        dst = man.chart(ov.dst)
+        sample = sampling_operator(dst, ov.y)
+        corners, points = sample.cols.shape
+        assert corners == 2**dst.dim and sample.shape == (points, int(np.prod(dst.shape)))
+        assert not (sample.cols.flags.writeable or sample.weights.flags.writeable)
+        csr = csr_matrix((sample.weights.T.ravel(), sample.cols.T.ravel(),
+                          np.arange(0, corners * points + 1, corners)), shape=sample.shape)
+        for field in (conn.A[ov.dst], conn.curvature()[ov.dst]):
+            flat = field.reshape(sample.shape[1], -1)
+            noisy = flat + 1j * rng.normal(size=flat.shape)
+            noisy[::5] = -0.0
+            for f in (flat, noisy, flat[:, 0], np.full(flat.shape, -0.0)):
+                for rows in (slice(0, points), slice(5, 6), slice(points // 3, 2 * points // 3),
+                             slice(0, 0)):
+                    got, want = sample[rows] @ f, csr[rows] @ f
+                    assert got.shape == want.shape and got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            sample @ np.ones((sample.shape[1] - 1, 2))
 
 
 def test_interpolation_commutes_with_contraction():

@@ -3,32 +3,35 @@
 The bounds are tracemalloc peaks in MiB: numpy reports its array buffers to
 tracemalloc, so they count every array a call allocates, independent of the
 allocator's reuse of freed memory.  Each bound is a measured value plus at
-least 15% headroom (numpy 2.4.6, scipy 1.17.1, one BLAS thread, with the
-order-2 field strength cached and scipy.sparse imported before the
-measurement).  All three run through `geometry.row_slabs`, so no derivative,
-field strength or contraction of a whole chart is formed beyond the cached
-order-2 field strength that `curvature_F` returns:
+least 15% headroom (numpy 2.4.6, one BLAS thread, with the order-2 field
+strength cached; nothing measured imports a module).  All three run through
+`geometry.row_slabs`, so no derivative, field strength or contraction of a
+whole chart is formed beyond the cached order-2 field strength that
+`curvature_F` returns:
 
 - ``residual_table``: 12.6 MiB measured, bound 15 MiB (1024-point slabs
   copied points-last from whole-chart fields gave 68.4 MiB, whole-chart
   symbol tables of both charts 168.2 MiB);
-- ``gluing_residuals``: 10.7 MiB measured, bound 13 MiB (the sample points
-  contracted all at once, with d(t^-1) on the whole source grid, gave
-  57.2 MiB);
+- ``gluing_residuals``: 11.2 MiB measured, bound 13 MiB, with each slab's
+  sample-point arrays freed before the next slab's are formed (kept
+  alive into the next slab, they gave 12.2 MiB with the numpy corner
+  gather of `geometry.sampling_operator` and 11.9 MiB with a scipy CSR
+  matrix; the sample points contracted all at once, with d(t^-1) on the
+  whole source grid, gave 57.2 MiB);
 - ``chern_form``: 6.45 MiB measured, bound 8 MiB, with the order-4 field
   strength formed per slab (the order-4 field strength of both charts,
   15.2 MiB, sliced into slabs gave 20.1 MiB; each chart contracted whole
   gave 76.7 MiB);
-- a ``geom-check`` set-up (``build_problem``) retains 10.84 MiB, bound
-  12.5 MiB: both charts share one round-sphere metric and its inverse (a
-  copy per chart retained 16.06 MiB).
+- a ``geom-check`` set-up (``build_problem``) retains 10.52 MiB, bound
+  12.5 MiB: both charts share one round-sphere metric, its inverse and
+  one volume density (a copy of the metric and its inverse per chart
+  retained 16.06 MiB).
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse  # noqa: F401  (imported before measuring: its import allocates)
 
 from ncym.chern_weil import chern_form
 from ncym.config import build_problem, resolve

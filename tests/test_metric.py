@@ -7,9 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncym.errors import ShapeError, SingularMetric
-from ncym.geometry import BaseMetric, build_torus, flat_metric
+from ncym.geometry import BaseMetric, build_torus, flat_metric, round_sphere_metric
 from ncym.lie_core import build_su, build_representation
-from ncym.connections import constant_connection, random_connection, zero_connection
+from ncym.connections import (
+    constant_connection,
+    instanton_bundle,
+    random_connection,
+    zero_connection,
+)
 from ncym.metric import (
     assemble,
     decompose_metric,
@@ -278,6 +283,26 @@ def test_constant_fiber_metric_matches_per_point_path(stage, internal):
     for field in ("internal", "hint", "sqrt_det_int", "sqrtg"):
         got, want = getattr(once, field)["t0"], getattr(per_point, field)["t0"]
         assert got.shape == want.shape and np.array_equal(got, want), field
+
+
+def test_charts_share_sqrtg_only_where_their_densities_are_shared():
+    """Charts with the same base and fiber densities hold one read-only
+    sqrtg; a chart with its own fiber block gets its own.  Either way each
+    is bitwise the chart's base density times its fiber density."""
+    man, lb, rep = instanton_bundle(8)
+    conn = zero_connection(man, lb, rep)
+    base = round_sphere_metric(man)
+    shared = assemble(base, np.eye(M), conn)
+    apart = assemble(base, {"north": np.eye(M), "south": 2.0 * np.eye(M)}, conn)
+    assert shared.sqrtg["north"] is shared.sqrtg["south"]
+    with pytest.raises(ValueError, match="read-only"):
+        shared.sqrtg["north"][...] = 1.0
+    assert apart.sqrtg["north"] is not apart.sqrtg["south"]
+    for riem in (shared, apart):
+        for ch in man.charts:
+            want = base.sqrt_det[ch.name] * riem.sqrt_det_int[ch.name]
+            assert riem.sqrtg[ch.name].tobytes() == want.tobytes()
+    assert not np.array_equal(apart.sqrtg["north"], apart.sqrtg["south"])
 
 
 def test_constant_fiber_metric_still_checked(stage):
