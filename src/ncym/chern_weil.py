@@ -21,7 +21,7 @@ import numpy as np
 
 from .connections import OrdinaryConnection, _field_strength
 from .errors import InvalidRank
-from .geometry import interp_chart, partial_derivative, relative, require_samples, row_slabs, sup
+from .geometry import interp_chart, partial_derivative, relative, row_slabs, sup
 from .nc_forms import _perm_sign
 
 __all__ = ["ChernForm", "chern_form", "closedness_residual", "chern_number"]
@@ -130,11 +130,11 @@ def closedness_residual(cf: ChernForm) -> float:
 
     Below top degree: max component of the finite-difference exterior
     derivative.  At top degree on a one-chart base (no overlaps): exactly
-    zero.  At top degree on a glued base: the worst mismatch, over overlap
-    points, between a chart's component and the neighbor's component pulled
-    back through the transition Jacobian, relative to the peak magnitude of
-    the source component (the same normalization as the potential-gluing
-    diagnostic).
+    zero.  At top degree on a glued base: the worst mismatch, over each
+    overlap's (never empty) sample set, between a chart's component and the
+    neighbor's component pulled back through the transition Jacobian,
+    relative to the peak magnitude of the source component (the same
+    normalization as the potential-gluing diagnostic).
     A NaN anywhere makes the residual NaN.
     """
     man = cf.man
@@ -151,7 +151,6 @@ def closedness_residual(cf: ChernForm) -> float:
     key = tuple(range(d))
 
     def mismatch(ov):
-        require_samples(man, ov)
         c_src = cf.comps[ov.src][key]
         c_dst = interp_chart(man.chart(ov.dst), cf.comps[ov.dst][key], ov.y)
         return relative(sup(c_src[ov.mask] - c_dst * np.linalg.det(ov.jac)), sup(c_src))

@@ -132,7 +132,8 @@ def _task_classify(problem, doc, out_dir):
     from .yang_mills import classify_vacuum
 
     try:
-        finger = classify_vacuum(problem.init.phi, problem.basis, problem.riem.hint)
+        finger = classify_vacuum(problem.init.phi, problem.basis, problem.riem.hint,
+                                 problem.man.weights)
         return EXIT_OK, {"refused": None, **finger}
     except ClassificationRefused as exc:
         return EXIT_OK, {"refused": str(exc)}

@@ -27,7 +27,6 @@ from .geometry import (
     derivatives,
     grid_points,
     relative,
-    require_samples,
     row_slabs,
     sampling_operator,
     sup,
@@ -132,10 +131,6 @@ class OrdinaryConnection:
         if name not in self._zero:
             self._zero[name] = not self.A[name].any()
         return self._zero[name]
-
-    def fund_potential(self, name: str) -> np.ndarray:
-        """A_mu contracted with the defining basis matrices, shape + (d, n, n)."""
-        return self.basis.contract(self.A[name])
 
 
 def curvature_F(conn: OrdinaryConnection) -> dict:
@@ -392,9 +387,10 @@ def gluing_residuals(conn: OrdinaryConnection) -> dict:
 
     For every directed overlap with a transition t: compares the pullback of
     the destination potential with t A t^-1 + t d(t^-1), and the pulled-back
-    field strength with t F t^-1, in the defining matrices.  Returns relative
-    sup-norm residuals per overlap; interpolation and stencil error limit
-    the attainable residual (its measured orders: ROADMAP item 6).
+    field strength with t F t^-1, in the defining matrices, at the overlap's
+    (never empty) sample set.  Returns relative sup-norm residuals per
+    overlap; interpolation and stencil error limit the attainable residual
+    (its measured orders: ROADMAP item 6).
     The source chart is visited one row slab at a time: d(t^-1) is taken
     there, and the sample points in those rows (a contiguous run of them,
     since the mask is in grid order) are contracted there; the scale is the
@@ -408,7 +404,6 @@ def gluing_residuals(conn: OrdinaryConnection) -> dict:
     for ov in conn.man.overlaps:
         if ov.transition is None:
             continue
-        require_samples(conn.man, ov)
         src = conn.man.chart(ov.src)
         tinv_grid = np.conj(np.swapaxes(ov.transition(grid_points(src)), -1, -2))
         fields = {"tinv": tinv_grid, "A": conn.A[ov.src], "F": F[ov.src]}
@@ -467,7 +462,7 @@ def gauge_transform_ordinary(conn: OrdinaryConnection, U: dict) -> OrdinaryConne
     for ch in conn.man.charts:
         u = _check_group_valued(conn.basis, np.asarray(U[ch.name], dtype=complex))
         uinv = np.conj(np.swapaxes(u, -1, -2))
-        Amat = conn.fund_potential(ch.name)
+        Amat = conn.basis.contract(conn.A[ch.name])
         du = derivatives(u, ch)
         transformed = np.einsum("...ij,...mjk,...kl->...mil", uinv, Amat, u)
         transformed = transformed + np.einsum("...ij,...mjk->...mik", uinv, du)
@@ -594,13 +589,6 @@ def from_omega(omega: MixedForm) -> tuple[np.ndarray, np.ndarray]:
     return a, phi
 
 
-def ncc_from_omegas(ref: OrdinaryConnection, omegas: dict) -> NCConnection:
-    a, phi = {}, {}
-    for name, w in omegas.items():
-        a[name], phi[name] = from_omega(w)
-    return NCConnection(ref, a, phi)
-
-
 def nc_curvature(ncc: NCConnection) -> dict:
     """Curvature components per chart from the closed formulas.
 
@@ -677,7 +665,7 @@ def gauge_transform(ncc: NCConnection, U: dict) -> NCConnection:
     omega -> U^-1 omega U + U^-1 d omega-argument U, then re-split."""
     ref = ncc.ref
     k = ref.rep.k
-    omegas = {}
+    a, phi = {}, {}
     for ch in ref.man.charts:
         u = _check_unitary_field(k, np.asarray(U[ch.name], dtype=complex))
         uinv = np.conj(np.swapaxes(u, -1, -2))
@@ -689,8 +677,8 @@ def gauge_transform(ncc: NCConnection, U: dict) -> NCConnection:
             new.add_to(key, uinv @ val @ u)
         for key, val in du.comps.items():
             new.add_to(key, uinv @ val)
-        omegas[ch.name] = new
-    return ncc_from_omegas(ref, omegas)
+        a[ch.name], phi[ch.name] = from_omega(new)
+    return NCConnection(ref, a, phi)
 
 
 def infinitesimal_gauge(ncc: NCConnection, gamma: dict) -> dict:

@@ -4,10 +4,11 @@ A manifold is a list of rectangular coordinate charts plus partition-of-unity
 weights and overlap data.  Each directed overlap carries its point map, its
 bundle transition function, and its sample set: the source grid points it
 covers, their images in the destination chart and the coordinate Jacobians
-there, decided once where the manifold is built.  Every cross-chart
-diagnostic reads that one set.  Shipped builders: flat d-torus on a single
-periodic chart, and round S^2 / S^4 on two stereographic charts glued by
-inversion ``x -> x r^2 / |x|^2``.
+there, decided once where the manifold is built and never empty.  Every
+cross-chart diagnostic reads that one set.  Shipped builders: flat d-torus
+on a single periodic chart, and round S^2 / S^4 on two stereographic charts
+glued by inversion ``x -> x r^2 / |x|^2``; the sphere builder refuses a
+chart margin that leaves no grid point in the overlap.
 
 Derivatives are second-order central finite differences (optional fourth
 order), realized as small dense one-dimensional matrices applied along an
@@ -53,7 +54,6 @@ __all__ = [
     "SamplingOperator",
     "sampling_operator",
     "overlap_round_trip",
-    "transition_conjugate",
     "sup",
 ]
 
@@ -104,8 +104,9 @@ class Overlap:
     points in the overlap whose image lies inside the dst grid's hull, so
     that dst fields can be interpolated there; ``x`` (p, d) are those points,
     ``y = point_map(x)`` their images, and ``jac`` (p, d, d) the Jacobian
-    d y^i / d x^j at them.  The arrays are read-only and may be shared
-    between overlaps, so the data class compares by identity.
+    d y^i / d x^j at them.  The sphere builder never leaves the set empty.
+    The arrays are read-only and may be shared between overlaps, so the data
+    class compares by identity.
     """
 
     src: str
@@ -173,15 +174,6 @@ def relative(residual: float, scale: float) -> float:
     """A residual over the peak it is measured against; unscaled where that
     peak is exactly 0, and NaN if either is NaN."""
     return residual / max(scale, 1e-30) if scale != 0 else residual
-
-
-def require_samples(man: Manifold, ov: Overlap) -> None:
-    """Refuse an overlap with no sample points: nothing there can be compared."""
-    if not len(ov.x):
-        raise GluingError(
-            f"overlap {ov.src}->{ov.dst} has no sample points: chart margin "
-            f"{man.params['margin']!r} leaves no grid point in it"
-        )
 
 
 def overlap_round_trip(man: Manifold) -> float:
@@ -335,11 +327,10 @@ def row_slabs(chart: ChartGrid, fields: dict, diff: dict | None = None):
         yield rows, slab
 
 
-def adjoint_partial_derivative(
-    arr: np.ndarray, chart: ChartGrid, axis: int, order: int = 2
-) -> np.ndarray:
-    """Exact adjoint of :func:`partial_derivative` in the flat grid product."""
-    d = diff_matrix(chart.shape[axis], chart.spacing[axis], chart.periodic[axis], order)
+def adjoint_partial_derivative(arr: np.ndarray, chart: ChartGrid, axis: int) -> np.ndarray:
+    """Exact adjoint of the order-2 :func:`partial_derivative` in the flat
+    grid product."""
+    d = diff_matrix(chart.shape[axis], chart.spacing[axis], chart.periodic[axis])
     return _apply_along_axis(d.T, arr, axis)
 
 
@@ -523,9 +514,10 @@ def build_sphere_two_charts(
 
     Charts ``north`` and ``south`` are cell-centered squares of half-side
     ``margin * radius``; the point map between them is the inversion
-    ``x -> x r^2 / |x|^2`` (orientation-reversing, so the south chart carries
+    ``x -> x r^2 / |x|^2`` (orientation-reversing, so the north chart carries
     orientation -1).  Partition-of-unity weights are smooth radial bumps
-    normalized to sum to one at every physical point.
+    normalized to sum to one at every physical point.  A margin that leaves
+    no grid point in the overlap raises GluingError.
     """
     if dim not in (2, 4):
         raise ShapeError("shipped sphere builders cover dim 2 and 4")
@@ -582,6 +574,9 @@ def build_sphere_two_charts(
     y = point_map(x[mask])
     inside = np.all((y >= coords1d[0]) & (y <= coords1d[-1]), axis=-1)
     mask[mask] = inside
+    if not mask.any():
+        raise GluingError(f"sphere charts share no grid point: chart margin {margin!r} at "
+                          f"npts {npts} leaves their overlap without sample points")
     x, y = x[mask], y[inside]
     rho2 = np.sum(x * x, axis=-1)
     xhat = x / np.sqrt(rho2)[..., None]
@@ -612,7 +607,7 @@ def build_sphere_two_charts(
 
 
 # ---------------------------------------------------------------------------
-# structure-group action on fields
+# sampling off the grid, and the matrix exponential
 # ---------------------------------------------------------------------------
 
 
@@ -697,41 +692,3 @@ def expm_antihermitian(x: np.ndarray) -> np.ndarray:
     ev, vec = np.linalg.eigh(herm)
     phase = np.exp(-1j * ev)
     return np.einsum("...ij,...j,...kj->...ik", vec, phase, np.conj(vec))
-
-
-def su_log(t: np.ndarray) -> np.ndarray:
-    """Principal logarithm of special-unitary matrices, landed in su(n).
-
-    Branches are adjusted so the eigenvalue logs sum to zero, keeping
-    exp(log t) = t while making the result traceless anti-hermitian.
-    """
-    w, v = np.linalg.eig(t)
-    lw = np.log(w)
-    total = np.sum(lw.imag, axis=-1)
-    k = np.rint(total / (2.0 * np.pi)).astype(int)
-    idx = np.argmax(lw.imag, axis=-1)
-    lw_flat = lw.reshape(-1, lw.shape[-1])
-    for row, (kk, ii) in enumerate(zip(k.reshape(-1), idx.reshape(-1))):
-        if kk:
-            lw_flat[row, ii] -= 2.0j * np.pi * kk
-    lw = lw_flat.reshape(lw.shape)
-    vinv = np.linalg.inv(v)
-    out = np.einsum("...ij,...j,...jk->...ik", v, lw, vinv)
-    return 0.5 * (out - np.conj(np.swapaxes(out, -1, -2)))
-
-
-def rep_of_group(lb, rep, t: np.ndarray) -> np.ndarray:
-    """Image rho_R(t) of group elements t (stacked n x n special unitaries)."""
-    from .lie_core import component_in_basis
-
-    xi = component_in_basis(lb, su_log(t))
-    return expm_antihermitian(rep.contract(xi))
-
-
-def transition_conjugate(lb, rep, t: np.ndarray, s: np.ndarray, inverse: bool = False):
-    """Conjugate endomorphism-valued samples: s -> rho(t) s rho(t)^-1."""
-    rt = rep_of_group(lb, rep, t)
-    rti = np.conj(np.swapaxes(rt, -1, -2))
-    if inverse:
-        rt, rti = rti, rt
-    return rt @ s @ rti

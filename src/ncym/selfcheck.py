@@ -25,7 +25,8 @@ from .connections import (
     nc_curvature_via_forms,
     zero_ncc,
 )
-from .geometry import grid_points, integrate, overlap_round_trip, partial_derivative, sup
+from .geometry import (expm_antihermitian, grid_points, integrate, overlap_round_trip,
+                       partial_derivative, sup)
 from .levi_civita import christoffel, residual_table
 from .lie_core import _check_jacobi, build_representation, build_su
 from .metric import identity_residuals
@@ -180,13 +181,13 @@ def _check_double_well():
 
 
 def _check_gauge_invariance():
+    """Action invariance under the constant frame expm_antihermitian(iH)."""
     p = _su2_torus(initial={"kind": "random", "seed": 31, "amplitude": 0.5})
     rng = np.random.default_rng(41)
     H = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     H = H + H.conj().T
     H = H - 0.5 * np.trace(H) * np.eye(2)
-    w, V = np.linalg.eigh(H)
-    U0 = V @ np.diag(np.exp(1j * w)) @ V.conj().T
+    U0 = expm_antihermitian(1j * H)
     U = {ch.name: np.broadcast_to(U0, ch.shape + (2, 2)).copy() for ch in p.man.charts}
     s0 = action(p.init, p.riem).s_total
     s1 = action(gauge_transform(p.init, U), p.riem).s_total

@@ -369,7 +369,7 @@ def solve_vacuum(init: NCConnection, riem, opts: SolverOptions | None = None):
 def _report(ncc: NCConnection, bd, riem, stop_reason: str, iterations: int) -> VacuumReport:
     report = VacuumReport(bd.residuals, bd.s_total, stop_reason, iterations)
     try:
-        cls = classify_vacuum(ncc.phi, ncc.ref.basis, riem.hint)
+        cls = classify_vacuum(ncc.phi, ncc.ref.basis, riem.hint, ncc.ref.man.weights)
     except ClassificationRefused as err:
         return replace(report, refused=str(err))
     return replace(
@@ -387,18 +387,20 @@ RESIDUAL_TOL = 1e-6  # largest pointwise closure defect classify_vacuum accepts
 SPECTRUM_TOL = 1e-4  # largest spread of the Casimir spectrum over the grid
 
 
-def classify_vacuum(phi, basis: LieBasis, hint: dict | None = None) -> dict:
+def classify_vacuum(phi, basis: LieBasis, hint: dict | None = None,
+                    weights: dict | None = None) -> dict:
     """Fingerprint scalar fields that close on the structure constants.
 
-    ``phi`` is one (..., m, k, k) stack or a dict of them per chart, and
-    ``hint`` the per-chart inverse fiber metric (the identity if None).
-    The closure defect ``lie_core.closure_defect`` -- the vertical curvature
-    block of ``nc_curvature`` -- must stay within ``RESIDUAL_TOL`` pointwise;
-    otherwise the classification is refused.  The fingerprint is gauge
-    invariant: the sorted spectrum of the contracted quadratic element
-    ``h^{ab} phi_a phi_b`` (mean over the grid, plus its maximal spatial
-    deviation, at most ``SPECTRUM_TOL``) and the dimension of the joint
-    commutant of the fields.
+    ``phi`` is one (..., m, k, k) stack or a dict of them per chart, ``hint``
+    the per-chart inverse fiber metric (the identity if None); with per-chart
+    ``weights``, only the points of non-zero weight, which the action sees,
+    are classified.  The closure defect ``lie_core.closure_defect`` -- the
+    vertical curvature block of ``nc_curvature`` -- must stay within
+    ``RESIDUAL_TOL`` pointwise; otherwise the classification is refused.  The
+    fingerprint is gauge invariant: the sorted spectrum of the contracted
+    quadratic element ``h^{ab} phi_a phi_b`` (mean over the grid, plus its
+    maximal spatial deviation, at most ``SPECTRUM_TOL``) and the dimension of
+    the joint commutant of the fields.
     """
     if isinstance(phi, np.ndarray):
         phi = {"_": phi}
@@ -408,6 +410,10 @@ def classify_vacuum(phi, basis: LieBasis, hint: dict | None = None) -> dict:
     spectra = []
     nullities = set()
     for name, f in phi.items():
+        h = np.broadcast_to(np.eye(m) if hint is None else hint[name], f.shape[:-3] + (m, m))
+        if weights is not None:
+            keep = weights[name] > 0
+            f, h = f[keep], h[keep]
         resid = sup(closure_defect(f, basis.structure))
         # written so that a NaN residual refuses too
         if not resid <= RESIDUAL_TOL:
@@ -416,9 +422,7 @@ def classify_vacuum(phi, basis: LieBasis, hint: dict | None = None) -> dict:
                 f"chart {name!r}; fields are not a representation"
             )
         resids.append(resid)
-        h = np.eye(m) if hint is None else hint[name]
-        quad = np.einsum("...ab,...aij,...bjl->...il", np.broadcast_to(
-            h, f.shape[:-3] + (m, m)), f, f)
+        quad = np.einsum("...ab,...aij,...bjl->...il", h, f, f)
         eig = np.sort(np.linalg.eigvalsh(quad), axis=-1)
         spectra.append(eig.reshape(-1, eig.shape[-1]))
 

@@ -241,19 +241,19 @@ def test_keys_a_kind_does_not_read_exit_2(block, message, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("task, code", [("chern", 2), ("geom-check", 2),
-                                        ("eval", 0), ("lc-check", 0)])
+@pytest.mark.parametrize("task, code", [(task, 2) for task in
+                                        ("chern", "geom-check", "eval", "lc-check", "classify")])
 def test_overlap_without_sample_points(task, code, tmp_path, capsys):
     """At margin 1.01 the N=8 instanton charts overlap in no grid point: the
-    cross-chart checks refuse, naming the overlap and the margin, and the
-    tasks that compare nothing across charts still run."""
+    sphere builder refuses, naming the margin and the grid, so every task on
+    that sphere exits 2 and writes no report."""
     doc = {"task": task, "bundle": {"kind": "instanton", "npts": 8, "margin": 1.01},
            "output_dir": str(tmp_path / "out")}
     assert main(["run", _write(tmp_path, doc)]) == code
-    err = capsys.readouterr().err
-    if code:
-        assert err == ("ncym: overlap north->south has no sample points: "
-                       "chart margin 1.01 leaves no grid point in it\n")
+    assert capsys.readouterr().err == (
+        "ncym: sphere charts share no grid point: chart margin 1.01 at npts 8 "
+        "leaves their overlap without sample points\n")
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 @pytest.mark.parametrize("hint", ["abc", "0", "-3"])

@@ -1,4 +1,4 @@
-"""Charts, stencils, quadrature, partitions of unity, transition action."""
+"""Charts, stencils, quadrature, partitions of unity, overlap sampling."""
 
 import re
 from dataclasses import replace
@@ -7,31 +7,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncym.errors import ShapeError, SingularMetric
+from ncym.errors import GluingError, ShapeError, SingularMetric
 from ncym.geometry import (
     BaseMetric,
     adjoint_partial_derivative,
     build_sphere_two_charts,
     build_torus,
     derivatives,
-    expm_antihermitian,
     flat_metric,
     grid_points,
     integrate,
     interp_chart,
     overlap_round_trip,
     partial_derivative,
-    rep_of_group,
     round_sphere_metric,
     row_slabs,
     sampling_operator,
-    su_log,
-    transition_conjugate,
 )
 from ncym.geometry import _apply_along_axis, _radial_profile, _spd_inverse
 from ncym.geometry import diff_matrix
 import ncym.geometry as geometry
-from ncym.lie_core import build_representation, build_su
 
 
 def test_torus_volume_exact():
@@ -514,36 +509,13 @@ def test_sphere_builder_refuses_an_extent_beyond_floats(radius, margin):
         build_sphere_two_charts(4, 8, radius, margin)
 
 
-def test_su_log_round_trip_and_tracelessness():
-    lb = build_su(2)
-    rng = np.random.default_rng(3)
-    xi = 2.5 * rng.normal(size=(200, 3))
-    t = expm_antihermitian(lb.contract(xi))
-    lg = su_log(t)
-    assert np.max(np.abs(np.trace(lg, axis1=-2, axis2=-1))) < 1e-10
-    assert np.max(np.abs(expm_antihermitian(lg) - t)) < 1e-10
-
-
-def test_rep_of_group_is_homomorphism():
-    lb = build_su(2)
-    rep = build_representation(lb, "adjoint")
-    rng = np.random.default_rng(5)
-    t1 = expm_antihermitian(lb.contract(rng.normal(size=(40, 3))))
-    t2 = expm_antihermitian(lb.contract(rng.normal(size=(40, 3))))
-    lhs = rep_of_group(lb, rep, t1 @ t2)
-    rhs = rep_of_group(lb, rep, t1) @ rep_of_group(lb, rep, t2)
-    assert np.max(np.abs(lhs - rhs)) < 1e-10
-
-
-def test_transition_conjugate_inverts():
-    lb = build_su(2)
-    rep = build_representation(lb, "fundamental")
-    rng = np.random.default_rng(11)
-    t = expm_antihermitian(lb.contract(rng.normal(size=(30, 3))))
-    s = rng.normal(size=(30, 2, 2)) + 1j * rng.normal(size=(30, 2, 2))
-    out = transition_conjugate(lb, rep, t, s)
-    back = transition_conjugate(lb, rep, t, out, inverse=True)
-    assert np.max(np.abs(back - s)) < 1e-12
+def test_sphere_builder_refuses_an_overlap_without_grid_points():
+    """At margin 1.01 the N=8 charts share no grid point: no cross-chart
+    quantity could be compared, so the builder refuses, naming the margin."""
+    with pytest.raises(GluingError, match=re.escape("chart margin 1.01 at npts 8")):
+        build_sphere_two_charts(4, 8, margin=1.01)
+    man = build_sphere_two_charts(2, 8, margin=1.6)
+    assert [len(ov.x) for ov in man.overlaps] == [40, 40]
 
 
 @pytest.mark.parametrize("order", [2, 4])

@@ -1,0 +1,57 @@
+"""A static scan of ``src/ncym``: every ``__all__`` entry names something its
+module defines or imports, and every module-level import is used, so that
+deleting a function leaves no stale export or import behind."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import ncym
+
+MODULES = sorted(Path(ncym.__file__).parent.glob("*.py"))
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _imports(tree: ast.Module) -> dict:
+    """Each module-level import's bound name and its line."""
+    return {alias.asname or alias.name.split(".")[0]: node.lineno
+            for node in tree.body
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names}
+
+
+def _exports(tree: ast.Module) -> list:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets
+                                             if isinstance(t, ast.Name)] == ["__all__"]:
+            return ast.literal_eval(node.value)
+    return []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_export_resolves(path):
+    tree = _parse(path)
+    defined = set(_imports(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    stale = [name for name in _exports(tree) if name not in defined]
+    assert not stale, f"{path.name}: __all__ names {stale}, which the module does not define"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_module_level_import_is_used(path):
+    tree = _parse(path)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read.update(_exports(tree))
+    unused = {name: line for name, line in _imports(tree).items() if name not in read}
+    assert not unused, f"{path.name}: imported but never used (name: line) {unused}"

@@ -16,6 +16,7 @@ from ncym.connections import (
     gauge_transform,
     instanton_bundle,
     nc_curvature,
+    random_connection,
     random_ncc,
     zero_connection,
     zero_ncc,
@@ -47,6 +48,18 @@ def torus():
     lb = build_su(2)
     rep = build_representation(lb, "fundamental")
     ref = zero_connection(man, lb, rep)
+    riem = assemble(flat_metric(man), np.eye(3), ref)
+    return man, lb, rep, ref, riem
+
+
+@pytest.fixture(scope="module")
+def torus_ref():
+    """``torus`` over a non-zero reference, ``random_connection(seed=2)``, so
+    that the gradient's terms in R(A), A and F are formed on the torus too."""
+    man = build_torus(2, 8)
+    lb = build_su(2)
+    rep = build_representation(lb, "fundamental")
+    ref = random_connection(man, lb, rep, seed=2)
     riem = assemble(flat_metric(man), np.eye(3), ref)
     return man, lb, rep, ref, riem
 
@@ -204,9 +217,10 @@ def test_instanton_residuals_split(bpst16):
 
 @pytest.mark.parametrize(
     "bundle, amplitude, directions",
-    # the instanton adds partition-of-unity weights, sqrt(g) and two charts
-    [("torus", 0.4, 20), ("instanton8", 0.2, 3)],
-    ids=["torus", "instanton8"],
+    # the reference adds the terms in R(A), A and F; the instanton adds
+    # partition-of-unity weights, sqrt(g) and two charts
+    [("torus", 0.4, 20), ("torus_ref", 0.4, 5), ("instanton8", 0.2, 3)],
+    ids=["torus", "torus_ref", "instanton8"],
 )
 def test_gradient_matches_finite_differences(request, bundle, amplitude, directions):
     man, lb, rep, ref, riem = request.getfixturevalue(bundle)
@@ -578,3 +592,50 @@ def test_classify_refuses_spatially_mixed_classes(torus):
     phi[3:] = 0.0  # each point closes, but the class changes across the grid
     with pytest.raises(ClassificationRefused):
         classify_vacuum(phi, lb)
+
+
+def _support_classify(instanton8, defect=0.0):
+    """The instanton's canonical point with random anti-hermitian fields on
+    every zero-weight point, and R(E_a) scaled by 1 + ``defect`` at the
+    north chart's first point of weight above 0.5."""
+    man, lb, rep, ref, _ = instanton8
+    rng = np.random.default_rng(4)
+    phi = {}
+    for ch in man.charts:
+        w = man.weights[ch.name]
+        phi[ch.name] = np.broadcast_to(rep.matrices, ch.shape + rep.matrices.shape).copy()
+        noise = rng.normal(size=phi[ch.name][w == 0].shape) * (1 + 1j)
+        phi[ch.name][w == 0] += noise - np.conj(np.swapaxes(noise, -1, -2))
+    at = np.unravel_index(np.argmax(man.weights["north"] > 0.5), man.chart("north").shape)
+    phi["north"][at] *= 1.0 + defect
+    return phi, lb, man.weights
+
+
+def test_classify_reads_only_the_points_of_non_zero_weight(instanton8):
+    """The action never sees a zero-weight point, so a solve never moves the
+    fields there; classification ignores them too."""
+    phi, lb, weights = _support_classify(instanton8)
+    with pytest.raises(ClassificationRefused, match="closure residual"):
+        classify_vacuum(phi, lb)
+    out = classify_vacuum(phi, lb, weights=weights)
+    assert out["commutant_dim"] == 1
+    assert out["casimir_spectrum"] == pytest.approx((-0.75, -0.75), abs=1e-12)
+    assert out["residual"] == 0.0
+
+
+def test_classify_refuses_a_defect_where_the_weight_is_positive(instanton8):
+    phi, lb, weights = _support_classify(instanton8, defect=0.01)
+    with pytest.raises(ClassificationRefused, match="closure residual 5.05"):
+        classify_vacuum(phi, lb, weights=weights)
+
+
+def test_classify_with_unit_weights_is_bitwise_unweighted(torus):
+    """The torus's weights are all 1: passing them changes no bit."""
+    man, lb, rep, _, riem = torus
+    x = grid_points(man.charts[0])
+    theta = 0.4 * np.cos(x[..., 0] + 0.3)
+    U = np.zeros(x.shape[:-1] + (2, 2), dtype=complex)
+    U[..., 0, 0], U[..., 1, 1] = np.exp(1j * theta), np.exp(-1j * theta)
+    phi = {"t0": np.einsum("...ij,ajl,...kl->...aik", U, rep.matrices, np.conj(U))}
+    assert repr(classify_vacuum(phi, lb, riem.hint, man.weights)) == repr(
+        classify_vacuum(phi, lb, riem.hint))
