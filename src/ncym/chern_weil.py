@@ -95,8 +95,8 @@ def chern_form(conn: OrdinaryConnection, q: int) -> ChernForm:
     keys = list(itertools.combinations(range(d), 2 * q))
     for ch in conn.man.charts:
         here, imag = {key: np.empty(ch.shape) for key in keys}, {key: [] for key in keys}
-        for rows, slab in row_slabs(ch, {"A": conn.A[ch.name]}, {"dA": ("A", STENCIL_ORDER)}):
-            F = _field_strength(slab["A"], slab["dA"], C)
+        for rows, slab in row_slabs(ch, {"A": conn.A[ch.name]}, [("A", STENCIL_ORDER)]):
+            F = _field_strength(slab["A"], slab["A", STENCIL_ORDER], C)
             # pair-major, points last: Fm[mu, nu] is the (k, k, p) matrix field of F_mu_nu
             Fm = np.einsum("mnap,aij->mnijp", F, conn.rep.matrices)
             trF = np.einsum("mniip->mnp", Fm)

@@ -21,7 +21,8 @@ the gradient became non-finite.  Every other task whose result holds a
 non-finite number writes its report (non-finite values as the strings
 "NaN", "Infinity", "-Infinity") and exits 5 as well.  Exit 2 covers only an
 allocation that fails when it is made: one that the kernel grants but cannot
-later back with memory still ends in the OOM killer.
+later back with memory still ends in the OOM killer.  A run refused before its
+task starts, and a refused plot, make no output directory.
 
 `--threads` (or the NCYM_THREADS environment variable) is a parallelism
 hint handed to the BLAS runtime before the numerical modules load; it wins
@@ -211,10 +212,9 @@ def cmd_run(args) -> int:
         doc["seed"] = args.seed
     resolved = resolve(doc)
     task = resolved["task"]
-    out_dir = _make_dir(
-        Path(args.output_dir or resolved.get("output_dir") or f"ncym-out-{task}")
-    )
-    code, result = TASK_RUNNERS[task](build_problem(resolved), resolved, out_dir)
+    problem = build_problem(resolved)
+    out_dir = _make_dir(Path(args.output_dir or resolved.get("output_dir") or f"ncym-out-{task}"))
+    code, result = TASK_RUNNERS[task](problem, resolved, out_dir)
     if code == EXIT_OK and _non_finite(result):
         code = EXIT_NON_FINITE
     _write_report(out_dir, task, resolved, result)
@@ -237,7 +237,6 @@ def cmd_plot(args) -> int:
     from .serialize import save_csv
 
     run_dir = Path(args.run_dir)
-    out_dir = _make_dir(Path(args.output_dir) if args.output_dir else run_dir)
     if args.what == "trace":
         src = run_dir / "trace.csv"
         if not src.exists():
@@ -246,10 +245,12 @@ def cmd_plot(args) -> int:
             rows = list(csv.reader(fh))
         if not rows:
             raise ConfigError(f"{src} is empty")
-        save_csv(out_dir / "plot_trace.csv", rows[0], rows[1:])
+        name, header, rows = "plot_trace.csv", rows[0], rows[1:]
     else:
         emit, name = _PLOTS[args.what]
-        save_csv(out_dir / name, *emit(_load_run(run_dir)))
+        header, rows = emit(_load_run(run_dir))
+    out_dir = _make_dir(Path(args.output_dir) if args.output_dir else run_dir)
+    save_csv(out_dir / name, header, rows)
     print(f"plot data written to {out_dir}")
     return EXIT_OK
 

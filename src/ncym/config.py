@@ -7,10 +7,10 @@ connection; the optional ``metric`` block sets only the fiber metric.  Every
 setting must change the run: :data:`TASKS` gives the optional blocks each
 task reads, and :data:`BUNDLES` and :data:`KINDS` the keys each kind of
 bundle, algebra, connection, initial field pair and representation reads,
-with their defaults; :func:`resolve` fills those in and refuses any other
-block or key.  Validation happens before any computation; the fully resolved
-document (defaults filled in) is what every run records verbatim in its
-report, so a report always carries the exact inputs that produced it.
+with their defaults.  :data:`SCHEMA` is derived from these tables, and
+:data:`VALUES` gives only each key's value type.  :func:`resolve` validates
+before any computation, fills the defaults in and refuses any other block
+or key; every run records the resolved document verbatim in its report.
 
 Every JSON file ncym reads, a config or the report a plot starts from,
 goes through :func:`read`, which refuses NaN and Infinity tokens, unreadable
@@ -47,7 +47,7 @@ from .lie_core import build_representation, build_su, build_u1
 from .metric import assemble
 from .yang_mills import SolverOptions
 
-__all__ = ["read", "resolve", "build_problem", "SCHEMA", "TASKS", "BUNDLES", "KINDS"]
+__all__ = ["read", "resolve", "build_problem", "SCHEMA", "TASKS", "BUNDLES", "KINDS", "VALUES"]
 
 # task -> the optional blocks it reads; any other block is refused
 TASKS = {
@@ -101,113 +101,79 @@ KINDS = {
     },
 }
 
+_NUMBER = {"type": "number"}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_SEED = {"type": "integer", "minimum": 0}
+_MATRIX = {"type": "array", "items": {"type": "array", "items": _NUMBER}}
+
+# block -> key -> the JSON schema of its value; BUNDLES and KINDS give which
+# keys a kinded block admits and requires, SolverOptions the solver's keys
+VALUES = {
+    "bundle": {
+        "dim": {"type": "integer", "minimum": 1, "maximum": 4},
+        "npts": {"type": "integer", "minimum": 8},
+        "side": _POSITIVE,
+        "radius": _POSITIVE,
+        "margin": {"type": "number", "exclusiveMinimum": 1},
+        "charge": {"type": "integer"},
+    },
+    "algebra": {"n": {"type": "integer", "minimum": 2}},
+    "representation": {
+        "dim": {"type": "integer", "minimum": 1},
+        "j": {"type": "number", "minimum": 0},
+        "parts": {"type": "array", "minItems": 1, "items": {"$ref": "#/$defs/representation"}},
+    },
+    "metric": {"internal": _MATRIX},
+    "connection": {"coeffs": _MATRIX, "seed": _SEED, "amplitude": _NUMBER, "rho": _POSITIVE},
+    "initial": {"seed": _SEED, "amplitude": _NUMBER, "x_dependent": {"type": "boolean"}},
+    "solver": {
+        "max_iters": {"type": "integer", "minimum": 1},
+        "tol": _POSITIVE,
+        "momentum": {"type": "number", "minimum": 0, "maximum": 1},
+    },
+    "chern": {"degree": {"type": "integer", "minimum": 1}},
+}
+
+
+def _kinded(block: str, kinds: dict, **nested) -> dict:
+    """The schema of a kinded block from ``kinds`` (kind -> the keys it reads
+    with their defaults) and the schemas of the kinded blocks ``nested`` in
+    it: a key no kind gives a default is required, and one that only some
+    kinds leave without a default is required of those kinds."""
+    props = {"kind": {"enum": list(kinds)}, **VALUES[block], **nested}
+    required, conditions = ["kind"], []
+    for key in props:
+        bare = [kind for kind, keys in kinds.items() if key in keys and keys[key] is None]
+        if len(bare) == len(kinds):
+            required.append(key)
+        else:
+            conditions += [{"if": {"properties": {"kind": {"const": kind}}},
+                            "then": {"required": [key]}} for kind in bare]
+    schema = {"type": "object", "properties": props, "required": required,
+              "additionalProperties": False}
+    return {**schema, "allOf": conditions} if conditions else schema
+
+
+def _plain(block: str, **bounds) -> dict:
+    """The schema of a block without kinds: the keys ``VALUES`` gives it."""
+    return {"type": "object", "properties": VALUES[block], **bounds,
+            "additionalProperties": False}
+
+
 SCHEMA = {
     "type": "object",
-    "$defs": {
-        "representation": {
-            "type": "object",
-            "properties": {
-                "kind": {"enum": list(KINDS["representation"])},
-                "dim": {"type": "integer", "minimum": 1},
-                "j": {"type": "number", "minimum": 0},
-                "parts": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {"$ref": "#/$defs/representation"},
-                },
-            },
-            "required": ["kind"],
-            "additionalProperties": False,
-            "allOf": [
-                {
-                    "if": {"properties": {"kind": {"const": "spin"}}},
-                    "then": {"required": ["j"]},
-                },
-                {
-                    "if": {"properties": {"kind": {"const": "sum"}}},
-                    "then": {"required": ["parts"]},
-                },
-            ],
-        }
-    },
+    "$defs": {"representation": _kinded("representation", KINDS["representation"])},
     "properties": {
         "task": {"enum": list(TASKS)},
-        "bundle": {
-            "type": "object",
-            "properties": {
-                "kind": {"enum": list(BUNDLES)},
-                "dim": {"type": "integer", "minimum": 1, "maximum": 4},
-                "npts": {"type": "integer", "minimum": 8},
-                "side": {"type": "number", "exclusiveMinimum": 0},
-                "radius": {"type": "number", "exclusiveMinimum": 0},
-                "margin": {"type": "number", "exclusiveMinimum": 1},
-                "charge": {"type": "integer"},
-                "algebra": {
-                    "type": "object",
-                    "properties": {
-                        "kind": {"enum": list(KINDS["algebra"])},
-                        "n": {"type": "integer", "minimum": 2},
-                    },
-                    "required": ["kind"],
-                    "additionalProperties": False,
-                },
-            },
-            "required": ["kind", "npts"],
-            "additionalProperties": False,
-        },
+        "bundle": _kinded("bundle", {kind: b.keys for kind, b in BUNDLES.items()},
+                          algebra=_kinded("algebra", KINDS["algebra"])),
         "representation": {"$ref": "#/$defs/representation"},
-        "metric": {
-            "type": "object",
-            "properties": {
-                "internal": {
-                    "type": "array",
-                    "items": {"type": "array", "items": {"type": "number"}},
-                },
-            },
-            "minProperties": 1,
-            "additionalProperties": False,
-        },
-        "connection": {
-            "type": "object",
-            "properties": {
-                "kind": {"enum": list(KINDS["connection"])},
-                "coeffs": {
-                    "type": "array",
-                    "items": {"type": "array", "items": {"type": "number"}},
-                },
-                "seed": {"type": "integer", "minimum": 0},
-                "amplitude": {"type": "number"},
-                "rho": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "required": ["kind"],
-            "additionalProperties": False,
-        },
-        "initial": {
-            "type": "object",
-            "properties": {
-                "kind": {"enum": list(KINDS["initial"])},
-                "seed": {"type": "integer", "minimum": 0},
-                "amplitude": {"type": "number"},
-                "x_dependent": {"type": "boolean"},
-            },
-            "required": ["kind"],
-            "additionalProperties": False,
-        },
-        "solver": {
-            "type": "object",
-            "properties": {
-                "max_iters": {"type": "integer", "minimum": 1},
-                "tol": {"type": "number", "exclusiveMinimum": 0},
-                "momentum": {"type": "number", "minimum": 0, "maximum": 1},
-            },
-            "additionalProperties": False,
-        },
-        "chern": {
-            "type": "object",
-            "properties": {"degree": {"type": "integer", "minimum": 1}},
-            "additionalProperties": False,
-        },
-        "seed": {"type": "integer", "minimum": 0},
+        "metric": _plain("metric", minProperties=1),
+        "connection": _kinded("connection", KINDS["connection"]),
+        "initial": _kinded("initial", KINDS["initial"]),
+        "solver": _plain("solver"),
+        "chern": _plain("chern"),
+        "seed": _SEED,
         "output_dir": {"type": "string"},
         "snapshots": {"type": "boolean"},
     },
@@ -216,15 +182,10 @@ SCHEMA = {
 }
 
 
-def _compile(schema: dict):
-    """The validator ``jsonschema.validate`` builds on every call, with the
-    schema checked against its meta-schema once."""
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
-
-
-_VALIDATOR = _compile(SCHEMA)
+# the validator jsonschema.validate builds on every call, with SCHEMA checked
+# against its meta-schema once
+_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+_VALIDATOR.check_schema(SCHEMA)
 
 
 def _refuse_constant(token: str):
@@ -254,7 +215,7 @@ def _fill(block: str, spec: dict, seed: int, keys: dict | None = None) -> None:
         if key != "kind" and key not in keys:
             raise ConfigError(f"a {kind} {block} does not read {key!r}")
     for key, default in keys.items():
-        if default is not None and key not in spec:
+        if key not in spec:  # SCHEMA requires every key without a default
             spec[key] = seed if default is SEED else copy.deepcopy(default)
     for part in spec.get("parts", ()):
         _fill("representation", part, seed)
@@ -291,19 +252,15 @@ def resolve(doc: dict) -> dict:
     if task == "solve":
         doc["solver"] = {**asdict(SolverOptions()), **doc.get("solver", {})}
         doc.setdefault("snapshots", False)
-    dim = spec.base_dim or bundle["dim"]
-    if task == "chern":
-        doc.setdefault("chern", {}).setdefault("degree", dim // 2)
 
     conn = doc["connection"]["kind"]
     if conn not in spec.connections:
         raise ConfigError(f"connection kind {conn!r} not available on a {kind} bundle")
     if spec.representation is None and "representation" in doc:
         raise ConfigError(f"the {kind} bundle fixes its own representation")
-    if conn == "constant" and "coeffs" not in doc["connection"]:
-        raise ConfigError("constant connection needs its coefficient matrix")
     if task == "chern":
-        degree = doc["chern"]["degree"]
+        dim = spec.base_dim or bundle["dim"]
+        degree = doc.setdefault("chern", {}).setdefault("degree", dim // 2)
         if dim % 2 or degree != dim // 2:
             raise ConfigError(
                 f"chern.degree {degree} cannot saturate a {dim}-dimensional base: "
@@ -361,12 +318,8 @@ def build_problem(doc: dict) -> Problem:
     riem = None
     if doc["task"] != "chern":
         base = flat_metric(man) if kind == "torus" else round_sphere_metric(man)
-        internal = (
-            np.asarray(doc["metric"]["internal"], dtype=float)
-            if "metric" in doc
-            else np.eye(lb.dim)
-        )
-        riem = assemble(base, internal, conn)
+        internal = doc["metric"]["internal"] if "metric" in doc else np.eye(lb.dim)
+        riem = assemble(base, np.asarray(internal, dtype=float), conn)
 
     ispec = doc.get("initial")
     if ispec is None:
@@ -376,9 +329,7 @@ def build_problem(doc: dict) -> Problem:
     elif ispec["kind"] == "zero":
         init = zero_ncc(conn)
     else:
-        init = random_ncc(
-            conn, ispec["seed"], ispec["amplitude"], ispec["x_dependent"]
-        )
+        init = random_ncc(conn, ispec["seed"], ispec["amplitude"], ispec["x_dependent"])
         if ispec["kind"] == "canonical-plus-random":
             for ch in man.charts:
                 init.phi[ch.name] = init.phi[ch.name] + rep.matrices

@@ -143,9 +143,9 @@ def curvature_F(conn: OrdinaryConnection) -> dict:
         A = conn.A[ch.name]
         F = out[ch.name] = np.empty(ch.shape + (ch.dim, ch.dim, conn.basis.dim),
                                     np.result_type(A, float))
-        for rows, slab in row_slabs(ch, {"A": A}, {"dA": ("A", 2)}):
+        for rows, slab in row_slabs(ch, {"A": A}, [("A", 2)]):
             block = F[rows].reshape((-1,) + F.shape[ch.dim:])
-            block[...] = np.moveaxis(_field_strength(slab["A"], slab["dA"], C), -1, 0)
+            block[...] = np.moveaxis(_field_strength(slab["A"], slab["A", 2], C), -1, 0)
     return out
 
 
@@ -365,7 +365,7 @@ def _gluing_at(basis, paths: dict, slab: dict, here: np.ndarray, sample, dst_fie
     before the next slab's are formed."""
     # the slab's sample points, points first; J[i, j] = d y^i / d x^j
     tinv, dtinv, A_src, F_src = (np.moveaxis(slab[k][..., here], -1, 0)
-                                 for k in ("tinv", "dtinv", "A", "F"))
+                                 for k in ("tinv", ("tinv", 2), "A", "F"))
     t = np.conj(np.swapaxes(tinv, -1, -2))
     inhom = _einsum_on_path(paths, "pij,pmjk->pmik", t, dtinv)
 
@@ -412,7 +412,7 @@ def gluing_residuals(conn: OrdinaryConnection) -> dict:
                       "F": F[ov.dst].reshape(sample.shape[1], -1)}
         start, paths = 0, {}
         res, scale = {"A": [], "F": []}, {"A": [], "F": []}
-        for rows, slab in row_slabs(src, fields, {"dtinv": ("tinv", 2)}):
+        for rows, slab in row_slabs(src, fields, [("tinv", 2)]):
             scale["A"].append(sup(basis.contract(np.moveaxis(slab["A"], -1, 0))))
             scale["F"].append(sup(basis.contract(np.moveaxis(slab["F"], -1, 0))))
             here = ov.mask[rows].reshape(-1)

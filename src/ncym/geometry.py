@@ -297,7 +297,7 @@ def _points_last(arr: np.ndarray, dim: int) -> np.ndarray:
     return np.moveaxis(arr.reshape((-1,) + arr.shape[dim:]), 0, -1)
 
 
-def row_slabs(chart: ChartGrid, fields: dict, diff: dict | None = None):
+def row_slabs(chart: ChartGrid, fields: dict, diff=()):
     """Cut ``chart`` into blocks of whole first-axis rows, as many rows as fit
     in SLAB_POINTS grid points and at least one, and yield ``(rows, slab)``
     per block: ``rows`` is the slice of first-axis rows, and ``slab`` holds,
@@ -305,9 +305,9 @@ def row_slabs(chart: ChartGrid, fields: dict, diff: dict | None = None):
     and contiguous,
 
     - ``slab[key]``, the grid-first field ``fields[key]`` at those rows;
-    - ``slab[name]`` for each ``name: (key, order)`` of ``diff``, the stencil
-      derivative of ``fields[key]`` at ``order`` along every chart axis,
-      stacked on a leading axis.
+    - ``slab[key, order]`` for each ``(key, order)`` pair of ``diff``, the
+      stencil derivative of ``fields[key]`` at ``order`` along every chart
+      axis, stacked on a leading axis.
 
     A derivative reads the field's halo rows only, and has the same bits
     whatever the block bounds; it agrees with :func:`derivatives` to
@@ -318,12 +318,10 @@ def row_slabs(chart: ChartGrid, fields: dict, diff: dict | None = None):
         rows = slice(start, min(start + step, chart.shape[0]))
         slab = {key: np.ascontiguousarray(_points_last(arr[rows], chart.dim))
                 for key, arr in fields.items()}
-        for name, (key, order) in (diff or {}).items():
-            parts = [_points_last(part, chart.dim)
-                     for part in _derivatives_at(fields[key], chart, rows, order)]
-            slab[name] = np.empty((chart.dim,) + parts[0].shape, parts[0].dtype)
-            for mu, part in enumerate(parts):
-                slab[name][mu] = part
+        for key, order in diff:
+            # a list, not an array, so the copy is C-contiguous
+            slab[key, order] = np.array([_points_last(part, chart.dim) for part
+                                         in _derivatives_at(fields[key], chart, rows, order)])
         yield rows, slab
 
 

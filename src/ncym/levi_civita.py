@@ -83,7 +83,7 @@ def _slabs(riem, ch, orders):
     name, C = ch.name, riem.conn.basis.structure
     fields = {"gM": riem.base.g[name], "hM": riem.base.inv[name], "gI": riem.internal[name],
               "hI": riem.hint[name], "A": riem.conn.A[name]}
-    diff = {(key, order): (key, order) for key in ("gM", "gI", "A") for order in orders}
+    diff = [(key, order) for key in ("gM", "gI", "A") for order in orders]
     for _, slab in geometry.row_slabs(ch, fields, diff):
         shared = {key: slab[key] for key in fields}
         yield [shared | {"dgM": slab["gM", order], "dgI": slab["gI", order],

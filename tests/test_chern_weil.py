@@ -208,8 +208,8 @@ def test_one_field_strength_per_slab_and_one_form_per_chern_task(monkeypatch, tm
     is formed."""
     orders, slabs, strengths, forms = [], [], [], []
 
-    def counted_slabs(chart, fields, diff=None):
-        orders.append(sorted({order for _, order in diff.values()}))
+    def counted_slabs(chart, fields, diff=()):
+        orders.append(sorted({order for _, order in diff}))
         for rows, slab in row_slabs(chart, fields, diff):
             slabs.append(rows)
             yield rows, slab

@@ -253,7 +253,7 @@ def test_overlap_without_sample_points(task, code, tmp_path, capsys):
     assert capsys.readouterr().err == (
         "ncym: sphere charts share no grid point: chart margin 1.01 at npts 8 "
         "leaves their overlap without sample points\n")
-    assert not (tmp_path / "out" / "report.json").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("hint", ["abc", "0", "-3"])
@@ -669,6 +669,19 @@ def test_plot_without_trace_exits_2(tmp_path, capsys):
     (tmp_path / "empty").mkdir()
     assert main(["plot", str(tmp_path / "empty"), "--what", "trace"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("what, run_dir", [
+    ("trace", None), ("well", None), ("density", ROOT / "runs" / "torus_vacuum"),
+], ids=["no-trace", "no-report", "torus-density"])
+def test_refused_plot_makes_no_directory(what, run_dir, tmp_path, capsys):
+    """A plot that is refused, for want of its input or by its emitter,
+    exits 2 before it makes its output directory."""
+    run_dir = run_dir or tmp_path
+    assert main(["plot", str(run_dir), "--what", what,
+                 "--output-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("ncym: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_plot_of_an_empty_trace_exits_2(tmp_path, capsys):

@@ -122,6 +122,8 @@ def test_seed_flows_into_sub_seeds():
          "representation": {"kind": "adjoint"}},
         _torus(solver={"momentum": 1.5}),
         _torus(representation={"kind": "spin"}),
+        _torus(representation={"kind": "sum"}),
+        {"task": "eval", "bundle": {"kind": "torus"}},
     ],
 )
 def test_rejections(doc):
@@ -139,6 +141,10 @@ SCHEMA_REJECTIONS = [
     (_torus(representation={"kind": "spin"}), "representation: "),
     (_torus(representation={"kind": "sum", "parts": [{"kind": "spin"}]}),
      "representation.parts.0: "),
+    # a key without a default: "'coeffs' is a required property", and so on
+    (_torus(connection={"kind": "constant"}), "connection: "),
+    (_torus(representation={"kind": "sum"}), "representation: "),
+    ({"task": "eval", "bundle": {"kind": "torus"}}, "bundle: "),
 ]
 
 

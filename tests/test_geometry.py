@@ -569,7 +569,7 @@ def test_stencil_product_is_bitwise_the_tensordot_form(shape, dim, periodic, dty
 def _slab_derivative(arr, ch, order):
     """The row slabs' derivative of ``arr``, joined along the points and
     returned grid first."""
-    slabs = [slab["d"] for _, slab in row_slabs(ch, {"f": arr}, {"d": ("f", order)})]
+    slabs = [slab["f", order] for _, slab in row_slabs(ch, {"f": arr}, [("f", order)])]
     joined = np.concatenate(slabs, axis=-1)
     joined = joined.reshape(joined.shape[:-1] + ch.shape)
     return np.moveaxis(joined, tuple(range(joined.ndim - ch.dim)),
@@ -589,9 +589,9 @@ def test_slab_derivative_is_bitwise_across_block_widths(bundle, order, monkeypat
     got = {}
     for width in (1, 2, 3, 5, ch.shape[0]):
         monkeypatch.setattr(geometry, "SLAB_POINTS", width * row)
-        for rows, slab in row_slabs(ch, {"f": arr}, {"d": ("f", order)}):
+        for rows, slab in row_slabs(ch, {"f": arr}, [("f", order)]):
             assert rows.stop - rows.start <= width
-            assert slab["f"].flags.c_contiguous and slab["d"].flags.c_contiguous
+            assert slab["f"].flags.c_contiguous and slab["f", order].flags.c_contiguous
             assert slab["f"].shape == (4, 3, (rows.stop - rows.start) * row)
         got[width] = _slab_derivative(arr, ch, order)
     for width in (2, 3, 5, ch.shape[0]):

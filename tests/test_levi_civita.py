@@ -204,8 +204,8 @@ def test_one_check_order_field_strength_per_lc_check(monkeypatch, tmp_path):
     field strength is formed."""
     orders, slabs, strengths = [], [], []
 
-    def counted_slabs(chart, fields, diff=None):
-        orders.append(sorted({order for _, order in diff.values()}))
+    def counted_slabs(chart, fields, diff=()):
+        orders.append(sorted({order for _, order in diff}))
         for rows, slab in row_slabs(chart, fields, diff):
             slabs.append(rows)
             yield rows, slab

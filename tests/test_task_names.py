@@ -1,6 +1,9 @@
 """The schema, the config kind tables and the CLI name the same kinds."""
 
+from dataclasses import fields
+
 from ncym import cli, config
+from ncym.yang_mills import SolverOptions
 
 _PROPS = config.SCHEMA["properties"]
 
@@ -32,6 +35,18 @@ def test_schema_enums_are_the_kind_tables():
         assert schema["properties"]["kind"]["enum"] == list(kinds), block
         read = {key for keys in kinds.values() for key in keys}
         assert set(schema["properties"]) == read | {"kind"}, block
+
+
+def test_value_types_are_the_keys_kinds_read():
+    """VALUES types exactly the keys some kind of a block reads (a nested
+    kinded block has its own schema), and the solver keys are the fields of
+    SolverOptions: a key taken out of a table takes its type with it."""
+    tables = {"bundle": {k: b.keys for k, b in config.BUNDLES.items()}, **config.KINDS}
+    assert set(config.VALUES) == set(tables) | {"metric", "solver", "chern"}
+    for block, kinds in tables.items():
+        read = {key for keys in kinds.values() for key in keys}
+        assert set(config.VALUES[block]) == read - set(config.KINDS), block
+    assert list(config.VALUES["solver"]) == [f.name for f in fields(SolverOptions)]
 
 
 def test_bundle_tables_name_known_connections():
