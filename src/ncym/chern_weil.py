@@ -21,7 +21,7 @@ import numpy as np
 
 from .connections import OrdinaryConnection, _field_strength
 from .errors import InvalidRank
-from .geometry import interp_chart, partial_derivative, relative, row_slabs, sup
+from .geometry import integrate, interp_chart, partial_derivative, relative, row_slabs, sup
 from .nc_forms import _perm_sign
 
 __all__ = ["ChernForm", "chern_form", "closedness_residual", "chern_number"]
@@ -66,11 +66,8 @@ class ChernForm:
                 f"degree-{self.degree} form cannot saturate a {man.dim}-dimensional base"
             )
         key = tuple(range(man.dim))
-        total = 0.0
-        for ch in man.charts:
-            comp = man.weights[ch.name] * self.comps[ch.name][key]
-            total += ch.orientation * float(np.sum(comp)) * ch.cell_volume
-        return total
+        return float(integrate(man, {ch.name: ch.orientation * self.comps[ch.name][key]
+                                     for ch in man.charts}))
 
 
 def chern_form(conn: OrdinaryConnection, q: int) -> ChernForm:

@@ -167,7 +167,7 @@ def _task_geom_check(problem, doc, out_dir):
     from .geometry import integrate, overlap_round_trip
 
     man = problem.man
-    volume = float(integrate(man, problem.riem.base, dict.fromkeys(man.weights, 1.0)))
+    volume = float(integrate(man, problem.riem.base.sqrt_det))
     gluing = gluing_residuals(problem.conn) if man.overlaps else {}
     return EXIT_OK, {
         "volume": volume,
@@ -188,8 +188,11 @@ TASK_RUNNERS = {
 
 
 def cmd_selfcheck(args) -> int:
-    from .selfcheck import format_table, run_selfcheck
+    from .selfcheck import MODULES, format_table, run_selfcheck
 
+    if args.filter is not None and args.filter not in MODULES:
+        raise ConfigError(f"--filter {args.filter!r} names no selfcheck module; "
+                          f"known: {', '.join(MODULES)}")
     out_dir = _make_dir(Path(args.output_dir)) if args.output_dir else None
     results = run_selfcheck(args.filter)
     print(format_table(results))
@@ -300,17 +303,13 @@ def _action_slice(problem):
         raise ConfigError("an action slice needs a run with an initial field pair")
     bd = action(problem.init, problem.riem)
     ch = problem.man.charts[0]
-    dens = bd.densities[ch.name]
-    x = grid_points(ch)
+    dens, x = bd.densities[ch.name], grid_points(ch)
+    if ch.dim == 1:  # a single row: j = 0 and x1 = 0
+        dens, x = dens[..., None], np.pad(x, ((0, 0), (0, 1)))[:, None]
     # fix every axis beyond the first two at its middle index
     extra = tuple(s // 2 for s in ch.shape[2:])
-    plane = dens[(slice(None), slice(None), slice(None)) + extra]
-    xs = x[(slice(None), slice(None)) + extra + (0,)]
-    ys = (
-        x[(slice(None), slice(None)) + extra + (1,)]
-        if ch.dim > 1
-        else np.zeros_like(xs)
-    )
+    plane = dens[(slice(None),) * 3 + extra]
+    xs, ys = (x[(slice(None),) * 2 + extra + (k,)] for k in (0, 1))
     rows = [
         [i, j, xs[i, j], ys[i, j], *plane[:, i, j]]
         for i in range(plane.shape[1])

@@ -370,13 +370,13 @@ def _gluing_at(basis, paths: dict, slab: dict, here: np.ndarray, sample, dst_fie
     inhom = _einsum_on_path(paths, "pij,pmjk->pmik", t, dtinv)
 
     # destination fields are sampled as real components, then contracted
-    A_dst_at = basis.contract((sample @ dst_fields["A"]).reshape(A_src.shape))
+    A_dst_at = basis.contract(sample @ dst_fields["A"])
     lhs_A = _einsum_on_path(paths, "pmij,pmn->pnij", A_dst_at, jac)
     rhs_A = _einsum_on_path(paths, "pij,pmjk,pkl->pmil", t, basis.contract(A_src),
                            tinv) + inhom
     res_A = sup(lhs_A - rhs_A)
 
-    F_dst_at = basis.contract((sample @ dst_fields["F"]).reshape(F_src.shape))
+    F_dst_at = basis.contract(sample @ dst_fields["F"])
     lhs_F = _einsum_on_path(paths, "pmnij,pmr,pns->prsij", F_dst_at, jac, jac)
     rhs_F = _einsum_on_path(paths, "pij,pmnjk,pkl->pmnil", t, basis.contract(F_src), tinv)
     return res_A, sup(lhs_F - rhs_F)
@@ -408,8 +408,8 @@ def gluing_residuals(conn: OrdinaryConnection) -> dict:
         tinv_grid = np.conj(np.swapaxes(ov.transition(grid_points(src)), -1, -2))
         fields = {"tinv": tinv_grid, "A": conn.A[ov.src], "F": F[ov.src]}
         sample = sampling_operator(conn.man.chart(ov.dst), ov.y)
-        dst_fields = {"A": conn.A[ov.dst].reshape(sample.shape[1], -1),
-                      "F": F[ov.dst].reshape(sample.shape[1], -1)}
+        dst_fields = {key: f[ov.dst].reshape((-1,) + f[ov.dst].shape[src.dim:])
+                      for key, f in (("A", conn.A), ("F", F))}
         start, paths = 0, {}
         res, scale = {"A": [], "F": []}, {"A": [], "F": []}
         for rows, slab in row_slabs(src, fields, [("tinv", 2)]):

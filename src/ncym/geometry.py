@@ -1,4 +1,5 @@
-"""Charts, grids, finite differences, and quadrature on the base manifold.
+"""Charts and grids on the base manifold, and the three grid operations
+every field goes through: differentiate, sample, integrate.
 
 A manifold is a list of rectangular coordinate charts plus partition-of-unity
 weights and overlap data.  Each directed overlap carries its point map, its
@@ -10,19 +11,17 @@ on a single periodic chart, and round S^2 / S^4 on two stereographic charts
 glued by inversion ``x -> x r^2 / |x|^2``; the sphere builder refuses a
 chart margin that leaves no grid point in the overlap.
 
-Derivatives are second-order central finite differences (optional fourth
-order), realized as small dense one-dimensional matrices applied along an
-axis; this makes the exact adjoint of every stencil available as the
-transposed matrix.  All reductions go through ``numpy``'s pairwise
-summation, which is deterministic for a fixed shape and order.
-
-Pointwise work on a whole chart runs through :func:`row_slabs`, which cuts
-the chart into blocks of whole first-axis rows of about SLAB_POINTS grid
-points and yields the fields and their derivatives there, points last.
-
-A chart field is sampled off its grid, at an overlap's image points, by
-:func:`sampling_operator`: multilinear interpolation stored as the 2^dim
-corner indices and weights of each point, applied as a gather in numpy.
+Differentiate: the finite-difference stencils, of order 2 (or 4), are written
+once, in ``_STENCILS``, and built once per axis both as a dense matrix, a
+product along any axis whose transpose is the exact adjoint, and as a
+:class:`SamplingOperator` along the first axis, which :func:`row_slabs` uses
+to differentiate one block of rows at a time.  Sample: a
+:class:`SamplingOperator` is any fixed-width row operator, each output row a
+weighted sum of a fixed number of first-axis rows of a field;
+:func:`sampling_operator` samples a chart field multilinearly off its grid.
+Integrate: :func:`integrate` is the one quadrature over the partition of
+unity.  Reductions are numpy's pairwise sums, deterministic for a fixed shape
+and order.
 """
 
 from __future__ import annotations
@@ -188,50 +187,49 @@ def overlap_round_trip(man: Manifold) -> float:
 # finite differences
 # ---------------------------------------------------------------------------
 
+# order -> (interior offsets, their weights, the one-sided rows at the lower
+# edge, the denominator in units of the spacing); the rows at the upper edge
+# are those at the lower edge reversed and negated
+_STENCILS = {
+    2: ((-1, 1), (-1.0, 1.0), ((-3.0, 4.0, -1.0),), 2.0),
+    4: ((-2, -1, 1, 2), (1.0, -8.0, 8.0, -1.0),
+        ((-25.0, 48.0, -36.0, 16.0, -3.0), (-3.0, -10.0, 18.0, -6.0, 1.0)), 12.0),
+}
 _DIFF_CACHE: dict = {}
+
+
+def _stencil(npts: int, h: float, periodic: bool, order: int) -> tuple:
+    """The first-derivative stencil along one axis from ``_STENCILS``, built
+    once per key: its dense (npts, npts) matrix, and the same stencil as a
+    read-only :class:`SamplingOperator` of each row's non-zero columns."""
+    key = (npts, float(h), bool(periodic), int(order))
+    if key in _DIFF_CACHE:
+        return _DIFF_CACHE[key]
+    if order not in _STENCILS:
+        raise ShapeError("supported stencil orders: 2, 4")
+    offsets, interior, edge, denom = _STENCILS[order]
+    if npts < 2 * max(offsets) + 2:
+        raise ShapeError(f"order-{order} stencil needs at least {2 * max(offsets) + 2} points")
+    d = np.zeros((npts, npts))
+    i = np.arange(npts)
+    for offset, weight in zip(offsets, interior):
+        d[i, (i + offset) % npts] = weight / (denom * h)
+    if not periodic:
+        for k, row in enumerate(np.array(edge) / (denom * h)):
+            d[k], d[-1 - k] = 0.0, 0.0
+            d[k, : len(row)], d[-1 - k, -len(row) :] = row, -row[::-1]
+    nonzero = d != 0.0
+    cols = np.argsort(~nonzero, axis=1, kind="stable")[:, : nonzero.sum(axis=1).max()]
+    op = SamplingOperator(cols.T.copy(), np.take_along_axis(d, cols, axis=1).T.copy(), npts)
+    for arr in (d, op.cols, op.weights):
+        arr.setflags(write=False)
+    _DIFF_CACHE[key] = d, op
+    return d, op
 
 
 def diff_matrix(npts: int, h: float, periodic: bool, order: int = 2) -> np.ndarray:
     """Dense (npts, npts) first-derivative matrix along one axis."""
-    key = (npts, float(h), bool(periodic), int(order))
-    if key in _DIFF_CACHE:
-        return _DIFF_CACHE[key]
-    if order not in (2, 4):
-        raise ShapeError("supported stencil orders: 2, 4")
-    d = np.zeros((npts, npts))
-    if order == 2:
-        for i in range(npts):
-            d[i, (i + 1) % npts] += 1.0
-            d[i, (i - 1) % npts] -= 1.0
-        d /= 2.0 * h
-        if not periodic:
-            d[0, :] = 0.0
-            d[0, 0:3] = np.array([-3.0, 4.0, -1.0]) / (2.0 * h)
-            d[-1, :] = 0.0
-            d[-1, -3:] = np.array([1.0, -4.0, 3.0]) / (2.0 * h)
-    else:
-        if npts < 6:
-            raise ShapeError("order-4 stencil needs at least 6 points")
-        for i in range(npts):
-            d[i, (i - 2) % npts] += 1.0
-            d[i, (i - 1) % npts] -= 8.0
-            d[i, (i + 1) % npts] += 8.0
-            d[i, (i + 2) % npts] -= 1.0
-        d /= 12.0 * h
-        if not periodic:
-            one_sided0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12.0 * h)
-            one_sided1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / (12.0 * h)
-            d[0, :] = 0.0
-            d[0, :5] = one_sided0
-            d[1, :] = 0.0
-            d[1, :5] = one_sided1
-            d[-1, :] = 0.0
-            d[-1, -5:] = -one_sided0[::-1]
-            d[-2, :] = 0.0
-            d[-2, -5:] = -one_sided1[::-1]
-    d.setflags(write=False)
-    _DIFF_CACHE[key] = d
-    return d
+    return _stencil(npts, h, periodic, order)[0]
 
 
 def _apply_along_axis(mat: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
@@ -269,28 +267,6 @@ def derivatives(arr: np.ndarray, chart: ChartGrid, order: int = 2) -> np.ndarray
 SLAB_POINTS = 1024  # grid points per block of `row_slabs`, at least one whole row
 
 
-def _derivatives_at(arr: np.ndarray, chart: ChartGrid, rows: slice, order: int) -> list:
-    """``derivatives(arr, chart, order)[rows]`` as one grid-first array per
-    axis.  Along axis 0 each row sums only its own stencil columns, in a fixed
-    order, so the bits do not depend on the block bounds and only the
-    stencil's halo rows are read; the other axes are products on the block."""
-    d = diff_matrix(chart.shape[0], chart.spacing[0], chart.periodic[0], order)
-    # each row's non-zero columns, ascending, padded with zero coefficients
-    nonzero = d != 0.0
-    cols = np.argsort(~nonzero, axis=1, kind="stable")[:, : int(nonzero.sum(axis=1).max())]
-    cols, coef = cols[rows], np.take_along_axis(d, cols, axis=1)[rows, :, None]
-    block = arr[rows]
-    flat = (len(block), -1)
-    first = coef[:, 0] * arr[cols[:, 0]].reshape(flat)
-    for k in range(1, cols.shape[1]):
-        first += coef[:, k] * arr[cols[:, k]].reshape(flat)
-    out = [first.reshape(block.shape)]
-    for axis in range(1, chart.dim):
-        d = diff_matrix(chart.shape[axis], chart.spacing[axis], chart.periodic[axis], order)
-        out.append(_apply_along_axis(d, block, axis))
-    return out
-
-
 def _points_last(arr: np.ndarray, dim: int) -> np.ndarray:
     """A grid-first block with its ``dim`` grid axes flattened to one point
     axis, moved last."""
@@ -309,9 +285,11 @@ def row_slabs(chart: ChartGrid, fields: dict, diff=()):
       stencil derivative of ``fields[key]`` at ``order`` along every chart
       axis, stacked on a leading axis.
 
-    A derivative reads the field's halo rows only, and has the same bits
-    whatever the block bounds; it agrees with :func:`derivatives` to
-    rounding.  Only one block's copies are alive at a time.
+    Along the first axis a derivative is the stencil's row operator on the
+    block's rows: it reads the field's halo rows only, and has the same bits
+    whatever the block bounds.  Along the other axes it is a product on the
+    block.  It agrees with :func:`derivatives` to rounding.  Only one block's
+    copies are alive at a time.
     """
     step = max(1, SLAB_POINTS // int(np.prod(chart.shape[1:])))
     for start in range(0, chart.shape[0], step):
@@ -319,9 +297,13 @@ def row_slabs(chart: ChartGrid, fields: dict, diff=()):
         slab = {key: np.ascontiguousarray(_points_last(arr[rows], chart.dim))
                 for key, arr in fields.items()}
         for key, order in diff:
+            stencils = [_stencil(chart.shape[axis], chart.spacing[axis], chart.periodic[axis],
+                                 order) for axis in range(chart.dim)]
+            parts = [stencils[0][1][rows] @ fields[key]] + [
+                _apply_along_axis(stencils[axis][0], fields[key][rows], axis)
+                for axis in range(1, chart.dim)]
             # a list, not an array, so the copy is C-contiguous
-            slab[key, order] = np.array([_points_last(part, chart.dim) for part
-                                         in _derivatives_at(fields[key], chart, rows, order)])
+            slab[key, order] = np.array([_points_last(part, chart.dim) for part in parts])
         yield rows, slab
 
 
@@ -411,17 +393,15 @@ class BaseMetric:
             self.inv[ch.name], self.sqrt_det[ch.name] = done[id(gm)]
 
 
-def integrate(man: Manifold, metric: BaseMetric, f: dict):
-    """Quadrature of the scalar field f dx over the manifold.
-
-    Per chart: sum of weight * f * sqrt(det g) times the coordinate cell
-    volume; charts are visited in declaration order, sums are numpy pairwise.
-    ``f[name]`` may be a scalar: 1.0 on every chart gives the volume.
-    """
+def integrate(man: Manifold, f: dict):
+    """The quadrature over the manifold: per chart, ``np.sum(weight * f)``
+    times the coordinate cell volume, summed over the charts in declaration
+    order.  ``f[name]`` is a grid array or a scalar; a metric density or a
+    chart orientation is a factor the caller puts into it, so
+    ``integrate(man, riem.base.sqrt_det)`` is the volume."""
     total = 0.0
     for ch in man.charts:
-        w = man.weights[ch.name]
-        total = total + np.sum(w * f[ch.name] * metric.sqrt_det[ch.name]) * ch.cell_volume
+        total = total + np.sum(man.weights[ch.name] * f[ch.name]) * ch.cell_volume
     return total
 
 
@@ -605,18 +585,21 @@ def build_sphere_two_charts(
 
 
 # ---------------------------------------------------------------------------
-# sampling off the grid, and the matrix exponential
+# fixed-width row operators, sampling off the grid, the matrix exponential
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
 class SamplingOperator:
-    """The (points, grid points) multilinear sampling matrix of
-    :func:`sampling_operator`, stored by row as a fixed number of corners:
-    ``cols[k, i]`` is the flat grid index of point i's k-th corner and
-    ``weights[k, i]`` its weight.  ``S @ field`` samples a field flattened
-    to (grid points, extra), and ``S[rows]`` is the operator of a slice of
-    the points.  The arrays are read-only and shared by row slices.
+    """A (rows, grid points) matrix with a fixed number of entries per row,
+    stored by row: ``cols[k, i]`` is the column of row i's k-th entry and
+    ``weights[k, i]`` its weight (a zero weight pads a shorter row).  It is
+    the multilinear sampling of :func:`sampling_operator` (entries: a point's
+    2^dim corners) and the first-axis stencil of :func:`row_slabs` (entries:
+    a row's non-zero columns, ascending).
+    ``S @ field`` applies it along the first axis of a grid-first field of
+    any shape, and ``S[rows]`` is the operator of a slice of the rows.  The
+    arrays are read-only and shared by row slices.
     """
 
     cols: np.ndarray
@@ -631,19 +614,18 @@ class SamplingOperator:
         return SamplingOperator(self.cols[:, rows], self.weights[:, rows], self.grid_points)
 
     def __matmul__(self, field: np.ndarray) -> np.ndarray:
-        """Each point's corners weighted and added in corner order onto
-        zero, as a CSR product adds a row's entries, so the sums carry its
-        bits."""
+        """Each row's entries gathered along the first axis, weighted and
+        added in order onto zero, as a CSR product adds a row's entries, so
+        the sums carry its bits.  A gather reads only the rows it names, so
+        a broadcast field is never copied whole."""
         field = np.asarray(field)
         if field.shape[0] != self.grid_points:
             raise ShapeError(f"a field on {field.shape[0]} grid points, want {self.grid_points}")
-        flat = field.reshape(self.grid_points, -1)
-        out = np.zeros((self.shape[0], flat.shape[1]), np.result_type(flat, float))
+        # 2-d buffers, so each product runs along a whole gathered row
+        out = np.zeros((self.shape[0], field[:1].size), np.result_type(field, float))
         term = np.empty_like(out)
         for cols, weights in zip(self.cols, self.weights):
-            # every corner is on the grid; "clip" takes straight into `term`
-            np.take(flat, cols, axis=0, out=term, mode="clip")
-            term *= weights[:, None]
+            np.multiply(field[cols].reshape(term.shape), weights[:, None], out=term)
             out += term
         return out.reshape(self.shape[:1] + field.shape[1:])
 
@@ -678,10 +660,10 @@ def sampling_operator(chart: ChartGrid, pts: np.ndarray) -> SamplingOperator:
 def interp_chart(chart: ChartGrid, arr: np.ndarray, pts: np.ndarray):
     """Sample ``arr`` (shape ``chart.shape + extra``) at ``pts`` (..., dim),
     multilinearly: the :func:`sampling_operator` of ``pts`` applied to ``arr``
-    flattened to (grid points, extra), so extra axes are independent."""
-    sample = sampling_operator(chart, pts)
-    out = sample @ arr.reshape(sample.shape[1], -1)
-    return out.reshape(np.shape(pts)[:-1] + arr.shape[chart.dim :])
+    with its grid axes flattened to one, so extra axes are independent."""
+    extra = arr.shape[chart.dim :]
+    return (sampling_operator(chart, pts) @ arr.reshape((-1,) + extra)).reshape(
+        np.shape(pts)[:-1] + extra)
 
 
 def expm_antihermitian(x: np.ndarray) -> np.ndarray:

@@ -43,7 +43,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ShapeError
-from .geometry import ChartGrid, Manifold, grid_points, partial_derivative, sup
+from .geometry import ChartGrid, Manifold, grid_points, integrate, partial_derivative, sup
 
 __all__ = [
     "MixedForm",
@@ -508,21 +508,14 @@ def total_integral(w, man: Manifold, riem) -> complex:
 
     Only the top-degree component (full horizontal and full vertical index)
     contributes; lower degrees integrate to zero.  Top horizontal components
-    are coordinate densities, so the base quadrature applies the chart
-    orientation and cell volume but no further metric factor.
+    are coordinate densities, so :func:`geometry.integrate` takes them times
+    the chart orientation, with no further metric factor.
     """
     forms = _as_field(man, w)
-    total = 0.0 + 0.0j
     full_h = tuple(range(man.dim))
-    for ch in man.charts:
-        if ch.name not in forms:
-            continue
-        base = fiber_integrate(forms[ch.name], riem)
-        if full_h not in base:
-            continue
-        val = base[full_h]
-        total += np.sum(man.weights[ch.name] * val) * ch.orientation * ch.cell_volume
-    return complex(total)
+    top = {ch.name: ch.orientation * fiber_integrate(forms[ch.name], riem).get(full_h, 0.0)
+           if ch.name in forms else 0.0 for ch in man.charts}
+    return complex(integrate(man, top))
 
 
 def scalar_product(w, e, man: Manifold, riem) -> complex:
@@ -531,7 +524,7 @@ def scalar_product(w, e, man: Manifold, riem) -> complex:
     combined density.  Positive on the diagonal, hermitian in its arguments."""
     wf = _as_field(man, w)
     ef = _as_field(man, e)
-    total = 0.0 + 0.0j
+    dens = dict.fromkeys(man.weights, 0.0)
     for ch in man.charts:
         if ch.name not in wf or ch.name not in ef:
             continue
@@ -539,10 +532,9 @@ def scalar_product(w, e, man: Manifold, riem) -> complex:
         wc._check_mate(ec)
         if wc.degree != ec.degree:
             continue
-        dens = riem.sqrtg[ch.name]
         acc = np.zeros(ch.shape, dtype=complex)
         for key, val in wc.comps.items():
             raised = _raised(ec, riem, key)
             acc = acc + np.einsum("...ij,...ij->...", np.conj(val), raised)
-        total += np.sum(man.weights[ch.name] * dens * acc) * ch.cell_volume
-    return complex(total)
+        dens[ch.name] = riem.sqrtg[ch.name] * acc
+    return complex(integrate(man, dens))

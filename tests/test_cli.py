@@ -472,6 +472,53 @@ def test_selfcheck_subcommand(capsys):
     assert "0 failed" in out
 
 
+def test_selfcheck_filter_naming_no_module_exits_2(tmp_path, capsys):
+    """A mistyped module runs no check: it is refused, naming the known
+    modules, before any output directory is made."""
+    assert main(["selfcheck", "--filter", "geometri", "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ncym: ") and "'geometri'" in err and "geometry" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_plot_slice_of_a_1d_torus_is_one_row(tmp_path):
+    doc = {"task": "eval", "bundle": {"kind": "torus", "dim": 1, "npts": 8},
+           "output_dir": str(tmp_path / "out")}
+    assert main(["run", _write(tmp_path, doc)]) == 0
+    assert main(["plot", str(tmp_path / "out"), "--what", "slice"]) == 0
+    rows = list(csv.DictReader(open(tmp_path / "out" / "slice.csv")))
+    assert [int(r["i"]) for r in rows] == list(range(8))
+    assert all(r["j"] == "0" and float(r["x1"]) == 0.0 for r in rows)
+
+
+@pytest.mark.parametrize("bundle", [
+    {"kind": "torus", "dim": 1, "npts": 8},
+    {"kind": "torus", "dim": 3, "npts": 8},
+    {"kind": "monopole", "npts": 8},
+], ids=["torus1", "torus3", "monopole"])
+def test_no_plot_kind_raises(bundle, tmp_path, capsys):
+    """Every task once on the bundle, then every plot kind of its run: each
+    plot exits 0, or exits 2 with an `ncym:` line.  A refused run makes no
+    directory, so each of its plots exits 2."""
+    from ncym.cli import TASK_RUNNERS, _PLOTS
+
+    for task in TASK_RUNNERS:
+        out = tmp_path / task
+        doc = {"task": task, "bundle": bundle, "output_dir": str(out)}
+        if task == "solve":
+            doc["solver"] = {"max_iters": 2}
+        code = main(["run", _write(tmp_path, doc, f"{task}.json")])
+        assert code in (0, 2, 3), task
+        assert out.exists() == (code != 2), task
+        capsys.readouterr()
+        for what in ("trace", *_PLOTS):
+            code_plot = main(["plot", str(out), "--what", what])
+            err = capsys.readouterr().err
+            assert code_plot in (0, 2), (task, what)
+            assert code_plot == 0 or err.startswith("ncym: "), (task, what)
+            assert code_plot == 2 or out.exists(), (task, what)
+
+
 def test_plot_well_scan(solved_run):
     _, out, _ = solved_run
     assert main(["plot", str(out), "--what", "well"]) == 0

@@ -32,7 +32,7 @@ import ncym.geometry as geometry
 def test_torus_volume_exact():
     man = build_torus(2, 16)
     g = flat_metric(man)
-    vol = integrate(man, g, {"t0": np.ones(man.charts[0].shape)})
+    vol = integrate(man, g.sqrt_det)
     assert abs(vol - (2 * np.pi) ** 2) < 1e-12
 
 
@@ -40,14 +40,13 @@ def test_torus_sin_integrates_to_zero():
     man = build_torus(2, 16)
     g = flat_metric(man)
     x = grid_points(man.charts[0])
-    assert abs(integrate(man, g, {"t0": np.sin(x[..., 0])})) < 1e-12
+    assert abs(integrate(man, {"t0": np.sin(x[..., 0]) * g.sqrt_det["t0"]})) < 1e-12
 
 
 def test_sphere4_volume_within_2_percent():
     man = build_sphere_two_charts(4, 16, 1.0)
     g = round_sphere_metric(man)
-    one = {c.name: np.ones(c.shape) for c in man.charts}
-    vol = integrate(man, g, one)
+    vol = integrate(man, g.sqrt_det)
     exact = 8.0 * np.pi**2 / 3.0
     assert abs(vol - exact) / exact < 0.02
 
@@ -58,8 +57,7 @@ def test_sphere2_volume_converges():
     for n in (16, 32):
         man = build_sphere_two_charts(2, n, 1.0)
         g = round_sphere_metric(man)
-        one = {c.name: np.ones(c.shape) for c in man.charts}
-        errs.append(abs(integrate(man, g, one) - exact))
+        errs.append(abs(integrate(man, g.sqrt_det) - exact))
     assert errs[1] < errs[0]
     assert errs[1] / exact < 1e-4
 
@@ -272,7 +270,8 @@ def test_pou_small_perturbation_insensitivity():
         if ch.name == "south":
             z = -z
         f[ch.name] = 1.0 + z + z * z
-    assert abs(integrate(man, g, f) - integrate(man2, g, f)) < 1e-10
+    fg = {name: f[name] * g.sqrt_det[name] for name in f}
+    assert abs(integrate(man, fg) - integrate(man2, fg)) < 1e-10
 
 
 def test_pou_change_exact_for_localized_integrand():
@@ -300,7 +299,8 @@ def test_pou_change_exact_for_localized_integrand():
         f[ch.name] = np.where(rho < 0.5, np.cos(3.0 * x[..., 0]), 0.0)
         if ch.name == "south":
             f[ch.name] = np.zeros(ch.shape)
-    assert abs(integrate(man, g, f) - integrate(man2, g, f)) < 1e-12
+    fg = {name: f[name] * g.sqrt_det[name] for name in f}
+    assert abs(integrate(man, fg) - integrate(man2, fg)) < 1e-12
 
 
 def test_grid_size_guards():
@@ -574,6 +574,70 @@ def _slab_derivative(arr, ch, order):
     joined = joined.reshape(joined.shape[:-1] + ch.shape)
     return np.moveaxis(joined, tuple(range(joined.ndim - ch.dim)),
                        tuple(range(ch.dim, joined.ndim)))
+
+
+def _written_out_stencil(npts, h, periodic, order):
+    """The first-derivative matrix with each stencil written out by hand."""
+    d = np.zeros((npts, npts))
+    taps = {2: {-1: -1.0, 1: 1.0}, 4: {-2: 1.0, -1: -8.0, 1: 8.0, 2: -1.0}}[order]
+    for i in range(npts):
+        for off, w in taps.items():
+            d[i, (i + off) % npts] += w
+    d /= (2.0 if order == 2 else 12.0) * h
+    if not periodic:
+        edges = ([[-3.0, 4.0, -1.0]] if order == 2 else
+                 [[-25.0, 48.0, -36.0, 16.0, -3.0], [-3.0, -10.0, 18.0, -6.0, 1.0]])
+        for k, row in enumerate(edges):
+            row = np.array(row) / ((2.0 if order == 2 else 12.0) * h)
+            d[k, :], d[-1 - k, :] = 0.0, 0.0
+            d[k, : len(row)] = row
+            d[-1 - k, -len(row):] = -row[::-1]
+    return d
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "bounded"])
+def test_stencil_table_and_its_row_operator_are_bitwise_the_written_out_stencil(order,
+                                                                               periodic):
+    """``diff_matrix`` from the stencil table has the bits of the stencils
+    written out by hand, and its cached row operator, applied to the
+    identity, has the bits of ``diff_matrix``; both are read-only."""
+    for npts in range(4, 41, 3):
+        h = 2.0 * np.pi / npts
+        if order == 4 and npts < 6:
+            with pytest.raises(ShapeError, match="at least 6 points"):
+                diff_matrix(npts, h, periodic, order)
+            continue
+        d = diff_matrix(npts, h, periodic, order)
+        assert d.tobytes() == _written_out_stencil(npts, h, periodic, order).tobytes(), npts
+        dense, stencil = geometry._stencil(npts, h, periodic, order)
+        assert dense is d and stencil.shape == (npts, npts)
+        assert not (d.flags.writeable or stencil.cols.flags.writeable
+                    or stencil.weights.flags.writeable)
+        assert np.all(np.diff(stencil.cols, axis=0)[stencil.weights[1:] != 0] > 0)
+        assert (stencil @ np.eye(npts)).tobytes() == d.tobytes(), npts
+
+
+def test_row_operator_gathers_a_broadcast_field_without_copying_it():
+    """A broadcast field, zero-stride along its grid axis or along the
+    others, is gathered row by row: the peak stays far below the 72 MB its
+    full copy would take."""
+    import tracemalloc
+
+    n, rows = 10**6, np.arange(1000)
+    # rows 1..1000 of a periodic order-2 stencil at spacing 1
+    gather = geometry.SamplingOperator(np.stack([rows, rows + 2]),
+                                       np.stack([np.full(1000, -0.5), np.full(1000, 0.5)]), n)
+    for field, slope in ((np.broadcast_to(np.eye(3), (n, 3, 3)), 0.0),
+                         (np.broadcast_to(np.arange(float(n))[:, None, None], (n, 3, 3)), 1.0)):
+        tracemalloc.start()
+        try:
+            got = gather @ field
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (1000, 3, 3) and np.all(got == slope)
+        assert peak < 2**20
 
 
 @pytest.mark.parametrize("order", [2, 4])
