@@ -260,8 +260,11 @@ def resolve(doc: dict) -> dict:
         raise ConfigError(f"the {kind} bundle fixes its own representation")
     if task == "chern":
         dim = spec.base_dim or bundle["dim"]
+        if dim % 2:
+            raise ConfigError(f"a chern run needs an even-dimensional base, not a "
+                              f"{dim}-dimensional one: it integrates a top-degree form")
         degree = doc.setdefault("chern", {}).setdefault("degree", dim // 2)
-        if dim % 2 or degree != dim // 2:
+        if degree != dim // 2:
             raise ConfigError(
                 f"chern.degree {degree} cannot saturate a {dim}-dimensional base: "
                 "a degree-q Chern-Weil form needs a 2q-dimensional base"

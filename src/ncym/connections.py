@@ -20,9 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import geometry
 from .errors import GluingError, ShapeError
 from .geometry import (
     Manifold,
+    SamplingOperator,
     build_sphere_two_charts,
     derivatives,
     grid_points,
@@ -114,7 +116,13 @@ class OrdinaryConnection:
                 raise ShapeError("gauge potential components must be real")
 
     def curvature(self) -> dict:
-        """F^a_mu_nu per chart, shape + (d, d, m)."""
+        """F^a_mu_nu per chart, shape + (d, d, m), formed on the whole charts
+        by :func:`curvature_F` at the first call and cached.  Its readers are
+        the Yang-Mills path (:func:`nc_curvature` and the action's
+        evaluation in ``yang_mills``) and the ``nc_forms`` oracle; the
+        topology checks (``chern_form``, ``gluing_residuals``,
+        ``residual_table``) form F one row slab at a time and leave the
+        cache empty."""
         if not self._F:
             self._F = curvature_F(self)
         return self._F
@@ -152,8 +160,9 @@ def curvature_F(conn: OrdinaryConnection) -> dict:
 def _field_strength(A: np.ndarray, dA: np.ndarray, C: np.ndarray) -> np.ndarray:
     """F^a_mu_nu = d_mu A^a_nu - d_nu A^a_mu + C_bc^a A^b_mu A^c_nu from a
     points-last potential (mu, a, p) and its derivatives (mu, nu, a, p)."""
-    AC = np.einsum("ncp,bca->nbap", A, C)
-    return dA - dA.swapaxes(0, 1) + np.einsum("mbp,nbap->mnap", A, AC)
+    F = dA - dA.swapaxes(0, 1)
+    F += np.einsum("mbp,nbap->mnap", A, np.einsum("ncp,bca->nbap", A, C))
+    return F
 
 
 def zero_connection(man: Manifold, basis: LieBasis, rep: Representation) -> OrdinaryConnection:
@@ -280,13 +289,17 @@ def bpst_connection(
     if basis.n != 2:
         raise ShapeError("the instanton potential is su(2)-valued")
     r = man.params["radius"]
-    out = {}
+    out, grids = {}, {}  # the points and |x|^2 of each distinct grid, formed once
     for ch, eta, size in (
         (man.chart("north"), thooft_symbols(), rho),
         (man.chart("south"), thooft_symbols(anti=True), r * r / rho),
     ):
-        x = grid_points(ch)
-        den = np.sum(x * x, axis=-1) + size * size
+        key = tuple(c.tobytes() for c in ch.coords)
+        if key not in grids:
+            x = grid_points(ch)
+            grids[key] = x, np.sum(x * x, axis=-1)
+        x, rho2 = grids[key]
+        den = rho2 + size * size
         # eta_{a mu nu} x^nu as one (P, 4) @ (4, 4 * 3) product; each row of
         # eta has a single +-1 entry, so every sum is exact in any order
         ex = (x.reshape(-1, 4) @ eta.transpose(2, 1, 0).reshape(4, -1)).reshape(
@@ -356,30 +369,95 @@ def _einsum_on_path(paths: dict, spec: str, *operands) -> np.ndarray:
     return np.einsum(spec, *operands, optimize=paths[spec])
 
 
-def _gluing_at(basis, paths: dict, slab: dict, here: np.ndarray, sample, dst_fields: dict,
-               jac: np.ndarray) -> tuple:
-    """The potential and field-strength gluing residuals at the sample points
-    of one :func:`gluing_residuals` row slab: ``here`` picks them out of
-    the slab, ``sample`` samples the flattened destination fields there,
-    and ``jac`` holds their Jacobians.  Its arrays are freed on return,
-    before the next slab's are formed."""
-    # the slab's sample points, points first; J[i, j] = d y^i / d x^j
-    tinv, dtinv, A_src, F_src = (np.moveaxis(slab[k][..., here], -1, 0)
-                                 for k in ("tinv", ("tinv", 2), "A", "F"))
+def _sampled_fields(conn: OrdinaryConnection, chart, sample) -> tuple:
+    """The potential and the field strength on only the grid points of
+    ``chart`` that the sampling operator ``sample`` reads, side by side in
+    one compact (points, d m + d d m) array, and ``sample`` with its columns
+    re-indexed into it.  The field strength is formed one row slab at a time
+    through :func:`_field_strength`, as :func:`curvature_F` forms it on the
+    whole chart, so the sampled values carry the bits of sampling
+    whole-chart fields.  :func:`_split_fields` takes them apart again."""
+    read = np.zeros(chart.shape, bool)
+    read.reshape(-1)[sample.cols] = True
+    # a read grid point's place in the compact array; int32, as a chart
+    # holds far fewer than 2^31 points, halves the re-indexed operator
+    place = np.cumsum(read, dtype=np.int32) - 1
+    A = conn.A[chart.name]
+    fields = np.empty((place[-1] + 1, chart.dim * (chart.dim + 1) * A.shape[-1]))
+    A_read, F = _split_fields(fields, chart.dim)
+    A_read[...] = A[read]
+    for rows, slab in row_slabs(chart, {"A": A}, [("A", 2)]):
+        at = np.flatnonzero(read[rows])
+        if len(at):
+            F[place.reshape(chart.shape)[rows].reshape(-1)[at]] = np.moveaxis(
+                _field_strength(slab["A"].take(at, -1), slab["A", 2].take(at, -1),
+                                conn.basis.structure), -1, 0)
+    return SamplingOperator(place[sample.cols], sample.weights, len(fields)), fields
+
+
+def _split_fields(fields: np.ndarray, dim: int) -> tuple:
+    """Views of the potential (points, d, m) and the field strength
+    (points, d, d, m) in an array of :func:`_sampled_fields`."""
+    m = fields.shape[1] // (dim * (dim + 1))
+    return (fields[:, :dim * m].reshape(-1, dim, m),
+            fields[:, dim * m:].reshape(-1, dim, dim, m))
+
+
+def _gluing_at(basis, paths: dict, tinv: np.ndarray, dtinv: np.ndarray, src: dict,
+               sampled: dict, jac: np.ndarray) -> tuple:
+    """The potential and field-strength gluing residuals at a run of sample
+    points, points first: t^-1 and its derivatives, the source potential and
+    field strength as matrices (``src``), the destination's as sampled real
+    components (``sampled``), and the Jacobians J[i, j] = d y^i / d x^j."""
     t = np.conj(np.swapaxes(tinv, -1, -2))
     inhom = _einsum_on_path(paths, "pij,pmjk->pmik", t, dtinv)
+    lhs = _einsum_on_path(paths, "pmij,pmn->pnij", basis.contract(sampled["A"]), jac)
+    rhs = _einsum_on_path(paths, "pij,pmjk,pkl->pmil", t, src["A"], tinv) + inhom
+    res_A = sup(np.subtract(lhs, rhs, out=lhs))
+    del lhs, rhs, inhom
+    lhs = _einsum_on_path(paths, "pmnij,pmr,pns->prsij", basis.contract(sampled["F"]), jac, jac)
+    rhs = _einsum_on_path(paths, "pij,pmnjk,pkl->pmnil", t, src["F"], tinv)
+    return res_A, sup(np.subtract(lhs, rhs, out=lhs))
 
-    # destination fields are sampled as real components, then contracted
-    A_dst_at = basis.contract(sample @ dst_fields["A"])
-    lhs_A = _einsum_on_path(paths, "pmij,pmn->pnij", A_dst_at, jac)
-    rhs_A = _einsum_on_path(paths, "pij,pmjk,pkl->pmil", t, basis.contract(A_src),
-                           tinv) + inhom
-    res_A = sup(lhs_A - rhs_A)
 
-    F_dst_at = basis.contract(sample @ dst_fields["F"])
-    lhs_F = _einsum_on_path(paths, "pmnij,pmr,pns->prsij", F_dst_at, jac, jac)
-    rhs_F = _einsum_on_path(paths, "pij,pmnjk,pkl->pmnil", t, basis.contract(F_src), tinv)
-    return res_A, sup(lhs_F - rhs_F)
+def _overlap_gluing(conn: OrdinaryConnection, ov) -> dict:
+    """:func:`gluing_residuals` of one overlap.  A slab's arrays are freed
+    before the next slab's are formed, and the overlap's on return."""
+    basis = conn.basis
+    src, dst = conn.man.chart(ov.src), conn.man.chart(ov.dst)
+
+    def tinv_on(rows):
+        return np.conj(np.swapaxes(ov.transition(grid_points(src, rows)), -1, -2))
+
+    sample, dst_fields = _sampled_fields(conn, dst, sampling_operator(dst, ov.y))
+    start, step, paths = 0, geometry.SLAB_POINTS, {}
+    res, scale = {"A": [], "F": []}, {"A": [], "F": []}
+    for rows, slab in row_slabs(src, {"A": conn.A[ov.src], "tinv": tinv_on},
+                                [("A", 2), ("tinv", 2)]):
+        F = _field_strength(slab["A"], slab.pop(("A", 2)), basis.structure)
+        mask = ov.mask[rows].reshape(-1)
+        for first in range(0, mask.size, step):
+            pts = slice(first, first + step)
+            matrices = {key: basis.contract(np.moveaxis(coeff[..., pts], -1, 0))
+                        for key, coeff in (("A", slab["A"]), ("F", F))}
+            for key in res:
+                scale[key].append(sup(matrices[key]))
+            # the sub-slab's sample points, a contiguous run of the sample set
+            at = np.flatnonzero(mask[pts])
+            p = slice(start, start + at.size)
+            start = p.stop
+            if at.size:
+                tinv, dtinv = (np.moveaxis(slab[k][..., pts][..., at], -1, 0)
+                               for k in ("tinv", ("tinv", 2)))
+                sampled = _split_fields(sample[p] @ dst_fields, src.dim)
+                run = _gluing_at(basis, paths, tinv, dtinv,
+                                 {key: m[at] for key, m in matrices.items()},
+                                 dict(zip(res, sampled)), ov.jac[p])
+                for key, value in zip(res, run):
+                    res[key].append(value)
+        del slab, F  # before the next slab is formed
+    res_A, res_F = (relative(sup(res[k]), sup(scale[k])) for k in res)
+    return {"potential": res_A, "field_strength": res_F}
 
 
 def gluing_residuals(conn: OrdinaryConnection) -> dict:
@@ -391,38 +469,23 @@ def gluing_residuals(conn: OrdinaryConnection) -> dict:
     (never empty) sample set.  Returns relative sup-norm residuals per
     overlap; interpolation and stencil error limit the attainable residual
     (its measured orders: ROADMAP item 6).
-    The source chart is visited one row slab at a time: d(t^-1) is taken
-    there, and the sample points in those rows (a contiguous run of them,
-    since the mask is in grid order) are contracted there; the scale is the
-    source's chart peak.  One ``sampling_operator`` per overlap samples the
-    destination fields, a row slice of it per slab, and each contraction's
-    path is searched at the overlap's first slab and reused by the others.
+
+    No field is formed on a whole chart, and the connection's cached field
+    strength is neither read nor filled.  Per overlap, the source chart is
+    visited one row slab at a time (:func:`row_slabs`): its field strength
+    is formed there through :func:`_field_strength`, and t^-1 is evaluated
+    on the slab's rows and their stencil halo only and differentiated
+    there.  In sub-slabs of at most SLAB_POINTS points, A and F are then
+    contracted to matrices, for the scale (the source's chart peak) and at
+    the sub-slab's sample points, a contiguous run of the sample set since
+    the mask is in grid order.  One ``sampling_operator`` per overlap
+    samples the destination fields, a row slice of it per run, from a
+    compact array of only the points it reads (:func:`_sampled_fields`).
+    Each contraction's path is searched at the overlap's first run and
+    reused by the others.
     """
-    out = {}
-    basis = conn.basis
-    F = conn.curvature()
-    for ov in conn.man.overlaps:
-        if ov.transition is None:
-            continue
-        src = conn.man.chart(ov.src)
-        tinv_grid = np.conj(np.swapaxes(ov.transition(grid_points(src)), -1, -2))
-        fields = {"tinv": tinv_grid, "A": conn.A[ov.src], "F": F[ov.src]}
-        sample = sampling_operator(conn.man.chart(ov.dst), ov.y)
-        dst_fields = {key: f[ov.dst].reshape((-1,) + f[ov.dst].shape[src.dim:])
-                      for key, f in (("A", conn.A), ("F", F))}
-        start, paths = 0, {}
-        res, scale = {"A": [], "F": []}, {"A": [], "F": []}
-        for rows, slab in row_slabs(src, fields, [("tinv", 2)]):
-            scale["A"].append(sup(basis.contract(np.moveaxis(slab["A"], -1, 0))))
-            scale["F"].append(sup(basis.contract(np.moveaxis(slab["F"], -1, 0))))
-            here = ov.mask[rows].reshape(-1)
-            p = slice(start, start + int(np.count_nonzero(here)))
-            start = p.stop
-            slab_res = _gluing_at(basis, paths, slab, here, sample[p], dst_fields, ov.jac[p])
-            for key, value in zip(("A", "F"), slab_res):
-                res[key].append(value)
-        res_A, res_F = (relative(sup(res[k]), sup(scale[k])) for k in ("A", "F"))
-        out[(ov.src, ov.dst)] = {"potential": res_A, "field_strength": res_F}
+    out = {(ov.src, ov.dst): _overlap_gluing(conn, ov)
+           for ov in conn.man.overlaps if ov.transition is not None}
     if not out:
         raise GluingError("no overlap carries a transition function")
     return out

@@ -151,9 +151,10 @@ class Manifold:
         raise GluingError(f"no overlap {src} -> {dst}")
 
 
-def grid_points(chart: ChartGrid) -> np.ndarray:
-    """Coordinates of every grid point, shape ``chart.shape + (dim,)``."""
-    mesh = np.meshgrid(*chart.coords, indexing="ij")
+def grid_points(chart: ChartGrid, rows=slice(None)) -> np.ndarray:
+    """Coordinates of every grid point, shape ``chart.shape + (dim,)``, or of
+    those on the first-axis ``rows`` only (a slice or an index array)."""
+    mesh = np.meshgrid(chart.coords[0][rows], *chart.coords[1:], indexing="ij")
     return np.stack(mesh, axis=-1)
 
 
@@ -290,21 +291,58 @@ def row_slabs(chart: ChartGrid, fields: dict, diff=()):
     whatever the block bounds.  Along the other axes it is a product on the
     block.  It agrees with :func:`derivatives` to rounding.  Only one block's
     copies are alive at a time.
+
+    A field may also be a function that returns the grid-first field on an
+    ascending array of first-axis rows.  It is called per block, on the rows
+    of the block and of its stencils' halo that the last block did not read,
+    so no whole-chart copy of it exists; a pointwise function gives the bits
+    of the whole-chart array.
     """
     step = max(1, SLAB_POINTS // int(np.prod(chart.shape[1:])))
+    held = {key: {} for key, arr in fields.items() if callable(arr)}  # row -> its values
     for start in range(0, chart.shape[0], step):
         rows = slice(start, min(start + step, chart.shape[0]))
-        slab = {key: np.ascontiguousarray(_points_last(arr[rows], chart.dim))
-                for key, arr in fields.items()}
-        for key, order in diff:
-            stencils = [_stencil(chart.shape[axis], chart.spacing[axis], chart.periodic[axis],
-                                 order) for axis in range(chart.dim)]
-            parts = [stencils[0][1][rows] @ fields[key]] + [
-                _apply_along_axis(stencils[axis][0], fields[key][rows], axis)
-                for axis in range(1, chart.dim)]
-            # a list, not an array, so the copy is C-contiguous
-            slab[key, order] = np.array([_points_last(part, chart.dim) for part in parts])
-        yield rows, slab
+        yield rows, _row_block(chart, fields, diff, rows, held)
+
+
+def _row_block(chart: ChartGrid, fields: dict, diff, rows: slice, held: dict) -> dict:
+    """The ``slab`` of :func:`row_slabs` at ``rows``.  ``held[key]`` holds the
+    rows of a function field that the last block read, by row, and is
+    replaced by this block's; every other array is freed on return."""
+    first = {order: _stencil(chart.shape[0], chart.spacing[0], chart.periodic[0], order)[1][rows]
+             for _, order in diff}
+    # per field: an array holding the block's rows, where they are in it,
+    # and the first-axis stencil of each order indexed into it
+    source = {}
+    for key, arr in fields.items():
+        if key not in held:
+            source[key] = arr, rows, first
+            continue
+        read = np.zeros(chart.shape[0], bool)
+        read[rows] = True
+        for k, order in diff:
+            if k == key:
+                read[first[order].cols] = True
+        need = np.flatnonzero(read)
+        fresh = [r for r in need if r not in held[key]]
+        if fresh:
+            held[key].update(zip(fresh, arr(np.array(fresh))))
+        held[key] = {r: held[key][r] for r in need}
+        lo = int(np.searchsorted(need, rows.start))
+        source[key] = (np.stack(list(held[key].values())), slice(lo, lo + rows.stop - rows.start),
+                       {order: SamplingOperator(np.searchsorted(need, op.cols), op.weights,
+                                                len(need)) for order, op in first.items()})
+    slab = {key: np.ascontiguousarray(_points_last(arr[at], chart.dim))
+            for key, (arr, at, _) in source.items()}
+    for key, order in diff:
+        arr, at, stencil = source[key]
+        parts = [stencil[order] @ arr] + [
+            _apply_along_axis(_stencil(chart.shape[axis], chart.spacing[axis],
+                                       chart.periodic[axis], order)[0], arr[at], axis)
+            for axis in range(1, chart.dim)]
+        # a list, not an array, so the copy is C-contiguous
+        slab[key, order] = np.array([_points_last(part, chart.dim) for part in parts])
+    return slab
 
 
 def adjoint_partial_derivative(arr: np.ndarray, chart: ChartGrid, axis: int) -> np.ndarray:
@@ -342,15 +380,18 @@ def _spd_inverse(name: str, block: np.ndarray, what: str) -> tuple:
     other stack takes one eigendecomposition B = V diag(lam) V^T per block
     for the check, the inverse V diag(1/lam) V^T and sqrt(prod lam).
     """
-    finite = np.isfinite(block).all(axis=(-2, -1))
+    finite = np.isfinite(block)
     if not finite.all():
+        finite = finite.all(axis=(-2, -1))
         raise SingularMetric(
             f"{what} on {name} not finite{_at(int(np.argmin(finite)), finite.shape)}"
         )
     diag = np.diagonal(block, axis1=-2, axis2=-1)
     closed = np.count_nonzero(block) == np.count_nonzero(diag)
     if closed:
-        ev = np.sort(diag, axis=-1)
+        # a stack already in ascending order (c * I blocks) is its own sort
+        ascending = (diag[..., 1:] >= diag[..., :-1]).all()
+        ev = np.ascontiguousarray(diag) if ascending else np.sort(diag, axis=-1)
     else:
         if not sup(block - np.swapaxes(block, -1, -2)) <= 1e-12:
             raise SingularMetric(f"{what} on {name} must be symmetric")

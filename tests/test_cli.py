@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ncym.connections as connections
 from ncym.cli import _apply_threads_hint, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -671,15 +672,38 @@ def test_chern_degree_is_half_the_base_dimension(tmp_path):
     assert result["value"] == 0.0
 
 
-@pytest.mark.parametrize("doc", [
-    {"task": "chern", "bundle": {"kind": "torus", "dim": 3, "npts": 8}},
-    {"task": "chern", "bundle": {"kind": "instanton", "npts": 8}, "chern": {"degree": 1}},
-], ids=["torus-dim-3", "instanton-degree-1"])
-def test_chern_degree_without_a_top_form_exits_2(doc, tmp_path, capsys):
+@pytest.mark.parametrize("doc, names", [
+    ({"task": "chern", "bundle": {"kind": "torus", "dim": 3, "npts": 8}}, "3-dimensional"),
+    ({"task": "chern", "bundle": {"kind": "torus", "dim": 1, "npts": 8}}, "1-dimensional"),
+    ({"task": "chern", "bundle": {"kind": "instanton", "npts": 8}, "chern": {"degree": 1}},
+     "chern.degree 1 cannot saturate a 4-dimensional base"),
+    ({"task": "chern", "bundle": {"kind": "torus", "dim": 2, "npts": 8}, "chern": {"degree": 2}},
+     "chern.degree 2 cannot saturate a 2-dimensional base"),
+], ids=["torus-dim-3", "torus-dim-1", "instanton-degree-1", "torus-degree-2"])
+def test_chern_degree_without_a_top_form_exits_2(doc, names, tmp_path, capsys):
+    """An odd base is refused by its dimension alone, before a degree is
+    filled in; an explicit degree that does not saturate an even base is
+    refused by that degree."""
     out = tmp_path / "out"
     assert main(["run", _write(tmp_path, doc), "--output-dir", str(out)]) == 2
-    assert "chern.degree" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert names in err
+    assert ("chern.degree" in err) == ("degree" in doc.get("chern", {}))
     assert not out.exists()
+
+
+def test_topology_tasks_never_form_the_cached_field_strength(tmp_path, monkeypatch):
+    """chern, geom-check and lc-check form the field strength one row slab at
+    a time; none of them fills the connection's whole-chart cache."""
+    def whole_chart(conn):
+        raise AssertionError("a topology task formed the whole-chart field strength")
+
+    monkeypatch.setattr(connections, "curvature_F", whole_chart)
+    for task in ("chern", "geom-check", "lc-check"):
+        doc = {"task": task, "bundle": {"kind": "instanton", "npts": 8}}
+        out = tmp_path / task
+        assert main(["run", _write(tmp_path, doc, f"{task}.json"), "--output-dir", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["task"] == task
 
 
 @pytest.mark.parametrize("command", ["run", "plot", "selfcheck"])

@@ -246,6 +246,33 @@ def test_gluing_on_the_sample_points_matches_the_whole_grid_formula(bundle):
             assert abs(got[pair][key] - value) <= 1e-12 * value, (pair, key)
 
 
+def _gluing_bundle(bundle):
+    if bundle == "instanton8":
+        man, lb, rep = instanton_bundle(8)
+        return bpst_connection(man, lb, rep, rho=1.0)
+    man, lb, rep = monopole_bundle(16, charge=2)
+    return monopole_connection(man, lb, rep, charge=2)
+
+
+@pytest.mark.parametrize("bundle", ["instanton8", "monopole16"])
+def test_compact_destination_sample_is_bitwise_the_whole_chart_sample(bundle):
+    """The destination fields sampled from their compact arrays are, byte for
+    byte, the whole-chart fields sampled by the overlap's operator."""
+    conn = _gluing_bundle(bundle)
+    F = connections.curvature_F(conn)
+    for ov in conn.man.overlaps:
+        dst = conn.man.chart(ov.dst)
+        sample = sampling_operator(dst, ov.y)
+        compact, fields = connections._sampled_fields(conn, dst, sample)
+        assert compact.shape == (sample.shape[0], len(np.unique(sample.cols)))
+        assert compact.shape[1] < sample.shape[1]
+        sampled = connections._split_fields(compact @ fields, dst.dim)
+        for got, whole in zip(sampled, (conn.A[ov.dst], F[ov.dst])):
+            want = sample @ whole.reshape((sample.shape[1],) + whole.shape[dst.dim:])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert conn._F == {}
+
+
 def test_gluing_builds_one_sampling_operator_per_overlap(monkeypatch):
     """The destination fields are sampled through one operator per overlap
     with a transition, sliced per slab; interp_chart is not called."""

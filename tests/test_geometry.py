@@ -662,3 +662,36 @@ def test_slab_derivative_is_bitwise_across_block_widths(bundle, order, monkeypat
         assert got[width].tobytes() == got[1].tobytes(), width
     want = derivatives(arr, ch, order)
     assert np.max(np.abs(got[1] - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("width", [1, 2, 5])
+@pytest.mark.parametrize("bundle", ["torus", "sphere"])
+def test_function_field_slabs_are_bitwise_the_array_slabs(bundle, width, monkeypatch):
+    """A field given as a function of first-axis rows gives, block by block,
+    the bits of the same field given as an array, at both stencil orders at
+    once.  The function is called on no more than a block and its halo at a
+    time: on a bounded chart once per row, on a periodic one again for the
+    halo rows that wrap around."""
+    man = build_torus(3, 9) if bundle == "torus" else build_sphere_two_charts(4, 12)
+    ch = man.charts[0]
+    arr = np.random.default_rng(width).normal(size=ch.shape + (2, 2)) * (1 + 1j)
+    calls = []
+
+    def rows_of(rows):
+        calls.append(list(rows))
+        return arr[rows]
+
+    monkeypatch.setattr(geometry, "SLAB_POINTS", width * int(np.prod(ch.shape[1:])))
+    diff = [("f", 2), ("f", 4)]
+    for (rows, want), (same, got) in zip(row_slabs(ch, {"f": arr}, diff),
+                                         row_slabs(ch, {"f": rows_of}, diff)):
+        assert rows == same and set(got) == set(want)
+        for key in want:
+            assert got[key].tobytes() == want[key].tobytes(), (rows, key)
+    called = [r for rows in calls for r in rows]
+    n = ch.shape[0]
+    assert set(called) == set(range(n))
+    again = {r for r in called if called.count(r) > 1}
+    assert again <= ({0, 1, n - 2, n - 1} if all(ch.periodic) else set())
+    assert all(called.count(r) <= 2 for r in again)
+    assert max(len(rows) for rows in calls) <= width + 4  # a block and its halo

@@ -3,22 +3,27 @@
 The bounds are tracemalloc peaks in MiB: numpy reports its array buffers to
 tracemalloc, so they count every array a call allocates, independent of the
 allocator's reuse of freed memory.  Each bound is a measured value plus at
-least 15% headroom (numpy 2.4.6, one BLAS thread, with the order-2 field
-strength cached; nothing measured imports a module).  All three run through
-`geometry.row_slabs`, so no derivative, field strength or contraction of a
-whole chart is formed beyond the cached order-2 field strength that
-`curvature_F` returns:
+least 15% headroom (numpy 2.4.6, one BLAS thread; nothing measured imports
+a module).  The connection's field-strength cache is empty throughout: no
+topology check fills it.  All of them run through `geometry.row_slabs`, so
+no derivative, field strength, transition or contraction of a whole chart
+is formed:
 
-- ``residual_table``: 12.6 MiB measured, bound 15 MiB (1024-point slabs
+- ``residual_table``: 12.0 MiB measured, bound 15 MiB (1024-point slabs
   copied points-last from whole-chart fields gave 68.4 MiB, whole-chart
   symbol tables of both charts 168.2 MiB);
-- ``gluing_residuals``: 11.2 MiB measured, bound 13 MiB, with each slab's
-  sample-point arrays freed before the next slab's are formed (kept
-  alive into the next slab, they gave 12.2 MiB with the numpy corner
-  gather of `geometry.sampling_operator` and 11.9 MiB with a scipy CSR
-  matrix; the sample points contracted all at once, with d(t^-1) on the
-  whole source grid, gave 57.2 MiB);
-- ``chern_form``: 6.45 MiB measured, bound 8 MiB, with the order-4 field
+- ``gluing_residuals``: 10.4 MiB measured, bound 12 MiB, with the source
+  field strength formed per slab and contracted per sub-slab of at most
+  SLAB_POINTS points, the destination potential and field strength kept
+  only on the 5,712 of 20,736 points the sampler reads, and t^-1 evaluated
+  per slab on its rows and their stencil halo.  Until then it read the
+  cached order-2 field strength of both charts (15.2 MiB more, formed by
+  its first caller) and took 11.2 MiB of its own on top, with the
+  transition on the whole source grid; the sample points contracted all
+  at once gave 57.2 MiB;
+- a whole ``geom-check`` (``build_problem`` and the task) peaks at 20.8 MiB,
+  bound 24 MiB (36.8 MiB when the gluing filled the field-strength cache);
+- ``chern_form``: 5.8 MiB measured, bound 8 MiB, with the order-4 field
   strength formed per slab (the order-4 field strength of both charts,
   15.2 MiB, sliced into slabs gave 20.1 MiB; each chart contracted whole
   gave 76.7 MiB);
@@ -34,6 +39,7 @@ import numpy as np
 import pytest
 
 from ncym.chern_weil import chern_form
+from ncym.cli import _task_geom_check
 from ncym.config import build_problem, resolve
 from ncym.connections import gluing_residuals
 import ncym.geometry as geometry
@@ -41,7 +47,8 @@ from ncym.levi_civita import residual_table
 
 MiB = 2**20
 RESIDUAL_TABLE_MIB = 15
-GLUING_MIB = 13
+GLUING_MIB = 12
+GEOM_CHECK_MIB = 24
 CHERN_FORM_MIB = 8
 SETUP_MIB = 12.5
 
@@ -50,9 +57,7 @@ SETUP_MIB = 12.5
 def instanton12():
     doc = {"task": "lc-check", "bundle": {"kind": "instanton", "npts": 12},
            "connection": {"kind": "bpst", "rho": 1.0}}
-    problem = build_problem(resolve(doc))
-    problem.conn.curvature()  # cached on the connection, as in a geom-check
-    return problem
+    return build_problem(resolve(doc))
 
 
 def _traced_mib(fn):
@@ -79,6 +84,23 @@ def test_residual_table_peak_is_bounded(instanton12):
 def test_gluing_residuals_peak_is_bounded(instanton12):
     _, peak = _peak_mib(lambda: gluing_residuals(instanton12.conn))
     assert peak <= GLUING_MIB
+
+
+def test_geom_check_peak_is_bounded(instanton12):
+    """A whole instanton N=12 geom-check, set-up and task, with the caches
+    that the fixture's build warmed; it leaves the field-strength cache
+    empty."""
+    doc = resolve({"task": "geom-check", "bundle": {"kind": "instanton", "npts": 12},
+                   "connection": {"kind": "bpst", "rho": 1.0}})
+    problems = []
+
+    def run():
+        problems.append(build_problem(doc))
+        return _task_geom_check(problems[-1], doc, None)
+
+    _, peak = _peak_mib(run)
+    assert peak <= GEOM_CHECK_MIB
+    assert problems[0].conn._F == {}
 
 
 def test_chern_form_peak_is_bounded(instanton12):
@@ -108,3 +130,16 @@ def test_slab_residuals_are_bitwise_the_whole_chart_residuals(instanton12, monke
     monkeypatch.setattr(geometry, "SLAB_POINTS", whole_chart)
     assert len(list(geometry.row_slabs(ch, {}))) == 1
     assert out == residual_table(riem)
+
+
+def test_gluing_is_bitwise_in_one_whole_chart_slab(instanton12, monkeypatch):
+    """Row slabs and sub-slabs of the default size give the gluing residuals
+    of one slab holding the whole chart, and leave the field-strength cache
+    empty."""
+    conn = instanton12.conn
+    out = gluing_residuals(conn)
+    whole_chart = max(int(np.prod(ch.shape)) for ch in conn.man.charts)
+    monkeypatch.setattr(geometry, "SLAB_POINTS", whole_chart)
+    assert len(list(geometry.row_slabs(conn.man.charts[0], {}))) == 1
+    assert out == gluing_residuals(conn)
+    assert conn._F == {}
