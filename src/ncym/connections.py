@@ -289,17 +289,12 @@ def bpst_connection(
     if basis.n != 2:
         raise ShapeError("the instanton potential is su(2)-valued")
     r = man.params["radius"]
-    out, grids = {}, {}  # the points and |x|^2 of each distinct grid, formed once
+    out, x = {}, grid_points(man.chart("north"))  # the charts share one grid
     for ch, eta, size in (
         (man.chart("north"), thooft_symbols(), rho),
         (man.chart("south"), thooft_symbols(anti=True), r * r / rho),
     ):
-        key = tuple(c.tobytes() for c in ch.coords)
-        if key not in grids:
-            x = grid_points(ch)
-            grids[key] = x, np.sum(x * x, axis=-1)
-        x, rho2 = grids[key]
-        den = rho2 + size * size
+        den = man.rho2[ch.name] + size * size
         # eta_{a mu nu} x^nu as one (P, 4) @ (4, 4 * 3) product; each row of
         # eta has a single +-1 entry, so every sum is exact in any order
         ex = (x.reshape(-1, 4) @ eta.transpose(2, 1, 0).reshape(4, -1)).reshape(

@@ -125,6 +125,7 @@ class Manifold:
     overlaps: tuple = ()
     kind: str = "custom"
     params: dict = field(default_factory=dict)
+    rho2: dict = field(default_factory=dict)  # |x|^2 per chart; one read-only array per grid
 
     def __post_init__(self):
         for ch in self.charts:
@@ -360,10 +361,21 @@ def adjoint_partial_derivative(arr: np.ndarray, chart: ChartGrid, axis: int) -> 
 _COND_WARN = 1e8
 
 
-def _at(flat: int, shape: tuple) -> str:
-    """' at (i, j, ...)' for a flat grid index, '' for a single block."""
-    idx = np.unravel_index(flat, shape)
-    return f" at {tuple(map(int, idx))}" if idx else ""
+def _require(ok: np.ndarray, message: str) -> None:
+    """Raise SingularMetric with ``message`` and, on a stack, the grid index
+    of the first point where ``ok`` is False, if there is one."""
+    if not np.all(ok):
+        idx = np.unravel_index(int(np.argmin(ok)), np.shape(ok))
+        raise SingularMetric(message + (f" at {tuple(map(int, idx))}" if idx else ""))
+
+
+def _check_spectrum(name: str, low: np.ndarray, high: np.ndarray, what: str) -> None:
+    """Refuse a metric whose smallest eigenvalue ``low`` is not positive at
+    some point; warn on a condition number max(high) / min(low) above 1e8."""
+    _require(low > 0, f"{what} on {name} not positive definite")
+    cond = float(np.max(high) / np.min(low))
+    if cond > _COND_WARN:
+        warnings.warn(f"{what} on {name}: condition number {cond:.3e}")
 
 
 def _spd_inverse(name: str, block: np.ndarray, what: str) -> tuple:
@@ -380,12 +392,7 @@ def _spd_inverse(name: str, block: np.ndarray, what: str) -> tuple:
     other stack takes one eigendecomposition B = V diag(lam) V^T per block
     for the check, the inverse V diag(1/lam) V^T and sqrt(prod lam).
     """
-    finite = np.isfinite(block)
-    if not finite.all():
-        finite = finite.all(axis=(-2, -1))
-        raise SingularMetric(
-            f"{what} on {name} not finite{_at(int(np.argmin(finite)), finite.shape)}"
-        )
+    _require(np.isfinite(block).all(axis=(-2, -1)), f"{what} on {name} not finite")
     diag = np.diagonal(block, axis1=-2, axis2=-1)
     closed = np.count_nonzero(block) == np.count_nonzero(diag)
     if closed:
@@ -396,13 +403,7 @@ def _spd_inverse(name: str, block: np.ndarray, what: str) -> tuple:
         if not sup(block - np.swapaxes(block, -1, -2)) <= 1e-12:
             raise SingularMetric(f"{what} on {name} must be symmetric")
         ev, vec = np.linalg.eigh(block)
-    low = ev[..., 0]  # ev is ascending in both paths
-    if np.min(low) <= 0:
-        where = _at(int(np.argmin(low)), low.shape)
-        raise SingularMetric(f"{what} on {name} not positive definite{where}")
-    cond = float(np.max(ev[..., -1]) / np.min(low))
-    if cond > _COND_WARN:
-        warnings.warn(f"{what} on {name}: condition number {cond:.3e}")
+    _check_spectrum(name, ev[..., 0], ev[..., -1], what)  # ev is ascending in both paths
     if closed:
         inv = np.zeros(block.shape)
         np.einsum("...ii->...i", inv)[...] = 1.0 / diag
@@ -412,26 +413,37 @@ def _spd_inverse(name: str, block: np.ndarray, what: str) -> tuple:
 
 
 class BaseMetric:
-    """Base-manifold metric g^M as per-chart (..., d, d) arrays, checked
-    symmetric positive definite, with cached inverse and sqrt(det).  Each
-    distinct block array is inverted once: charts holding the same array
-    share one read-only inverse and sqrt(det)."""
+    """Conformally flat base metric g^M = c delta, held as the conformal
+    factor: ``conf[name]`` is a read-only array of the chart's grid shape,
+    checked finite and positive; charts holding one array share it and one
+    read-only ``sqrt_det[name]``, sqrt of the product of d copies of c (the
+    bits :func:`_spd_inverse` gives on c delta).  :meth:`dense` and
+    :meth:`dense_inverse` form the blocks c delta and delta / c per call."""
 
-    def __init__(self, man: Manifold, g: dict):
+    def __init__(self, man: Manifold, conf: dict):
         self.man = man
-        self.g = g
-        self.inv = {}
+        self.conf = {}
         self.sqrt_det = {}
         done = {}
         for ch in man.charts:
-            gm = g[ch.name]
-            if gm.shape != ch.shape + (ch.dim, ch.dim):
-                raise ShapeError("metric block shape mismatch")
-            if id(gm) not in done:
-                done[id(gm)] = _spd_inverse(ch.name, gm, "base metric")
-                for arr in done[id(gm)]:
+            c = conf[ch.name]
+            if c.shape != ch.shape:
+                raise ShapeError(f"conformal factor on {ch.name}: shape {c.shape}, want {ch.shape}")
+            if id(c) not in done:
+                _require(np.isfinite(c), f"base metric on {ch.name} not finite")
+                _check_spectrum(ch.name, c, c, "base metric")
+                done[id(c)] = c.view(), np.sqrt(np.prod(np.stack([c] * ch.dim, axis=-1), axis=-1))
+                for arr in done[id(c)]:
                     arr.setflags(write=False)
-            self.inv[ch.name], self.sqrt_det[ch.name] = done[id(gm)]
+            self.conf[ch.name], self.sqrt_det[ch.name] = done[id(c)]
+
+    def dense(self, name: str) -> np.ndarray:
+        """The blocks c delta of chart ``name``, shape + (d, d)."""
+        return self.conf[name][..., None, None] * np.eye(self.man.dim)
+
+    def dense_inverse(self, name: str) -> np.ndarray:
+        """The blocks delta / c of chart ``name``, shape + (d, d)."""
+        return (1.0 / self.conf[name])[..., None, None] * np.eye(self.man.dim)
 
 
 def integrate(man: Manifold, f: dict):
@@ -447,34 +459,24 @@ def integrate(man: Manifold, f: dict):
 
 
 def flat_metric(man: Manifold) -> BaseMetric:
-    g = {}
-    for ch in man.charts:
-        g[ch.name] = np.broadcast_to(
-            np.eye(ch.dim), ch.shape + (ch.dim, ch.dim)
-        ).copy()
-    return BaseMetric(man, g)
+    """g = delta: the conformal factor 1.0 at every point."""
+    return BaseMetric(man, {ch.name: np.ones(ch.shape) for ch in man.charts})
 
 
 def round_sphere_metric(man: Manifold) -> BaseMetric:
-    """Stereographic-chart round metric g = 4 r^4 / (r^2 + |x|^2)^2 delta,
-    with r the sphere's radius; charts on the same grid share one read-only
-    block array, so its inverse is formed once (see :class:`BaseMetric`)."""
+    """Stereographic-chart round metric g = c delta with c = 4 r^4 /
+    (r^2 + |x|^2)^2, r the sphere's radius, from the builder's ``rho2``;
+    charts on the same grid share one read-only c (see :class:`BaseMetric`)."""
     r = man.params["radius"]
     try:
         scale = 4.0 * r**4
     except OverflowError:
         raise SingularMetric(f"round-sphere metric: radius {r!r} overflows 4 r^4") from None
-    g, by_grid = {}, {}
-    for ch in man.charts:
-        key = tuple(c.tobytes() for c in ch.coords)
-        if key not in by_grid:
-            x = grid_points(ch)
-            rho2 = np.sum(x * x, axis=-1)
-            conf = scale / (r**2 + rho2) ** 2
-            by_grid[key] = conf[..., None, None] * np.eye(man.dim)
-            by_grid[key].setflags(write=False)
-        g[ch.name] = by_grid[key]
-    return BaseMetric(man, g)
+    by_grid = {}
+    for rho2 in man.rho2.values():
+        if id(rho2) not in by_grid:
+            by_grid[id(rho2)] = scale / (r**2 + rho2) ** 2
+    return BaseMetric(man, {name: by_grid[id(rho2)] for name, rho2 in man.rho2.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +583,8 @@ def build_sphere_two_charts(
     # set: the grid points in the annulus r/margin < rho < r*margin whose
     # image lies inside the destination grid's hull.
     x = grid_points(north)
-    rho = np.sqrt(np.sum(x * x, axis=-1))
+    rho2 = np.sum(x * x, axis=-1)
+    rho = np.sqrt(rho2)
     own = _radial_profile(rho, r, margin)
     other = _radial_profile(r * r / np.maximum(rho, 1e-300), r, margin)
     tot = own + other
@@ -597,11 +600,10 @@ def build_sphere_two_charts(
         raise GluingError(f"sphere charts share no grid point: chart margin {margin!r} at "
                           f"npts {npts} leaves their overlap without sample points")
     x, y = x[mask], y[inside]
-    rho2 = np.sum(x * x, axis=-1)
-    xhat = x / np.sqrt(rho2)[..., None]
+    xhat = x / rho[mask][..., None]
     proj = np.eye(dim) - 2.0 * xhat[..., :, None] * xhat[..., None, :]
-    jac = (r * r / rho2)[..., None, None] * proj
-    for arr in (mask, x, y, jac):
+    jac = (r * r / rho2[mask])[..., None, None] * proj
+    for arr in (mask, x, y, jac, rho2):
         arr.setflags(write=False)
 
     if transition is None:
@@ -622,6 +624,7 @@ def build_sphere_two_charts(
         overlaps=overlaps,
         kind="sphere",
         params={"dim": dim, "npts": npts, "radius": r, "margin": margin},
+        rho2={"north": rho2, "south": rho2},
     )
 
 

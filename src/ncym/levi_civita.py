@@ -79,14 +79,16 @@ def _slabs(riem, ch, orders):
     the symbols are built from, one points-last dict per stencil order in
     ``orders``: both metric blocks and their inverses, the potential (shared
     between the orders), and the metric derivatives and the field strength
-    at that order."""
+    at that order.  The base blocks are c delta, delta / c and dc delta."""
     name, C = ch.name, riem.conn.basis.structure
-    fields = {"gM": riem.base.g[name], "hM": riem.base.inv[name], "gI": riem.internal[name],
-              "hI": riem.hint[name], "A": riem.conn.A[name]}
-    diff = [(key, order) for key in ("gM", "gI", "A") for order in orders]
+    fields = {"c": riem.base.conf[name], "gI": riem.internal[name], "hI": riem.hint[name],
+              "A": riem.conn.A[name]}
+    diff = [(key, order) for key in ("c", "gI", "A") for order in orders]
+    delta = np.eye(ch.dim)[..., None]
     for _, slab in geometry.row_slabs(ch, fields, diff):
-        shared = {key: slab[key] for key in fields}
-        yield [shared | {"dgM": slab["gM", order], "dgI": slab["gI", order],
+        shared = {"gM": slab["c"] * delta, "hM": 1.0 / slab["c"] * delta, "gI": slab["gI"],
+                  "hI": slab["hI"], "A": slab["A"]}
+        yield [shared | {"dgM": slab["c", order][:, None, None] * delta, "dgI": slab["gI", order],
                          "F": _field_strength(slab["A"], slab["A", order], C)}
                for order in orders]
 

@@ -38,13 +38,12 @@ __all__ = [
 
 @dataclass
 class RiemannianStructure:
-    """Assembled metric data: blocks, inverses, densities, per chart."""
+    """Assembled metric data: base metric, fiber blocks, inverses, densities."""
 
     man: Manifold
     base: BaseMetric
     internal: dict
     conn: OrdinaryConnection
-    hbase: dict = field(default_factory=dict, repr=False)
     hint: dict = field(default_factory=dict, repr=False)
     sqrt_det_int: dict = field(default_factory=dict, repr=False)
     sqrtg: dict = field(default_factory=dict, repr=False)
@@ -60,7 +59,7 @@ class RiemannianStructure:
     def full_metric(self, name: str) -> np.ndarray:
         """Blocks in the coordinate frame, shape + (d+m, d+m)."""
         d, m = self.d, self.m
-        gM = self.base.g[name]
+        gM = self.base.dense(name)
         gI = self.internal[name]
         A = self.conn.A[name]
         G = np.zeros(gM.shape[:-2] + (d + m, d + m))
@@ -74,7 +73,7 @@ class RiemannianStructure:
     def full_inverse(self, name: str) -> np.ndarray:
         """Inverse blocks from the closed formulas, shape + (d+m, d+m)."""
         d, m = self.d, self.m
-        h = self.hbase[name]
+        h = self.base.dense_inverse(name)
         hI = self.hint[name]
         A = self.conn.A[name]
         H = np.zeros(h.shape[:-2] + (d + m, d + m))
@@ -118,7 +117,6 @@ def assemble(base: BaseMetric, internal, conn: OrdinaryConnection) -> Riemannian
         riem.internal[ch.name] = np.broadcast_to(gI.copy(), ch.shape + (m, m))
         riem.hint[ch.name] = np.broadcast_to(hint, ch.shape + (m, m))
         riem.sqrt_det_int[ch.name] = np.broadcast_to(sqrt_det, ch.shape)
-        riem.hbase[ch.name] = base.inv[ch.name]
         key = (id(base.sqrt_det[ch.name]), id(sqrt_det))
         if key not in sqrtg:
             sqrtg[key] = base.sqrt_det[ch.name] * riem.sqrt_det_int[ch.name]
@@ -155,8 +153,8 @@ def decompose_metric(
     basis: LieBasis,
     rep: Representation,
     g_full: dict,
-) -> tuple[BaseMetric, dict, OrdinaryConnection]:
-    """Split full coordinate-frame blocks into (g^M, g_ab, A)."""
+) -> tuple[dict, dict, OrdinaryConnection]:
+    """Split full coordinate-frame blocks into per-chart (g^M, g_ab) blocks and A."""
     d = man.dim
     conn = extract_connection(man, basis, rep, g_full)
     internal = {}
@@ -168,7 +166,7 @@ def decompose_metric(
         A = conn.A[ch.name]
         Ag = np.einsum("...ma,...ab->...mb", A, gI)
         gM[ch.name] = G[..., :d, :d] - np.einsum("...ma,...na->...mn", Ag, A)
-    return BaseMetric(man, gM), internal, conn
+    return gM, internal, conn
 
 
 def identity_residuals(riem: RiemannianStructure) -> dict:
@@ -189,15 +187,13 @@ def identity_residuals(riem: RiemannianStructure) -> dict:
         H = riem.full_inverse(name)
         Hbrute = np.linalg.inv(G)
         A = riem.conn.A[name]
-        gM = riem.base.g[name]
+        gM, hM = riem.base.dense(name), riem.base.dense_inverse(name)
 
         A_from_h = np.einsum("...mn,...an->...ma", gM, Hbrute[..., d:, :d])
-        hint_from_h = Hbrute[..., d:, d:] - np.einsum(
-            "...ma,...mn,...nb->...ab", A, riem.hbase[name], A
-        )
+        hint_from_h = Hbrute[..., d:, d:] - np.einsum("...ma,...mn,...nb->...ab", A, hM, A)
         prod = np.einsum("...ij,...jk->...ik", G, H)
         per_chart.append({
-            "base_inverse": sup(Hbrute[..., :d, :d] - riem.hbase[name]),
+            "base_inverse": sup(Hbrute[..., :d, :d] - hM),
             "potential": sup(A_from_h - A),
             "fiber_inverse": sup(hint_from_h - riem.hint[name]),
             "product": sup(prod - np.eye(d + riem.m)),

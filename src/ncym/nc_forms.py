@@ -28,10 +28,10 @@ second-order product-rule error of the stencils, and exactly on
 x-independent data.
 
 Metric operations (Hodge star, pairings, integrals) take any object exposing
-per-chart arrays ``hbase[name]`` (inverse base metric, shape + (d, d)),
-``hint[name]`` (inverse fiber metric, shape + (m, m)), ``sqrtg[name]``
-(sqrt(det g^M * det g_ab)) and ``sqrt_det_int[name]``; the concrete provider
-lives in :mod:`ncym.metric`.
+``base.dense_inverse(name)`` (inverse base metric blocks, shape + (d, d),
+formed per call) and per-chart arrays ``hint[name]`` (inverse fiber metric,
+shape + (m, m)), ``sqrtg[name]`` (sqrt(det g^M * det g_ab)) and
+``sqrt_det_int[name]``; the concrete provider lives in :mod:`ncym.metric`.
 """
 
 from __future__ import annotations
@@ -426,7 +426,7 @@ def _raised(w: MixedForm, riem, key_out: tuple):
     """Component of w with indices raised by the block inverse metric."""
     d = w.d
     name = w.chart.name
-    hb = riem.hbase[name]
+    hb = riem.base.dense_inverse(name)
     hi = riem.hint[name]
     oh, ov = _split_key(key_out, d)
     total = None

@@ -113,9 +113,10 @@ def _check_shared_reference(ncc: NCConnection, riem) -> None:
 def _evaluate(ncc: NCConnection, riem):
     """One curvature evaluation: the action and the raised tensors.
 
-    Per chart the curvature blocks are raised with the inverse-metric blocks
-    and multiplied by the integration weight (partition of unity, metric
-    density, cell volume), giving ``T_hh, T_hv, T_vv``.  The action terms are
+    Per chart the curvature blocks are raised with the inverse metric, a
+    horizontal index by h = 1 / c of the base metric c delta, and multiplied
+    by the integration weight W (partition of unity, metric density, cell
+    volume), giving ``T_hh, T_hv, T_vv``.  The action terms are
     ``1/2 Re<O_hh, T_hh>``, ``Re<O_hv, T_hv>`` and ``1/2 Re<O_vv, T_vv>``, and
     the gradient is the adjoint of the curvature map applied to ``T``.
     """
@@ -127,13 +128,13 @@ def _evaluate(ncc: NCConnection, riem):
     for ch in man.charts:
         name = ch.name
         O = curv[name]
-        hb = riem.hbase[name]
+        h = 1.0 / riem.base.conf[name]
         hi = riem.hint[name]
         w = man.weights[name] * riem.sqrtg[name] * ch.cell_volume
         W = w[..., None, None, None, None]
         T = (
-            W * np.einsum("...mr,...ns,...rsij->...mnij", hb, hb, O["hh"]),
-            W * np.einsum("...mn,...bc,...ncij->...mbij", hb, hi, O["hv"]),
+            W * ((h * h)[..., None, None, None, None] * O["hh"]),
+            W * np.einsum("...bc,...mcij->...mbij", h[..., None, None] * hi, O["hv"]),
             W * np.einsum("...ac,...bd,...cdij->...abij", hi, hi, O["vv"]),
         )
         dens = np.stack([

@@ -56,19 +56,21 @@ def test_base_metric_follows_the_bundle(bundle, base):
     p = build_problem(resolve({"task": "eval", "bundle": bundle}))
     want = base(p.man)
     for ch in p.man.charts:
-        assert np.array_equal(p.riem.base.g[ch.name], want.g[ch.name])
+        assert np.array_equal(p.riem.base.conf[ch.name], want.conf[ch.name])
+        assert np.array_equal(p.riem.base.dense(ch.name), want.dense(ch.name))
 
 
 @pytest.mark.parametrize("bundle", [{"kind": "instanton", "npts": 8},
                                     {"kind": "monopole", "npts": 8, "charge": 2}])
 def test_charts_on_one_grid_share_one_base_metric(bundle):
     """Both stereographic charts are built on the same grid, so the set-up
-    forms the round-sphere blocks, their inverse and sqrt(det) and the
-    volume density once and both charts hold the same read-only arrays,
-    bitwise the per-chart ones."""
+    forms |x|^2, the round-sphere conformal factor c, sqrt(det) and the
+    volume density once and both charts hold the same read-only arrays.
+    The blocks formed on demand and sqrt(det) are bitwise what the dense
+    inverse of the c I blocks gives."""
     p = build_problem(resolve({"task": "geom-check", "bundle": bundle}))
     base, r = p.riem.base, p.man.params["radius"]
-    for table in (base.g, base.inv, base.sqrt_det, p.riem.sqrtg):
+    for table in (p.man.rho2, base.conf, base.sqrt_det, p.riem.sqrtg):
         assert table["north"] is table["south"]
         with pytest.raises(ValueError, match="read-only"):
             table["south"][...] = 1.0
@@ -77,9 +79,9 @@ def test_charts_on_one_grid_share_one_base_metric(bundle):
         g = (4.0 * r**4 / (r**2 + np.sum(x * x, axis=-1)) ** 2)[..., None, None] * np.eye(ch.dim)
         inv, sqrt_det = _spd_inverse(ch.name, g, "base metric")
         sqrtg = sqrt_det * p.riem.sqrt_det_int[ch.name]
-        for got, want in ((base.g, g), (base.inv, inv), (base.sqrt_det, sqrt_det),
-                          (p.riem.sqrtg, sqrtg)):
-            assert got[ch.name].tobytes() == want.tobytes()
+        for got, want in ((base.dense(ch.name), g), (base.dense_inverse(ch.name), inv),
+                          (base.sqrt_det[ch.name], sqrt_det), (p.riem.sqrtg[ch.name], sqrtg)):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_monopole_defaults_inherit_charge():

@@ -70,19 +70,27 @@ def test_sphere_metric_at_origin():
     for ch in man.charts:
         rho2 = np.sum(grid_points(ch) ** 2, axis=-1)
         conf = 4.0 * r**4 / (r**2 + rho2) ** 2
-        assert np.max(np.abs(g.g[ch.name] - conf[..., None, None] * np.eye(4))) < 1e-12
+        assert np.max(np.abs(g.dense(ch.name) - conf[..., None, None] * np.eye(4))) < 1e-12
+        assert np.max(np.abs(g.dense_inverse(ch.name) - np.eye(4) / conf[..., None, None])) < 1e-12
 
 
 def test_non_spd_base_metric_names_its_chart():
+    """A conformal factor that is not positive, or not finite, at one point
+    is refused, naming the chart and the grid index; so is a dense block."""
     man = build_sphere_two_charts(2, 8, 1.0)
-    g = round_sphere_metric(man).g
-    bad = dict(g, south=g["south"].copy())
-    bad["south"][3, 5] = -np.eye(2)
-    with pytest.raises(SingularMetric, match=r"on south not positive definite at \(3, 5\)"):
-        BaseMetric(man, bad)
-    bad["south"][3, 5] = [[1.0, 0.5], [0.0, 1.0]]
-    with pytest.raises(SingularMetric, match="base metric on south must be symmetric"):
-        BaseMetric(man, bad)
+    conf = round_sphere_metric(man).conf
+    bad = dict(conf, south=conf["south"].copy())
+    for value in (-1.0, 0.0, -0.0):
+        bad["south"][3, 5] = value
+        with pytest.raises(SingularMetric,
+                           match=r"base metric on south not positive definite at \(3, 5\)"):
+            BaseMetric(man, bad)
+    for value in (np.nan, np.inf, -np.inf):
+        bad["south"][3, 5] = value
+        with pytest.raises(SingularMetric, match=r"base metric on south not finite at \(3, 5\)"):
+            BaseMetric(man, bad)
+    with pytest.raises(ShapeError, match="conformal factor on south"):
+        BaseMetric(man, dict(conf, south=conf["south"][..., None, None] * np.eye(2)))
 
 
 def test_derivative_second_order_ratio():

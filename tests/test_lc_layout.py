@@ -10,8 +10,9 @@ exactly zero.
 import numpy as np
 import pytest
 
+import ncym.levi_civita as lc
 from ncym.config import build_problem, resolve
-from ncym.geometry import BaseMetric, derivatives, grid_points, sup
+from ncym.geometry import BaseMetric, _points_last, derivatives, grid_points, sup
 from ncym.levi_civita import CHECK_ORDER, TABLE_ORDER, christoffel, residual_table
 from ncym.lie_core import build_representation, build_su
 from ncym.metric import assemble
@@ -46,8 +47,8 @@ def _field_strength(conn, order):
 
 
 def _fields(riem, ch, F, order):
-    gM, gI = riem.base.g[ch.name], riem.internal[ch.name]
-    return {"gM": gM, "hM": riem.base.inv[ch.name], "dgM": derivatives(gM, ch, order),
+    gM, gI = riem.base.dense(ch.name), riem.internal[ch.name]
+    return {"gM": gM, "hM": riem.base.dense_inverse(ch.name), "dgM": derivatives(gM, ch, order),
             "gI": gI, "hI": riem.hint[ch.name], "dgI": derivatives(gI, ch, order),
             "A": riem.conn.A[ch.name], "F": F}
 
@@ -148,23 +149,41 @@ def _riem(bundle, **blocks):
     return build_problem(resolve({"task": "lc-check", "bundle": bundle, **blocks})).riem
 
 
+# Position-dependent base metrics with off-diagonal entries, as dense blocks.
+# `BaseMetric` holds conformally flat metrics only, so the symbols take these
+# as hand-built fields.
+
+
+def _xdep_base_block(x):
+    gM = np.zeros(x.shape[:-1] + (2, 2))
+    gM[..., 0, 0] = 1.0 + 0.3 * np.cos(x[..., 0] + 0.2)
+    gM[..., 1, 1] = 1.2 - 0.2 * np.cos(x[..., 1])
+    gM[..., 0, 1] = gM[..., 1, 0] = 0.15 * np.sin(x[..., 0] + x[..., 1])
+    return gM
+
+
+def _su3_base_block(x):
+    gM = np.zeros(x.shape[:-1] + (2, 2))
+    gM[..., 0, 0] = 1.0 + 0.2 * np.sin(x[..., 1])
+    gM[..., 1, 1] = 1.1 + 0.3 * np.cos(x[..., 0] - 0.5)
+    gM[..., 0, 1] = gM[..., 1, 0] = 0.1 * np.cos(x[..., 0] + x[..., 1])
+    return gM
+
+
 def _su3_torus():
     """su(3) over the 2-torus, a random potential and position-dependent
-    base and fiber metrics, so that every residual is a discretization error
-    and none is rounding noise."""
+    conformal base and fiber metrics, so that every residual is a
+    discretization error and none is rounding noise."""
     su3 = {"kind": "torus", "npts": 8, "algebra": {"kind": "su", "n": 3}}
     conn = _riem(su3, connection={"kind": "random", "amplitude": 0.3}).conn
     ch = conn.man.charts[0]
     x = grid_points(ch)
-    gM = np.zeros(ch.shape + (2, 2))
-    gM[..., 0, 0] = 1.0 + 0.2 * np.sin(x[..., 1])
-    gM[..., 1, 1] = 1.1 + 0.3 * np.cos(x[..., 0] - 0.5)
-    gM[..., 0, 1] = gM[..., 1, 0] = 0.1 * np.cos(x[..., 0] + x[..., 1])
+    c = 1.05 + 0.2 * np.sin(x[..., 1]) + 0.3 * np.cos(x[..., 0] - 0.5)
     B = np.random.default_rng(3).standard_normal((8, 8))
     gI = np.broadcast_to(B @ B.T + 3.0 * np.eye(8), ch.shape + (8, 8)).copy()
     gI[..., 2, 2] += 0.5 * np.cos(x[..., 0])
     gI[..., 3, 6] = gI[..., 6, 3] = gI[..., 3, 6] + 0.3 * np.sin(x[..., 1] + 0.3)
-    return assemble(BaseMetric(conn.man, {ch.name: gM}), {ch.name: gI}, conn)
+    return assemble(BaseMetric(conn.man, {ch.name: c}), {ch.name: gI}, conn)
 
 
 CASES = {
@@ -205,3 +224,23 @@ def test_christoffel_matches_grid_first_formulas(riem):
             assert _agree(new, old[key]), (name, key)
         assert np.all(table.hh_v[name] == 0.0)
 
+
+@pytest.mark.parametrize("case, block", [("xdep-torus", _xdep_base_block),
+                                         ("su3-torus", _su3_base_block)])
+def test_symbols_contract_a_general_base_metric(case, block):
+    """The symbols contract dense base blocks: an off-diagonal
+    position-dependent g^M, its inverse and its derivatives, given as
+    hand-built points-last fields, give the grid-first formulas' symbols."""
+    riem = CASES[case]()
+    ch, C = riem.man.charts[0], riem.conn.basis.structure
+    gM = block(grid_points(ch))
+    F = _field_strength(riem.conn, TABLE_ORDER)[ch.name]
+    fields = _fields(riem, ch, F, TABLE_ORDER) | {
+        "gM": gM, "hM": np.linalg.inv(gM), "dgM": derivatives(gM, ch, TABLE_ORDER)}
+    old = _symbols(fields, C)
+    new = lc._symbols({key: _points_last(arr, ch.dim) for key, arr in fields.items()}, C)
+    for key in PIECES:
+        got = new[key].reshape(new[key].shape[:-1] + ch.shape)
+        got = np.moveaxis(got, (0, 1, 2), (-3, -2, -1))
+        assert got.shape == old[key].shape, key
+        assert _agree(got, old[key]), key

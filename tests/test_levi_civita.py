@@ -38,16 +38,13 @@ def su2():
 
 
 def _xdep_riem(npts, su2_pair):
-    """Smooth position-dependent base metric, fiber metric and potential."""
+    """Smooth position-dependent conformal base metric, fiber metric and
+    potential."""
     lb, rep = su2_pair
     man = build_torus(2, npts)
     ch = man.charts[0]
     x = grid_points(ch)
-    gM = np.zeros(ch.shape + (2, 2))
-    gM[..., 0, 0] = 1.0 + 0.3 * np.cos(x[..., 0] + 0.2)
-    gM[..., 1, 1] = 1.2 - 0.2 * np.cos(x[..., 1])
-    gM[..., 0, 1] = gM[..., 1, 0] = 0.15 * np.sin(x[..., 0] + x[..., 1])
-    base = BaseMetric(man, {ch.name: gM})
+    base = BaseMetric(man, {ch.name: 1.1 + 0.3 * np.cos(x[..., 0] + 0.2) - 0.2 * np.cos(x[..., 1])})
     gI = np.broadcast_to(np.eye(3), ch.shape + (3, 3)).copy()
     gI[..., 0, 0] += 0.3 * np.cos(x[..., 1] + 0.4)
     gI[..., 1, 2] = gI[..., 2, 1] = 0.2 * np.sin(x[..., 0])

@@ -9,9 +9,11 @@ topology check fills it.  All of them run through `geometry.row_slabs`, so
 no derivative, field strength, transition or contraction of a whole chart
 is formed:
 
-- ``residual_table``: 12.0 MiB measured, bound 15 MiB (1024-point slabs
-  copied points-last from whole-chart fields gave 68.4 MiB, whole-chart
-  symbol tables of both charts 168.2 MiB);
+- ``residual_table``: 12.1 MiB measured, bound 15 MiB, with the base
+  blocks formed per slab from the conformal factor (12.0 MiB when the
+  dense whole-chart blocks were copied per slab; 1024-point slabs copied
+  points-last from whole-chart fields gave 68.4 MiB, whole-chart symbol
+  tables of both charts 168.2 MiB);
 - ``gluing_residuals``: 10.4 MiB measured, bound 12 MiB, with the source
   field strength formed per slab and contracted per sub-slab of at most
   SLAB_POINTS points, the destination potential and field strength kept
@@ -21,16 +23,18 @@ is formed:
   its first caller) and took 11.2 MiB of its own on top, with the
   transition on the whole source grid; the sample points contracted all
   at once gave 57.2 MiB;
-- a whole ``geom-check`` (``build_problem`` and the task) peaks at 20.8 MiB,
-  bound 24 MiB (36.8 MiB when the gluing filled the field-strength cache);
+- a whole ``geom-check`` (``build_problem`` and the task) peaks at 16.0 MiB,
+  bound 19 MiB (20.8 MiB with dense base-metric blocks, 36.8 MiB when the
+  gluing also filled the field-strength cache);
 - ``chern_form``: 5.8 MiB measured, bound 8 MiB, with the order-4 field
   strength formed per slab (the order-4 field strength of both charts,
   15.2 MiB, sliced into slabs gave 20.1 MiB; each chart contracted whole
   gave 76.7 MiB);
-- a ``geom-check`` set-up (``build_problem``) retains 10.52 MiB, bound
-  12.5 MiB: both charts share one round-sphere metric, its inverse and
-  one volume density (a copy of the metric and its inverse per chart
-  retained 16.06 MiB).
+- a ``geom-check`` or ``lc-check`` set-up (``build_problem``) retains
+  5.77 MiB, bound 6.75 MiB: the base metric is one conformal factor per
+  point, and both charts share it, its sqrt(det), |x|^2 and one volume
+  density.  Dense (d, d) round-sphere blocks and their inverse, shared by
+  the charts, retained 10.52 MiB; a copy of both per chart 16.06 MiB.
 """
 
 import tracemalloc
@@ -48,9 +52,9 @@ from ncym.levi_civita import residual_table
 MiB = 2**20
 RESIDUAL_TABLE_MIB = 15
 GLUING_MIB = 12
-GEOM_CHECK_MIB = 24
+GEOM_CHECK_MIB = 19
 CHERN_FORM_MIB = 8
-SETUP_MIB = 12.5
+SETUP_MIB = 6.75
 
 
 @pytest.fixture(scope="module")
@@ -108,14 +112,36 @@ def test_chern_form_peak_is_bounded(instanton12):
     assert peak <= CHERN_FORM_MIB
 
 
-def test_geom_check_setup_retains_a_bounded_set(instanton12):
-    """The instanton N=12 set-up of a geom-check, with the caches that the
-    fixture's build warmed; the problem is held while measuring."""
-    doc = {"task": "geom-check", "bundle": {"kind": "instanton", "npts": 12},
+def _setup_retained_mib(task):
+    """The memory an instanton N=12 set-up of ``task`` leaves allocated, with
+    the caches that the fixture's build warmed; the problem is held while
+    measuring."""
+    doc = {"task": task, "bundle": {"kind": "instanton", "npts": 12},
            "connection": {"kind": "bpst", "rho": 1.0}}
     problem, retained, _ = _traced_mib(lambda: build_problem(resolve(doc)))
     assert problem.riem is not None
-    assert retained <= SETUP_MIB
+    return retained
+
+
+def test_geom_check_setup_retains_a_bounded_set(instanton12):
+    assert _setup_retained_mib("geom-check") <= SETUP_MIB
+
+
+def test_lc_check_setup_retains_a_bounded_set(instanton12):
+    assert _setup_retained_mib("lc-check") <= SETUP_MIB
+
+
+def test_base_metric_holds_no_dense_blocks(instanton12):
+    """Every array the base metric holds is one value per grid point: none
+    has trailing (d, d) axes, and the structure keeps no base inverse."""
+    riem, d = instanton12.riem, instanton12.man.dim
+    arrays = [arr for table in vars(riem.base).values() if isinstance(table, dict)
+              for arr in table.values()]
+    assert len(arrays) == 2 * len(riem.man.charts)  # conf and sqrt_det
+    for arr in arrays:
+        assert arr.shape[-2:] != (d, d)
+        assert arr.shape == riem.man.charts[0].shape
+    assert not hasattr(riem, "hbase")
 
 
 def test_slab_residuals_are_bitwise_the_whole_chart_residuals(instanton12, monkeypatch):

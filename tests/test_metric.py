@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncym.errors import ShapeError, SingularMetric
-from ncym.geometry import BaseMetric, build_torus, flat_metric, round_sphere_metric
+from ncym.geometry import BaseMetric, build_torus, flat_metric, grid_points, round_sphere_metric
 from ncym.lie_core import build_su, build_representation
 from ncym.connections import (
     constant_connection,
@@ -34,8 +34,10 @@ def stage():
     return man, lb, rep
 
 
-def _const_base(man, g):
-    return BaseMetric(man, {"t0": np.broadcast_to(g, man.charts[0].shape + g.shape).copy()})
+def _conformal_base(man, scale=1.3, phase=0.2):
+    """g^M = c delta with a position-dependent c = scale (1 + 0.3 cos(x + phase) sin(y))."""
+    x = grid_points(man.charts[0])
+    return BaseMetric(man, {"t0": scale * (1.0 + 0.3 * np.cos(x[..., 0] + phase) * np.sin(x[..., 1]))})
 
 
 # ---------------------------------------------------------------- assembly
@@ -77,12 +79,12 @@ def test_mixed_block_formula(stage):
 def test_determinant_factorizes(stage):
     man, lb, rep = stage
     conn = random_connection(man, lb, rep, seed=4, amplitude=0.6)
-    gb = np.array([[1.3, 0.2], [0.2, 0.9]])
+    base = _conformal_base(man)
     gi = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, 0.0], [0.1, 0.0, 1.0]])
-    riem = assemble(_const_base(man, gb), gi, conn)
+    riem = assemble(base, gi, conn)
     G = riem.full_metric("t0")
     det = np.linalg.det(G)
-    expect = np.linalg.det(gb) * np.linalg.det(gi)
+    expect = base.conf["t0"] ** D * np.linalg.det(gi)
     assert np.max(np.abs(det - expect)) < 1e-10
 
 
@@ -108,16 +110,15 @@ def test_extract_round_trip_many_instances(stage):
     rng = np.random.default_rng(0)
     worst = 0.0
     for i in range(200):
-        Mb = rng.normal(size=(D, D))
-        gb = Mb @ Mb.T + D * np.eye(D)
+        base = _conformal_base(man, rng.uniform(0.5, 3.0), rng.uniform(0.0, 2.0 * np.pi))
         Mi = rng.normal(size=(M, M))
         gi = Mi @ Mi.T + M * np.eye(M)
         conn = random_connection(man, lb, rep, seed=1000 + i, amplitude=0.6)
-        riem = assemble(_const_base(man, gb), gi, conn)
-        base2, gi2, conn2 = decompose_metric(man, lb, rep, {"t0": riem.full_metric("t0")})
+        riem = assemble(base, gi, conn)
+        gM2, gi2, conn2 = decompose_metric(man, lb, rep, {"t0": riem.full_metric("t0")})
         worst = max(
             worst,
-            np.max(np.abs(base2.g["t0"] - riem.base.g["t0"])),
+            np.max(np.abs(gM2["t0"] - riem.base.dense("t0"))),
             np.max(np.abs(gi2["t0"] - riem.internal["t0"])),
             np.max(np.abs(conn2.A["t0"] - conn.A["t0"])),
         )
@@ -182,13 +183,12 @@ def test_two_potential_formulas_agree(stage):
     man, lb, rep = stage
     conn = random_connection(man, lb, rep, seed=5, amplitude=0.6)
     gi = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, 0.0], [0.1, 0.0, 1.0]])
-    gb = np.array([[1.3, 0.2], [0.2, 0.9]])
-    riem = assemble(_const_base(man, gb), gi, conn)
+    riem = assemble(_conformal_base(man), gi, conn)
     G = riem.full_metric("t0")
     H = riem.full_inverse("t0")
     A1 = -np.einsum("...ab,...bm->...ma", np.linalg.inv(G[..., D:, D:]), G[..., D:, :D])
     # second route contracts the bare base block with the mixed inverse block
-    A2 = np.einsum("...mn,...an->...ma", riem.base.g["t0"], H[..., D:, :D])
+    A2 = np.einsum("...mn,...an->...ma", riem.base.dense("t0"), H[..., D:, :D])
     assert np.max(np.abs(A1 - conn.A["t0"])) < 1e-12
     assert np.max(np.abs(A2 - conn.A["t0"])) < 1e-10
 
