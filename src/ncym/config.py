@@ -133,6 +133,7 @@ VALUES = {
     },
     "chern": {"degree": {"type": "integer", "minimum": 1}},
 }
+_MATRICES = [(b, k) for b, keys in VALUES.items() for k in keys if keys[k] is _MATRIX]
 
 
 def _kinded(block: str, kinds: dict, **nested) -> dict:
@@ -229,6 +230,10 @@ def resolve(doc: dict) -> dict:
         path = ".".join(map(str, error.absolute_path))  # empty at the top level
         where = f"{path}: " if path else ""
         raise ConfigError(f"config rejected: {where}{error.message}") from error
+    for block, key in _MATRICES:
+        lengths = {len(row) for row in doc.get(block, {}).get(key, ())}
+        if len(lengths) > 1:  # rows of one length, which a schema cannot ask for
+            raise ConfigError(f"config rejected: {block}.{key}: rows of lengths {sorted(lengths)}")
     doc = copy.deepcopy(doc)
     seed = doc.setdefault("seed", 0)
     task, bundle = doc["task"], doc["bundle"]

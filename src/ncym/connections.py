@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry
 from .errors import GluingError, ShapeError
 from .geometry import (
     Manifold,
@@ -121,7 +120,7 @@ class OrdinaryConnection:
         the Yang-Mills path (:func:`nc_curvature` and the action's
         evaluation in ``yang_mills``) and the ``nc_forms`` oracle; the
         topology checks (``chern_form``, ``gluing_residuals``,
-        ``residual_table``) form F one row slab at a time and leave the
+        ``residual_table``) form F one slab at a time and leave the
         cache empty."""
         if not self._F:
             self._F = curvature_F(self)
@@ -143,17 +142,16 @@ class OrdinaryConnection:
 
 def curvature_F(conn: OrdinaryConnection) -> dict:
     """Field strength F^a = dA^a + C_bc^a A^b A^c, antisymmetric in (mu, nu),
-    from the order-2 stencil.  Each chart is filled one row slab at a time.
-    """
+    from the order-2 stencil, filled one slab at a time."""
     out = {}
     C = conn.basis.structure
     for ch in conn.man.charts:
         A = conn.A[ch.name]
         F = out[ch.name] = np.empty(ch.shape + (ch.dim, ch.dim, conn.basis.dim),
                                     np.result_type(A, float))
-        for rows, slab in row_slabs(ch, {"A": A}, [("A", 2)]):
-            block = F[rows].reshape((-1,) + F.shape[ch.dim:])
-            block[...] = np.moveaxis(_field_strength(slab["A"], slab["A", 2], C), -1, 0)
+        for pts, slab in row_slabs(ch, {"A": A}, [("A", 2)]):
+            F.reshape((-1,) + F.shape[ch.dim:])[pts] = np.moveaxis(
+                _field_strength(slab["A"], slab["A", 2], C), -1, 0)
     return out
 
 
@@ -368,10 +366,9 @@ def _sampled_fields(conn: OrdinaryConnection, chart, sample) -> tuple:
     """The potential and the field strength on only the grid points of
     ``chart`` that the sampling operator ``sample`` reads, side by side in
     one compact (points, d m + d d m) array, and ``sample`` with its columns
-    re-indexed into it.  The field strength is formed one row slab at a time
-    through :func:`_field_strength`, as :func:`curvature_F` forms it on the
-    whole chart, so the sampled values carry the bits of sampling
-    whole-chart fields.  :func:`_split_fields` takes them apart again."""
+    re-indexed into it.  The field strength is formed slab by slab, as
+    :func:`curvature_F` forms it, so the sampled values carry the bits of
+    sampling whole-chart fields.  :func:`_split_fields` takes them apart."""
     read = np.zeros(chart.shape, bool)
     read.reshape(-1)[sample.cols] = True
     # a read grid point's place in the compact array; int32, as a chart
@@ -381,10 +378,10 @@ def _sampled_fields(conn: OrdinaryConnection, chart, sample) -> tuple:
     fields = np.empty((place[-1] + 1, chart.dim * (chart.dim + 1) * A.shape[-1]))
     A_read, F = _split_fields(fields, chart.dim)
     A_read[...] = A[read]
-    for rows, slab in row_slabs(chart, {"A": A}, [("A", 2)]):
-        at = np.flatnonzero(read[rows])
+    for pts, slab in row_slabs(chart, {"A": A}, [("A", 2)]):
+        at = np.flatnonzero(read.reshape(-1)[pts])
         if len(at):
-            F[place.reshape(chart.shape)[rows].reshape(-1)[at]] = np.moveaxis(
+            F[place[pts][at]] = np.moveaxis(
                 _field_strength(slab["A"].take(at, -1), slab["A", 2].take(at, -1),
                                 conn.basis.structure), -1, 0)
     return SamplingOperator(place[sample.cols], sample.weights, len(fields)), fields
@@ -425,32 +422,28 @@ def _overlap_gluing(conn: OrdinaryConnection, ov) -> dict:
         return np.conj(np.swapaxes(ov.transition(grid_points(src, rows)), -1, -2))
 
     sample, dst_fields = _sampled_fields(conn, dst, sampling_operator(dst, ov.y))
-    start, step, paths = 0, geometry.SLAB_POINTS, {}
+    start, paths, mask = 0, {}, ov.mask.reshape(-1)
     res, scale = {"A": [], "F": []}, {"A": [], "F": []}
-    for rows, slab in row_slabs(src, {"A": conn.A[ov.src], "tinv": tinv_on},
-                                [("A", 2), ("tinv", 2)]):
-        F = _field_strength(slab["A"], slab.pop(("A", 2)), basis.structure)
-        mask = ov.mask[rows].reshape(-1)
-        for first in range(0, mask.size, step):
-            pts = slice(first, first + step)
-            matrices = {key: basis.contract(np.moveaxis(coeff[..., pts], -1, 0))
-                        for key, coeff in (("A", slab["A"]), ("F", F))}
-            for key in res:
-                scale[key].append(sup(matrices[key]))
-            # the sub-slab's sample points, a contiguous run of the sample set
-            at = np.flatnonzero(mask[pts])
-            p = slice(start, start + at.size)
-            start = p.stop
-            if at.size:
-                tinv, dtinv = (np.moveaxis(slab[k][..., pts][..., at], -1, 0)
-                               for k in ("tinv", ("tinv", 2)))
-                sampled = _split_fields(sample[p] @ dst_fields, src.dim)
-                run = _gluing_at(basis, paths, tinv, dtinv,
-                                 {key: m[at] for key, m in matrices.items()},
-                                 dict(zip(res, sampled)), ov.jac[p])
-                for key, value in zip(res, run):
-                    res[key].append(value)
-        del slab, F  # before the next slab is formed
+    for pts, slab in row_slabs(src, {"A": conn.A[ov.src], "tinv": tinv_on},
+                               [("A", 2), ("tinv", 2)]):
+        F = _field_strength(slab["A"], slab["A", 2], basis.structure)
+        matrices = {key: basis.contract(np.moveaxis(coeff, -1, 0))
+                    for key, coeff in (("A", slab["A"]), ("F", F))}
+        for key in res:
+            scale[key].append(sup(matrices[key]))
+        # the slab's sample points, a contiguous run of the sample set
+        at = np.flatnonzero(mask[pts])
+        p = slice(start, start + at.size)
+        start = p.stop
+        if at.size:
+            tinv, dtinv = (np.moveaxis(slab[k][..., at], -1, 0) for k in ("tinv", ("tinv", 2)))
+            sampled = _split_fields(sample[p] @ dst_fields, src.dim)
+            run = _gluing_at(basis, paths, tinv, dtinv,
+                             {key: m[at] for key, m in matrices.items()},
+                             dict(zip(res, sampled)), ov.jac[p])
+            for key, value in zip(res, run):
+                res[key].append(value)
+        del slab, F, matrices  # before the next slab is formed
     res_A, res_F = (relative(sup(res[k]), sup(scale[k])) for k in res)
     return {"potential": res_A, "field_strength": res_F}
 
@@ -467,17 +460,14 @@ def gluing_residuals(conn: OrdinaryConnection) -> dict:
 
     No field is formed on a whole chart, and the connection's cached field
     strength is neither read nor filled.  Per overlap, the source chart is
-    visited one row slab at a time (:func:`row_slabs`): its field strength
-    is formed there through :func:`_field_strength`, and t^-1 is evaluated
-    on the slab's rows and their stencil halo only and differentiated
-    there.  In sub-slabs of at most SLAB_POINTS points, A and F are then
-    contracted to matrices, for the scale (the source's chart peak) and at
-    the sub-slab's sample points, a contiguous run of the sample set since
-    the mask is in grid order.  One ``sampling_operator`` per overlap
-    samples the destination fields, a row slice of it per run, from a
-    compact array of only the points it reads (:func:`_sampled_fields`).
-    Each contraction's path is searched at the overlap's first run and
-    reused by the others.
+    walked slab by slab (:func:`row_slabs`, t^-1 evaluated on each block's
+    rows and stencil halo only): A and its field strength are contracted to
+    matrices there, for the scale (the source's chart peak) and at the
+    slab's sample points, a contiguous run of the sample set as the mask is
+    in grid order.  A row slice of one ``sampling_operator`` per overlap
+    samples the destination fields at each run, from a compact array of
+    only the points it reads (:func:`_sampled_fields`).  Each contraction's
+    path is searched at the overlap's first run and reused by the others.
     """
     out = {(ov.src, ov.dst): _overlap_gluing(conn, ov)
            for ov in conn.man.overlaps if ov.transition is not None}

@@ -13,13 +13,11 @@ position-dependent data they measure a genuine discretization error instead
 of cancelling the table's stencil identically.  All three are evaluated in
 one pass that shares the check-order fields between them.
 
-The symbols are pointwise.  Their fields come one row slab at a time from
-`geometry.row_slabs`, index axes first and the slab's grid points last, so
-that every einsum's inner loop runs over the points and every transpose
-moves whole contiguous rows; no field, derivative or field strength is
-formed for a whole chart.  `residual_table` builds and checks the symbols
-in sub-slabs of at most SLAB_POINTS points of each row slab, `christoffel`
-joins its slabs into grid-first views.
+The symbols are pointwise, built and checked slab by slab: their fields
+come from `geometry.row_slabs`, index axes first and the slab's grid points
+last, so that every einsum's inner loop runs over the points, and no field
+is formed for a whole chart.  `christoffel` joins the slabs into grid-first
+views.
 """
 
 from dataclasses import dataclass, fields
@@ -75,7 +73,7 @@ class ChristoffelTable:
 
 
 def _slabs(riem, ch, orders):
-    """Per row slab of chart ``ch`` (:func:`geometry.row_slabs`), the fields
+    """Per slab of chart ``ch`` (:func:`geometry.row_slabs`), the fields
     the symbols are built from, one points-last dict per stencil order in
     ``orders``: both metric blocks and their inverses, the potential (shared
     between the orders), and the metric derivatives and the field strength
@@ -139,26 +137,20 @@ def christoffel(riem) -> ChristoffelTable:
 def residual_table(riem) -> dict:
     """Torsion, metricity, Koszul and vertical lift-lift sup norms, the
     diagnostic summary of the command-line `lc check`, in one pass over the
-    charts (NaN if a piece is NaN); the symbols are built and checked one
-    row slab at a time, in sub-slabs of at most SLAB_POINTS grid points."""
-    pieces = []
+    charts, slab by slab (NaN if a piece is NaN)."""
     C = riem.conn.basis.structure
-    for ch in riem.man.charts:
-        for tab, chk in _slabs(riem, ch, (TABLE_ORDER, CHECK_ORDER)):
-            step = geometry.SLAB_POINTS
-            for start in range(0, tab["A"].shape[-1], step):
-                pieces.extend(_chart_residuals(tab, chk, slice(start, start + step), C))
+    pieces = [piece for ch in riem.man.charts
+              for tab, chk in _slabs(riem, ch, (TABLE_ORDER, CHECK_ORDER))
+              for piece in _chart_residuals(tab, chk, C)]
     return {key: sup(value for name, value in pieces if name == key)
             for key in ("torsion", "metricity", "koszul", "vertical_lift_lift_symbol")}
 
 
-def _chart_residuals(tab: dict, chk: dict, sl: slice, C):
-    """(identity, sup norm) of each mismatch piece at the points ``sl`` of a
-    row slab with points-last fields ``tab`` (table order) and ``chk`` (check
-    order).  Each lowered symbol g(D_X Y, Z) is formed once: metricity uses it
-    as it is, the Koszul formula doubled; each piece is reduced as soon as it
-    is formed."""
-    tab, chk = ({key: value[..., sl] for key, value in f.items()} for f in (tab, chk))
+def _chart_residuals(tab: dict, chk: dict, C):
+    """(identity, sup norm) of each mismatch piece on a slab with points-last
+    fields ``tab`` (table order) and ``chk`` (check order).  Each lowered
+    symbol g(D_X Y, Z) is formed once: metricity uses it as it is, the
+    Koszul formula doubled; each piece is reduced as soon as it is formed."""
     sym = _symbols(tab, C)
     yield "vertical_lift_lift_symbol", sup(sym["hh_v"])
     gM, gI, Ft = chk["gM"], chk["gI"], chk["F"]

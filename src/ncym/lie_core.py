@@ -30,6 +30,7 @@ __all__ = [
     "LieBasis",
     "Representation",
     "build_su",
+    "build_u1",
     "killing_metric",
     "build_representation",
     "invariant_polynomial",

@@ -203,16 +203,16 @@ def test_form_degree_and_keys(bpst16_form):
 
 
 def test_one_field_strength_per_slab_and_one_form_per_chern_task(monkeypatch, tmp_path):
-    """Each row slab forms its field strength once, at the Chern-Weil stencil
+    """Each slab forms its field strength once, at the Chern-Weil stencil
     order, and the task forms one Chern form; no whole-chart field strength
     is formed."""
     orders, slabs, strengths, forms = [], [], [], []
 
     def counted_slabs(chart, fields, diff=()):
         orders.append(sorted({order for _, order in diff}))
-        for rows, slab in row_slabs(chart, fields, diff):
-            slabs.append(rows)
-            yield rows, slab
+        for pts, slab in row_slabs(chart, fields, diff):
+            slabs.append(pts)
+            yield pts, slab
 
     def counted(A, dA, C):
         strengths.append(len(slabs))

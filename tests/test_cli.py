@@ -242,6 +242,21 @@ def test_keys_a_kind_does_not_read_exit_2(block, message, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("doc, key", [
+    ({"task": "lc-check", "metric": {"internal": [[1, 0, 0], [0, 1], [0, 0, 1]]}},
+     "metric.internal"),
+    ({"task": "eval", "connection": {"kind": "constant", "coeffs": [[0.0] * 3, [0.0] * 2]}},
+     "connection.coeffs"),
+], ids=["metric.internal", "connection.coeffs"])
+def test_ragged_matrix_exits_2(doc, key, tmp_path, capsys):
+    """A matrix whose rows differ in length is refused with its key named,
+    not with numpy's message about an inhomogeneous shape."""
+    doc = {**_TORUS_EVAL, **doc, "output_dir": str(tmp_path / "out")}
+    assert main(["run", _write(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == f"ncym: config rejected: {key}: rows of lengths [2, 3]\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("task, code", [(task, 2) for task in
                                         ("chern", "geom-check", "eval", "lc-check", "classify")])
 def test_overlap_without_sample_points(task, code, tmp_path, capsys):
@@ -693,7 +708,7 @@ def test_chern_degree_without_a_top_form_exits_2(doc, names, tmp_path, capsys):
 
 
 def test_topology_tasks_never_form_the_cached_field_strength(tmp_path, monkeypatch):
-    """chern, geom-check and lc-check form the field strength one row slab at
+    """chern, geom-check and lc-check form the field strength one slab at
     a time; none of them fills the connection's whole-chart cache."""
     def whole_chart(conn):
         raise AssertionError("a topology task formed the whole-chart field strength")

@@ -575,7 +575,7 @@ def test_stencil_product_is_bitwise_the_tensordot_form(shape, dim, periodic, dty
 
 
 def _slab_derivative(arr, ch, order):
-    """The row slabs' derivative of ``arr``, joined along the points and
+    """The slabs' derivative of ``arr``, joined along the points and
     returned grid first."""
     slabs = [slab["f", order] for _, slab in row_slabs(ch, {"f": arr}, [("f", order)])]
     joined = np.concatenate(slabs, axis=-1)
@@ -651,25 +651,33 @@ def test_row_operator_gathers_a_broadcast_field_without_copying_it():
 @pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("bundle", ["torus", "sphere"])
 def test_slab_derivative_is_bitwise_across_block_widths(bundle, order, monkeypatch):
-    """The row slabs' stencil derivative has the same bits for blocks of 1, 2,
-    3 and 5 rows and the whole chart, and agrees with ``derivatives`` to
-    1e-14 relative; the fields come points last and contiguous."""
+    """For SLAB_POINTS of half a row, of a width that does not divide a row,
+    of 1, 2, 3 and 5 rows and of the whole chart: every slab holds at most
+    SLAB_POINTS points, the slabs tile the chart in order and hold the field
+    at their points, and the stencil derivative has the same bits at every
+    width and agrees with ``derivatives`` to 1e-14 relative."""
     man = build_torus(3, 9) if bundle == "torus" else build_sphere_two_charts(4, 12)
     ch = man.charts[0]
     arr = np.random.default_rng(order).normal(size=ch.shape + (4, 3))
-    row = int(np.prod(ch.shape[1:]))
+    flat = np.moveaxis(arr.reshape(-1, 4, 3), 0, -1)
+    row, size = int(np.prod(ch.shape[1:])), int(np.prod(ch.shape))
+    ragged = row // 2 + 1
+    assert row % ragged
     got = {}
-    for width in (1, 2, 3, 5, ch.shape[0]):
-        monkeypatch.setattr(geometry, "SLAB_POINTS", width * row)
-        for rows, slab in row_slabs(ch, {"f": arr}, [("f", order)]):
-            assert rows.stop - rows.start <= width
-            assert slab["f"].flags.c_contiguous and slab["f", order].flags.c_contiguous
-            assert slab["f"].shape == (4, 3, (rows.stop - rows.start) * row)
+    for width in (row // 2, ragged, row, 2 * row, 3 * row, 5 * row, size):
+        monkeypatch.setattr(geometry, "SLAB_POINTS", width)
+        end = 0
+        for pts, slab in row_slabs(ch, {"f": arr}, [("f", order)]):
+            assert pts.start == end and 0 < pts.stop - pts.start <= width
+            end = pts.stop
+            assert slab["f"].tobytes() == flat[..., pts].tobytes()
+            assert slab["f", order].shape == (ch.dim, 4, 3, pts.stop - pts.start)
+        assert end == size
         got[width] = _slab_derivative(arr, ch, order)
-    for width in (2, 3, 5, ch.shape[0]):
-        assert got[width].tobytes() == got[1].tobytes(), width
+    for width, deriv in got.items():
+        assert deriv.tobytes() == got[row].tobytes(), width
     want = derivatives(arr, ch, order)
-    assert np.max(np.abs(got[1] - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.max(np.abs(got[row] - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("width", [1, 2, 5])

@@ -196,16 +196,16 @@ def test_residuals_propagate_nan(su2):
 
 
 def test_one_check_order_field_strength_per_lc_check(monkeypatch, tmp_path):
-    """Each row slab forms its field strength once at the table order and
+    """Each slab forms its field strength once at the table order and
     once at the check order, which the three residuals share; no whole-chart
     field strength is formed."""
     orders, slabs, strengths = [], [], []
 
     def counted_slabs(chart, fields, diff=()):
         orders.append(sorted({order for _, order in diff}))
-        for rows, slab in row_slabs(chart, fields, diff):
-            slabs.append(rows)
-            yield rows, slab
+        for pts, slab in row_slabs(chart, fields, diff):
+            slabs.append(pts)
+            yield pts, slab
 
     def counted(A, dA, C):
         strengths.append(len(slabs))

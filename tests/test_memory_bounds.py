@@ -5,31 +5,34 @@ tracemalloc, so they count every array a call allocates, independent of the
 allocator's reuse of freed memory.  Each bound is a measured value plus at
 least 15% headroom (numpy 2.4.6, one BLAS thread; nothing measured imports
 a module).  The connection's field-strength cache is empty throughout: no
-topology check fills it.  All of them run through `geometry.row_slabs`, so
-no derivative, field strength, transition or contraction of a whole chart
-is formed:
+topology check fills it.  All of them run through `geometry.row_slabs`,
+whose slabs hold at most SLAB_POINTS points each (views of one block of
+whole first-axis rows at a time), so no derivative, field strength,
+transition or contraction of a whole chart is formed:
 
-- ``residual_table``: 12.1 MiB measured, bound 15 MiB, with the base
-  blocks formed per slab from the conformal factor (12.0 MiB when the
-  dense whole-chart blocks were copied per slab; 1024-point slabs copied
-  points-last from whole-chart fields gave 68.4 MiB, whole-chart symbol
-  tables of both charts 168.2 MiB);
-- ``gluing_residuals``: 10.4 MiB measured, bound 12 MiB, with the source
-  field strength formed per slab and contracted per sub-slab of at most
-  SLAB_POINTS points, the destination potential and field strength kept
-  only on the 5,712 of 20,736 points the sampler reads, and t^-1 evaluated
-  per slab on its rows and their stencil halo.  Until then it read the
-  cached order-2 field strength of both charts (15.2 MiB more, formed by
-  its first caller) and took 11.2 MiB of its own on top, with the
-  transition on the whole source grid; the sample points contracted all
-  at once gave 57.2 MiB;
-- a whole ``geom-check`` (``build_problem`` and the task) peaks at 16.0 MiB,
+- ``residual_table``: 9.6 MiB measured, bound 11.5 MiB, with the base
+  blocks, the field strengths and the symbols formed per slab (12.1 MiB
+  when the fields of a whole 1,728-point row were formed before it was cut
+  into slabs; 12.0 MiB when the dense whole-chart base blocks were copied
+  per slab as well; 1024-point slabs copied points-last from whole-chart
+  fields gave 68.4 MiB, whole-chart symbol tables of both charts
+  168.2 MiB);
+- ``gluing_residuals``: 10.7 MiB measured, bound 12 MiB, with the source
+  field strength formed and contracted per slab, the destination potential
+  and field strength kept only on the 5,712 of 20,736 points the sampler
+  reads, and t^-1 evaluated per block on its rows and their stencil halo
+  (10.4 MiB when a row's order-2 derivatives were dropped once its field
+  strength was formed).  Before that it read the cached order-2 field
+  strength of both charts (15.2 MiB more, formed by its first caller) and
+  took 11.2 MiB of its own on top, with the transition on the whole source
+  grid; the sample points contracted all at once gave 57.2 MiB;
+- a whole ``geom-check`` (``build_problem`` and the task) peaks at 16.4 MiB,
   bound 19 MiB (20.8 MiB with dense base-metric blocks, 36.8 MiB when the
   gluing also filled the field-strength cache);
-- ``chern_form``: 5.8 MiB measured, bound 8 MiB, with the order-4 field
-  strength formed per slab (the order-4 field strength of both charts,
-  15.2 MiB, sliced into slabs gave 20.1 MiB; each chart contracted whole
-  gave 76.7 MiB);
+- ``chern_form``: 3.7 MiB measured, bound 4.5 MiB, with the order-4 field
+  strength formed per slab (5.8 MiB per whole row; the order-4 field
+  strength of both charts, 15.2 MiB, sliced into slabs gave 20.1 MiB; each
+  chart contracted whole gave 76.7 MiB);
 - a ``geom-check`` or ``lc-check`` set-up (``build_problem``) retains
   5.77 MiB, bound 6.75 MiB: the base metric is one conformal factor per
   point, and both charts share it, its sqrt(det), |x|^2 and one volume
@@ -50,10 +53,10 @@ import ncym.geometry as geometry
 from ncym.levi_civita import residual_table
 
 MiB = 2**20
-RESIDUAL_TABLE_MIB = 15
+RESIDUAL_TABLE_MIB = 11.5
 GLUING_MIB = 12
 GEOM_CHECK_MIB = 19
-CHERN_FORM_MIB = 8
+CHERN_FORM_MIB = 4.5
 SETUP_MIB = 6.75
 
 
@@ -145,8 +148,8 @@ def test_base_metric_holds_no_dense_blocks(instanton12):
 
 
 def test_slab_residuals_are_bitwise_the_whole_chart_residuals(instanton12, monkeypatch):
-    """Row slabs and sub-slabs of the default size give the bits of one slab
-    holding the whole chart."""
+    """Slabs of the default size give the bits of one slab holding the whole
+    chart."""
     riem = instanton12.riem
     ch = riem.man.charts[0]
     out = residual_table(riem)
@@ -159,9 +162,8 @@ def test_slab_residuals_are_bitwise_the_whole_chart_residuals(instanton12, monke
 
 
 def test_gluing_is_bitwise_in_one_whole_chart_slab(instanton12, monkeypatch):
-    """Row slabs and sub-slabs of the default size give the gluing residuals
-    of one slab holding the whole chart, and leave the field-strength cache
-    empty."""
+    """Slabs of the default size give the gluing residuals of one slab
+    holding the whole chart, and leave the field-strength cache empty."""
     conn = instanton12.conn
     out = gluing_residuals(conn)
     whole_chart = max(int(np.prod(ch.shape)) for ch in conn.man.charts)

@@ -1,6 +1,7 @@
 """A static scan of ``src/ncym``: every ``__all__`` entry names something its
 module defines or imports, and every module-level import is used, so that
-deleting a function leaves no stale export or import behind."""
+deleting a function leaves no stale export or import behind; every public
+name a module imports from a sibling is in that sibling's ``__all__``."""
 
 import ast
 from pathlib import Path
@@ -55,3 +56,17 @@ def test_every_module_level_import_is_used(path):
     read.update(_exports(tree))
     unused = {name: line for name, line in _imports(tree).items() if name not in read}
     assert not unused, f"{path.name}: imported but never used (name: line) {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_public_names_imported_from_a_sibling_are_exported(path):
+    """Every public name a module imports from a sibling, at any depth, is in
+    that sibling's ``__all__``, where the sibling has one."""
+    exports = {p.stem: names for p in MODULES if (names := _exports(_parse(p)))}
+    unlisted = [(node.module, alias.name, node.lineno)
+                for node in ast.walk(_parse(path))
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                and node.module in exports
+                for alias in node.names
+                if not alias.name.startswith("_") and alias.name not in exports[node.module]]
+    assert not unlisted, f"{path.name}: imports names its sibling does not export {unlisted}"
