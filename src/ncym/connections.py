@@ -338,14 +338,11 @@ def monopole_connection(
         raise ShapeError("the monopole potential lives on the 2-sphere charts")
     r = man.params["radius"]
     scale = float(np.sqrt(2.0))  # E_1 = i/sqrt(2), so matrix iq needs sqrt(2) q
-    out = {}
+    out, x = {}, grid_points(man.chart("north"))  # the charts share one grid
     for ch, q in ((man.chart("north"), charge), (man.chart("south"), -charge)):
-        x = grid_points(ch)
-        den = np.sum(x * x, axis=-1) + r * r
-        A = np.zeros(ch.shape + (2, 1))
-        A[..., 0, 0] = -scale * q * x[..., 1] / den
-        A[..., 1, 0] = scale * q * x[..., 0] / den
-        out[ch.name] = A
+        den = man.rho2[ch.name] + r * r
+        A = scale * q * np.stack([-x[..., 1], x[..., 0]], axis=-1) / den[..., None]
+        out[ch.name] = A[..., None]
     return OrdinaryConnection(man, basis, rep, out)
 
 

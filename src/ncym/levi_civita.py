@@ -17,7 +17,7 @@ The symbols are pointwise, built and checked slab by slab: their fields
 come from `geometry.row_slabs`, index axes first and the slab's grid points
 last, so that every einsum's inner loop runs over the points, and no field
 is formed for a whole chart.  `christoffel` joins the slabs into grid-first
-views.
+views.  The base metric c delta lowers by c and raises by h = 1 / c.
 """
 
 from dataclasses import dataclass, fields
@@ -75,17 +75,16 @@ class ChristoffelTable:
 def _slabs(riem, ch, orders):
     """Per slab of chart ``ch`` (:func:`geometry.row_slabs`), the fields
     the symbols are built from, one points-last dict per stencil order in
-    ``orders``: both metric blocks and their inverses, the potential (shared
-    between the orders), and the metric derivatives and the field strength
-    at that order.  The base blocks are c delta, delta / c and dc delta."""
+    ``orders``: c and h = 1 / c, the fiber block and its inverse, the
+    potential (shared between the orders), and dc delta, dg_I and the field
+    strength at that order."""
     name, C = ch.name, riem.conn.basis.structure
     fields = {"c": riem.base.conf[name], "gI": riem.internal[name], "hI": riem.hint[name],
               "A": riem.conn.A[name]}
     diff = [(key, order) for key in ("c", "gI", "A") for order in orders]
     delta = np.eye(ch.dim)[..., None]
     for _, slab in geometry.row_slabs(ch, fields, diff):
-        shared = {"gM": slab["c"] * delta, "hM": 1.0 / slab["c"] * delta, "gI": slab["gI"],
-                  "hI": slab["hI"], "A": slab["A"]}
+        shared = {key: slab[key] for key in ("c", "gI", "hI", "A")} | {"h": 1.0 / slab["c"]}
         yield [shared | {"dgM": slab["c", order][:, None, None] * delta, "dgI": slab["gI", order],
                          "F": _field_strength(slab["A"], slab["A", order], C)}
                for order in orders]
@@ -95,13 +94,13 @@ def _symbols(f: dict, C) -> dict:
     """The table's per-chart entries at the points of the points-last fields
     ``f``, plus the rotation N g_I and the lowered structure C g_I, which the
     residuals reuse."""
-    hM, gI, hI, dgM = f["hM"], f["gI"], f["hI"], f["dgM"]
+    h, gI, hI, dgM = f["h"], f["gI"], f["hI"], f["dgM"]
     out = {"hh_v": np.broadcast_to(0.0, f["F"].shape), "half_curvature": 0.5 * f["F"]}
     sym = dgM + dgM.swapaxes(0, 1) - np.moveaxis(dgM, 0, 2)
-    out["hh_h"] = 0.5 * np.einsum("srp,mnrp->mnsp", hM, sym)
+    out["hh_h"] = 0.5 * (h * sym)
 
     lowered = np.einsum("mrep,ebp->mbrp", f["F"], gI)  # F^e_{mu rho} g_eb
-    out["hv_h"] = -0.5 * np.einsum("srp,mbrp->mbsp", hM, lowered)
+    out["hv_h"] = -0.5 * (h * lowered)
     out["vh_h"] = out["hv_h"].swapaxes(0, 1)
 
     N = out["mixed_rotation"] = np.einsum("mep,ebf->mbfp", f["A"], C)
@@ -109,7 +108,7 @@ def _symbols(f: dict, C) -> dict:
     nab = f["dgI"] - rot - rot.swapaxes(1, 2)  # nabla_mu g_ab
     out["hv_v"] = 0.5 * np.einsum("dcp,mbcp->mbdp", hI, nab)
     out["vh_v"] = out["hv_v"].swapaxes(0, 1)
-    out["vv_h"] = -0.5 * np.einsum("srp,rabp->absp", hM, nab)
+    out["vv_h"] = -0.5 * (h * np.moveaxis(nab, 0, 2))
 
     C_low = out["C_low"] = np.einsum("abe,ecp->abcp", C, gI)
     out["vv_v"] = 0.5 * np.einsum("dcp,cabp->abdp", hI, C_low + C_low.swapaxes(1, 2))
@@ -153,7 +152,7 @@ def _chart_residuals(tab: dict, chk: dict, C):
     Koszul formula doubled; each piece is reduced as soon as it is formed."""
     sym = _symbols(tab, C)
     yield "vertical_lift_lift_symbol", sup(sym["hh_v"])
-    gM, gI, Ft = chk["gM"], chk["gI"], chk["F"]
+    c, gI, Ft = chk["c"], chk["gI"], chk["F"]
     hh_h, _, hv_h, hv_v, vh_h, vh_v, vv_h, vv_v, half_F, N = (sym[k] for k in _PER_CHART)
     rot, C_low = sym["rotation"], sym["C_low"]
 
@@ -173,13 +172,13 @@ def _chart_residuals(tab: dict, chk: dict, C):
     F_low = np.einsum("mnep,ecp->mncp", Ft, gI)
 
     # lift, lift; lift
-    low = np.einsum("mnsp,srp->mnrp", hh_h, gM)
+    low = hh_h * c
     yield "metricity", sup(dgM - low - low.swapaxes(1, 2))
     yield "koszul", sup(2.0 * low - (dgM + dgM.swapaxes(0, 1) - np.moveaxis(dgM, 0, 2)))
 
     # lift, lift; inner and lift, inner; lift
     low = np.einsum("mnep,ecp->mncp", half_F, gI)
-    cross = np.einsum("mcsp,snp->mcnp", hv_h, gM)
+    cross = hv_h * c
     yield "metricity", sup(low + cross.swapaxes(1, 2))
     yield "koszul", sup(2.0 * low - F_low)
     yield "koszul", sup(2.0 * cross + F_low.swapaxes(1, 2))
@@ -190,13 +189,13 @@ def _chart_residuals(tab: dict, chk: dict, C):
     yield "koszul", sup(2.0 * low - (dgI + rot - rot.swapaxes(1, 2)))
 
     # inner, lift; lift
-    low = np.einsum("ansp,srp->anrp", vh_h, gM)
+    low = vh_h * c
     yield "metricity", sup(low + low.swapaxes(1, 2))
     yield "koszul", sup(2.0 * low + np.moveaxis(F_low, 2, 0))
 
     # inner, lift; inner and inner, inner; lift
     low = np.einsum("andp,dcp->ancp", vh_v, gI)
-    cross = np.einsum("acsp,snp->acnp", vv_h, gM)
+    cross = vv_h * c
     yield "metricity", sup(low + cross.swapaxes(1, 2))
     rhs = dgI.swapaxes(0, 1) - rot.swapaxes(0, 1) - np.moveaxis(rot, 2, 0)
     yield "koszul", sup(2.0 * low - rhs)

@@ -268,7 +268,8 @@ def _count_eigh(monkeypatch):
 
 @pytest.mark.parametrize("task", ["geom-check", "lc-check"])
 def test_diagonal_metrics_are_inverted_without_eigh(monkeypatch, task):
-    # the round-sphere base metric and the default fiber metric are diagonal
+    # the base metric is the scalar c, never inverted as a block; the
+    # default fiber metric is diagonal and takes the closed path
     calls = _count_eigh(monkeypatch)
     p = build_problem(resolve({"task": task, "bundle": {"kind": "instanton", "npts": 12}}))
     assert p.riem is not None

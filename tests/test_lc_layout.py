@@ -2,17 +2,20 @@
 
 The oracle below is the earlier evaluation kept verbatim in its layout:
 grid axes first, index axes last, each chart as a whole, contractions along
-einsum's optimized path.  The package's table and residuals must agree with
-it to 1e-12 relative, and what the oracle gives as exactly zero must stay
-exactly zero.
+einsum's optimized path, and the base metric as the dense blocks c delta and
+delta / c that it contracts with.  The package raises and lowers horizontal
+indices by the scalars 1 / c and c instead.  Its table and residuals must
+agree with the oracle to 1e-12 relative, and what the oracle gives as
+exactly zero must stay exactly zero.  The cases cover position-dependent
+conformal base and fiber metrics on the su(2) and su(3) tori, and the round
+spheres with the identity fiber metric and with a non-diagonal one.
 """
 
 import numpy as np
 import pytest
 
-import ncym.levi_civita as lc
 from ncym.config import build_problem, resolve
-from ncym.geometry import BaseMetric, _points_last, derivatives, grid_points, sup
+from ncym.geometry import BaseMetric, derivatives, grid_points, sup
 from ncym.levi_civita import CHECK_ORDER, TABLE_ORDER, christoffel, residual_table
 from ncym.lie_core import build_representation, build_su
 from ncym.metric import assemble
@@ -149,27 +152,6 @@ def _riem(bundle, **blocks):
     return build_problem(resolve({"task": "lc-check", "bundle": bundle, **blocks})).riem
 
 
-# Position-dependent base metrics with off-diagonal entries, as dense blocks.
-# `BaseMetric` holds conformally flat metrics only, so the symbols take these
-# as hand-built fields.
-
-
-def _xdep_base_block(x):
-    gM = np.zeros(x.shape[:-1] + (2, 2))
-    gM[..., 0, 0] = 1.0 + 0.3 * np.cos(x[..., 0] + 0.2)
-    gM[..., 1, 1] = 1.2 - 0.2 * np.cos(x[..., 1])
-    gM[..., 0, 1] = gM[..., 1, 0] = 0.15 * np.sin(x[..., 0] + x[..., 1])
-    return gM
-
-
-def _su3_base_block(x):
-    gM = np.zeros(x.shape[:-1] + (2, 2))
-    gM[..., 0, 0] = 1.0 + 0.2 * np.sin(x[..., 1])
-    gM[..., 1, 1] = 1.1 + 0.3 * np.cos(x[..., 0] - 0.5)
-    gM[..., 0, 1] = gM[..., 1, 0] = 0.1 * np.cos(x[..., 0] + x[..., 1])
-    return gM
-
-
 def _su3_torus():
     """su(3) over the 2-torus, a random potential and position-dependent
     conformal base and fiber metrics, so that every residual is a
@@ -188,6 +170,8 @@ def _su3_torus():
 
 CASES = {
     "instanton8": lambda: _riem({"kind": "instanton", "npts": 8}),
+    "instanton8-fiber": lambda: _riem({"kind": "instanton", "npts": 8}, metric={"internal": [
+        [2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 1.5]]}),
     "monopole16": lambda: _riem({"kind": "monopole", "npts": 16}),
     "xdep-torus": lambda: _xdep_riem(16, (su2 := build_su(2),
                                           build_representation(su2, "fundamental"))),
@@ -223,24 +207,3 @@ def test_christoffel_matches_grid_first_formulas(riem):
             assert new.shape == old[key].shape, key
             assert _agree(new, old[key]), (name, key)
         assert np.all(table.hh_v[name] == 0.0)
-
-
-@pytest.mark.parametrize("case, block", [("xdep-torus", _xdep_base_block),
-                                         ("su3-torus", _su3_base_block)])
-def test_symbols_contract_a_general_base_metric(case, block):
-    """The symbols contract dense base blocks: an off-diagonal
-    position-dependent g^M, its inverse and its derivatives, given as
-    hand-built points-last fields, give the grid-first formulas' symbols."""
-    riem = CASES[case]()
-    ch, C = riem.man.charts[0], riem.conn.basis.structure
-    gM = block(grid_points(ch))
-    F = _field_strength(riem.conn, TABLE_ORDER)[ch.name]
-    fields = _fields(riem, ch, F, TABLE_ORDER) | {
-        "gM": gM, "hM": np.linalg.inv(gM), "dgM": derivatives(gM, ch, TABLE_ORDER)}
-    old = _symbols(fields, C)
-    new = lc._symbols({key: _points_last(arr, ch.dim) for key, arr in fields.items()}, C)
-    for key in PIECES:
-        got = new[key].reshape(new[key].shape[:-1] + ch.shape)
-        got = np.moveaxis(got, (0, 1, 2), (-3, -2, -1))
-        assert got.shape == old[key].shape, key
-        assert _agree(got, old[key]), key

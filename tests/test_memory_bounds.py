@@ -10,13 +10,14 @@ whose slabs hold at most SLAB_POINTS points each (views of one block of
 whole first-axis rows at a time), so no derivative, field strength,
 transition or contraction of a whole chart is formed:
 
-- ``residual_table``: 9.6 MiB measured, bound 11.5 MiB, with the base
-  blocks, the field strengths and the symbols formed per slab (12.1 MiB
-  when the fields of a whole 1,728-point row were formed before it was cut
-  into slabs; 12.0 MiB when the dense whole-chart base blocks were copied
-  per slab as well; 1024-point slabs copied points-last from whole-chart
-  fields gave 68.4 MiB, whole-chart symbol tables of both charts
-  168.2 MiB);
+- ``residual_table``: 9.37 MiB measured, bound 10.8 MiB, with the field
+  strengths and the symbols formed per slab and the base metric read as its
+  per-point conformal factor c and 1 / c (9.61 MiB with dense c delta and
+  delta / c blocks formed per slab; 12.1 MiB when the fields of a whole
+  1,728-point row were formed before it was cut into slabs; 12.0 MiB when
+  the dense whole-chart base blocks were copied per slab as well; 1024-point
+  slabs copied points-last from whole-chart fields gave 68.4 MiB,
+  whole-chart symbol tables of both charts 168.2 MiB);
 - ``gluing_residuals``: 10.7 MiB measured, bound 12 MiB, with the source
   field strength formed and contracted per slab, the destination potential
   and field strength kept only on the 5,712 of 20,736 points the sampler
@@ -53,7 +54,7 @@ import ncym.geometry as geometry
 from ncym.levi_civita import residual_table
 
 MiB = 2**20
-RESIDUAL_TABLE_MIB = 11.5
+RESIDUAL_TABLE_MIB = 10.8
 GLUING_MIB = 12
 GEOM_CHECK_MIB = 19
 CHERN_FORM_MIB = 4.5

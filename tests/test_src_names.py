@@ -1,7 +1,8 @@
 """A static scan of ``src/ncym``: every ``__all__`` entry names something its
-module defines or imports, and every module-level import is used, so that
-deleting a function leaves no stale export or import behind; every public
-name a module imports from a sibling is in that sibling's ``__all__``."""
+module defines or imports, every module-level import is used, and every
+private module-level name is read somewhere in the package, so that deleting
+a function leaves no stale export, import or orphaned helper behind; every
+public name a module imports from a sibling is in that sibling's ``__all__``."""
 
 import ast
 from pathlib import Path
@@ -26,6 +27,19 @@ def _imports(tree: ast.Module) -> dict:
             for alias in node.names}
 
 
+def _definitions(tree: ast.Module) -> dict:
+    """Each name a module-level def, class or assignment binds, and its line."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.update((n.id, node.lineno) for t in targets for n in ast.walk(t)
+                       if isinstance(n, ast.Name))
+    return out
+
+
 def _exports(tree: ast.Module) -> list:
     for node in tree.body:
         if isinstance(node, ast.Assign) and [t.id for t in node.targets
@@ -37,13 +51,7 @@ def _exports(tree: ast.Module) -> list:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_every_export_resolves(path):
     tree = _parse(path)
-    defined = set(_imports(tree))
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            defined.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    defined = set(_imports(tree)) | set(_definitions(tree))
     stale = [name for name in _exports(tree) if name not in defined]
     assert not stale, f"{path.name}: __all__ names {stale}, which the module does not define"
 
@@ -70,3 +78,23 @@ def test_public_names_imported_from_a_sibling_are_exported(path):
                 for alias in node.names
                 if not alias.name.startswith("_") and alias.name not in exports[node.module]]
     assert not unlisted, f"{path.name}: imports names its sibling does not export {unlisted}"
+
+
+def test_every_private_name_is_read():
+    """Every private module-level function, class or constant (one leading
+    underscore) is read by some module of the package: as a name, as a
+    module attribute (``geometry._stencil``) or through an import."""
+    trees = {path.stem: _parse(path) for path in MODULES}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                read.update(alias.name for alias in node.names)
+    orphans = [(stem, name, line) for stem, tree in trees.items()
+               for name, line in _definitions(tree).items()
+               if name.startswith("_") and not name.startswith("__") and name not in read]
+    assert not orphans, f"private names no module reads (module, name, line) {orphans}"
