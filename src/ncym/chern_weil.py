@@ -92,7 +92,8 @@ def chern_form(conn: OrdinaryConnection, q: int) -> ChernForm:
     keys = list(itertools.combinations(range(d), 2 * q))
     for ch in conn.man.charts:
         here, imag = {key: np.empty(ch.shape) for key in keys}, {key: [] for key in keys}
-        for pts, slab in row_slabs(ch, {"A": conn.A[ch.name]}, [("A", STENCIL_ORDER)]):
+        for pts, slab in row_slabs(ch, {"A": conn.slab_field(ch.name)},
+                                   [("A", STENCIL_ORDER)]):
             F = _field_strength(slab["A"], slab["A", STENCIL_ORDER], C)
             # pair-major, points last: Fm[mu, nu] is the (k, k, p) matrix field of F_mu_nu
             Fm = np.einsum("mnap,aij->mnijp", F, conn.rep.matrices)
@@ -115,6 +116,7 @@ def chern_form(conn: OrdinaryConnection, q: int) -> ChernForm:
                     acc = acc * 0.5
                 imag[key].append(sup(acc.imag))
                 here[key].reshape(-1)[pts] = acc.real
+            del slab, F, Fm, trF, acc  # before the next slab is formed
         for key in keys:
             if sup(imag[key]) > 1e-10 * max(sup(here[key]), 1.0):
                 raise InvalidRank("characteristic component failed to be real")

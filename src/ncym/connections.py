@@ -17,6 +17,7 @@ explicit transition functions so cross-chart gluing is testable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -90,29 +91,66 @@ __all__ = [
 class OrdinaryConnection:
     """Per-chart gauge potential A^a_mu with its Lie basis and representation.
 
-    ``A[name]`` has shape chart.shape + (d, m), real components in the basis
-    E_a.  Caches the field strength, the representation image R(A_mu) and
-    whether a chart's potential is exactly zero.
+    The potential is stored, per-chart arrays of shape chart.shape + (d, m)
+    (real components in the basis E_a), or analytic: a function of (chart,
+    first-axis rows) that returns the grid-first potential on those rows, as
+    :func:`bpst_connection` and :func:`monopole_connection` give it.  The
+    slab readers (``chern_form``, ``gluing_residuals``, ``residual_table``)
+    take a chart's potential from :meth:`slab_field`, so an analytic one is
+    evaluated by rows and never formed on a whole chart.  ``A[name]`` is the
+    whole-chart array: an analytic potential is formed on every chart at the
+    first read of ``A`` and cached in ``_A``, as :meth:`curvature` caches F.
+    Its readers are the Yang-Mills path, ``nc_forms``, ``metric``,
+    :func:`gauge_transform_ordinary` and the self-check.  Also caches the
+    representation image R(A_mu) and whether a chart's potential is exactly
+    zero.
     """
 
     man: Manifold
     basis: LieBasis
     rep: Representation
-    A: dict
+    potential: dict | Callable
+    _A: dict = field(default_factory=dict, repr=False)
     _F: dict = field(default_factory=dict, repr=False)
     _repA: dict = field(default_factory=dict, repr=False)
     _zero: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        for ch in self.man.charts:
-            a = self.A[ch.name]
-            want = ch.shape + (ch.dim, self.basis.dim)
-            if a.shape != want:
-                raise ShapeError(f"A[{ch.name}] has shape {a.shape}, want {want}")
-            if not np.isfinite(a).all():
-                raise ShapeError("gauge potential components must be finite")
-            if np.iscomplexobj(a) and not sup(a.imag) <= 1e-12:
-                raise ShapeError("gauge potential components must be real")
+        if not callable(self.potential):
+            for ch in self.man.charts:
+                self._checked(ch, self.potential[ch.name], ch.shape)
+
+    def _checked(self, ch, a: np.ndarray, shape: tuple) -> np.ndarray:
+        """``a``, refused unless it is a real, finite potential on grid points
+        of ``shape`` on chart ``ch``."""
+        want = shape + (ch.dim, self.basis.dim)
+        if a.shape != want:
+            raise ShapeError(f"A[{ch.name}] has shape {a.shape}, want {want}")
+        if not np.isfinite(a).all():
+            raise ShapeError("gauge potential components must be finite")
+        if np.iscomplexobj(a) and not sup(a.imag) <= 1e-12:
+            raise ShapeError("gauge potential components must be real")
+        return a
+
+    def slab_field(self, name: str):
+        """The potential of chart ``name`` as a :func:`row_slabs` field: the
+        stored array, or a function of first-axis rows that evaluates the
+        analytic potential there and checks each block it forms."""
+        if not callable(self.potential):
+            return self.potential[name]
+        ch = self.man.chart(name)
+        return lambda rows: self._checked(ch, self.potential(ch, rows),
+                                          (len(rows),) + ch.shape[1:])
+
+    @property
+    def A(self) -> dict:
+        """The whole-chart potential per chart (see the class docstring)."""
+        if not callable(self.potential):
+            return self.potential
+        if not self._A:
+            self._A = {ch.name: self.slab_field(ch.name)(np.arange(ch.shape[0]))
+                       for ch in self.man.charts}
+        return self._A
 
     def curvature(self) -> dict:
         """F^a_mu_nu per chart, shape + (d, d, m), formed on the whole charts
@@ -120,8 +158,8 @@ class OrdinaryConnection:
         the Yang-Mills path (:func:`nc_curvature` and the action's
         evaluation in ``yang_mills``) and the ``nc_forms`` oracle; the
         topology checks (``chern_form``, ``gluing_residuals``,
-        ``residual_table``) form F one slab at a time and leave the
-        cache empty."""
+        ``residual_table``) form F one slab at a time from
+        :meth:`slab_field`, and leave this cache and ``A``'s empty."""
         if not self._F:
             self._F = curvature_F(self)
         return self._F
@@ -273,6 +311,13 @@ def instanton_bundle(
     return man, lb, rep
 
 
+def _refuse_unbounded(bound, what: str) -> None:
+    """Refuse at build time an analytic potential whose ``bound`` on |A|
+    over the charts is not finite (NaN included)."""
+    if not np.isfinite(bound):
+        raise ShapeError(f"gauge potential components must be finite ({what})")
+
+
 def bpst_connection(
     man: Manifold, basis: LieBasis, rep: Representation, rho: float = 1.0
 ) -> OrdinaryConnection:
@@ -280,27 +325,39 @@ def bpst_connection(
 
     North: A^a_mu = 2 eta_{a mu nu} x^nu / (|x|^2 + rho^2); the south chart
     carries the size r^2/rho potential built on the anti symbols, which is
-    the north form transported by the quaternionic transition.
+    the north form transported by the quaternionic transition.  The
+    potential is analytic (see :class:`OrdinaryConnection`), refused here
+    unless its bound 2 max|x| / min(|x|^2 + size^2) is finite.
     """
     if man.kind != "sphere" or man.dim != 4:
         raise ShapeError("the instanton potential lives on the 4-sphere charts")
     if basis.n != 2:
         raise ShapeError("the instanton potential is su(2)-valued")
     r = man.params["radius"]
-    out, x = {}, grid_points(man.chart("north"))  # the charts share one grid
-    for ch, eta, size in (
-        (man.chart("north"), thooft_symbols(), rho),
-        (man.chart("south"), thooft_symbols(anti=True), r * r / rho),
-    ):
-        den = man.rho2[ch.name] + size * size
+    # per chart the size and eta_{a mu nu} as a (4, 4 * 3) matrix on x^nu;
+    # the charts share one grid, and the coordinates along its axes after
+    # the first, the same on every row, are stored once
+    table = {name: (size, eta.transpose(2, 1, 0).reshape(4, -1)) for name, size, eta in (
+        ("north", rho, thooft_symbols()), ("south", r * r / rho, thooft_symbols(anti=True)))}
+    rest = grid_points(man.chart("north"), np.arange(1))[0, ..., 1:]
+    with np.errstate(all="ignore"):
+        _refuse_unbounded(sup(2.0 * sup(man.chart(name).coords[0])
+                              / (man.rho2[name].min() + size * size)
+                              for name, (size, _) in table.items()), f"instanton of size {rho!r}")
+
+    def rows_of(ch, rows):
+        size, eta = table[ch.name]
+        x = np.empty(np.shape(rows) + rest.shape[:-1] + (4,))
+        x[..., 0] = ch.coords[0][rows].reshape((-1,) + (1,) * (ch.dim - 1))
+        x[..., 1:] = rest
+        den = man.rho2[ch.name][rows] + size * size
         # eta_{a mu nu} x^nu as one (P, 4) @ (4, 4 * 3) product; each row of
         # eta has a single +-1 entry, so every sum is exact in any order
-        ex = (x.reshape(-1, 4) @ eta.transpose(2, 1, 0).reshape(4, -1)).reshape(
-            ch.shape + (4, 3)
-        )
+        ex = (x.reshape(-1, 4) @ eta).reshape(den.shape + (4, 3))
         ex *= 2.0
-        out[ch.name] = np.divide(ex, den[..., None, None], out=ex)
-    return OrdinaryConnection(man, basis, rep, out)
+        return np.divide(ex, den[..., None, None], out=ex)
+
+    return OrdinaryConnection(man, basis, rep, rows_of)
 
 
 # ---------------------------------------------------------------------------
@@ -332,18 +389,26 @@ def monopole_connection(
 
     In matrix form A = i q (x1 dx2 - x2 dx1)/(r^2 + |x|^2) on the north
     chart and the charge-reversed expression on the south chart; the pair
-    glues exactly through the phase transition (z/|z|)^q.
+    glues exactly through the phase transition (z/|z|)^q.  The potential is
+    analytic (see :class:`OrdinaryConnection`), refused here unless its
+    bound sqrt(2) |q| max|x| / r^2 is finite.
     """
     if man.kind != "sphere" or man.dim != 2:
         raise ShapeError("the monopole potential lives on the 2-sphere charts")
     r = man.params["radius"]
     scale = float(np.sqrt(2.0))  # E_1 = i/sqrt(2), so matrix iq needs sqrt(2) q
-    out, x = {}, grid_points(man.chart("north"))  # the charts share one grid
-    for ch, q in ((man.chart("north"), charge), (man.chart("south"), -charge)):
-        den = man.rho2[ch.name] + r * r
-        A = scale * q * np.stack([-x[..., 1], x[..., 0]], axis=-1) / den[..., None]
-        out[ch.name] = A[..., None]
-    return OrdinaryConnection(man, basis, rep, out)
+    signed = {"north": scale * charge, "south": scale * -charge}
+    with np.errstate(over="ignore"):
+        _refuse_unbounded(abs(signed["north"]) * sup(man.chart("north").coords[0]) / (r * r),
+                          f"monopole of charge {charge!r}")
+
+    def rows_of(ch, rows):
+        x = grid_points(ch, rows)
+        den = man.rho2[ch.name][rows] + r * r
+        A = signed[ch.name] * np.stack([-x[..., 1], x[..., 0]], axis=-1) / den[..., None]
+        return A[..., None]
+
+    return OrdinaryConnection(man, basis, rep, rows_of)
 
 
 # ---------------------------------------------------------------------------
@@ -363,22 +428,24 @@ def _sampled_fields(conn: OrdinaryConnection, chart, sample) -> tuple:
     """The potential and the field strength on only the grid points of
     ``chart`` that the sampling operator ``sample`` reads, side by side in
     one compact (points, d m + d d m) array, and ``sample`` with its columns
-    re-indexed into it.  The field strength is formed slab by slab, as
-    :func:`curvature_F` forms it, so the sampled values carry the bits of
-    sampling whole-chart fields.  :func:`_split_fields` takes them apart."""
+    re-indexed into it.  Both are taken at those points from one walk of
+    the chart's potential (:meth:`OrdinaryConnection.slab_field`), the field
+    strength formed slab by slab as :func:`curvature_F` forms it, so the
+    sampled values carry the bits of sampling whole-chart fields.
+    :func:`_split_fields` takes them apart."""
     read = np.zeros(chart.shape, bool)
     read.reshape(-1)[sample.cols] = True
     # a read grid point's place in the compact array; int32, as a chart
     # holds far fewer than 2^31 points, halves the re-indexed operator
     place = np.cumsum(read, dtype=np.int32) - 1
-    A = conn.A[chart.name]
-    fields = np.empty((place[-1] + 1, chart.dim * (chart.dim + 1) * A.shape[-1]))
-    A_read, F = _split_fields(fields, chart.dim)
-    A_read[...] = A[read]
-    for pts, slab in row_slabs(chart, {"A": A}, [("A", 2)]):
+    fields = np.empty((place[-1] + 1, chart.dim * (chart.dim + 1) * conn.basis.dim))
+    A, F = _split_fields(fields, chart.dim)
+    for pts, slab in row_slabs(chart, {"A": conn.slab_field(chart.name)}, [("A", 2)]):
         at = np.flatnonzero(read.reshape(-1)[pts])
         if len(at):
-            F[place[pts][at]] = np.moveaxis(
+            here = place[pts][at]
+            A[here] = np.moveaxis(slab["A"].take(at, -1), -1, 0)
+            F[here] = np.moveaxis(
                 _field_strength(slab["A"].take(at, -1), slab["A", 2].take(at, -1),
                                 conn.basis.structure), -1, 0)
     return SamplingOperator(place[sample.cols], sample.weights, len(fields)), fields
@@ -421,7 +488,7 @@ def _overlap_gluing(conn: OrdinaryConnection, ov) -> dict:
     sample, dst_fields = _sampled_fields(conn, dst, sampling_operator(dst, ov.y))
     start, paths, mask = 0, {}, ov.mask.reshape(-1)
     res, scale = {"A": [], "F": []}, {"A": [], "F": []}
-    for pts, slab in row_slabs(src, {"A": conn.A[ov.src], "tinv": tinv_on},
+    for pts, slab in row_slabs(src, {"A": conn.slab_field(ov.src), "tinv": tinv_on},
                                [("A", 2), ("tinv", 2)]):
         F = _field_strength(slab["A"], slab["A", 2], basis.structure)
         matrices = {key: basis.contract(np.moveaxis(coeff, -1, 0))
@@ -455,15 +522,17 @@ def gluing_residuals(conn: OrdinaryConnection) -> dict:
     overlap; interpolation and stencil error limit the attainable residual
     (its measured orders: ROADMAP item 6).
 
-    No field is formed on a whole chart, and the connection's cached field
-    strength is neither read nor filled.  Per overlap, the source chart is
-    walked slab by slab (:func:`row_slabs`, t^-1 evaluated on each block's
-    rows and stencil halo only): A and its field strength are contracted to
+    No field is formed on a whole chart, and the connection's cached
+    whole-chart potential and field strength are neither read nor filled.
+    Per overlap, the source chart is walked slab by slab (:func:`row_slabs`,
+    with t^-1 and an analytic potential evaluated on each block's rows and
+    stencil halo only): A and its field strength are contracted to
     matrices there, for the scale (the source's chart peak) and at the
     slab's sample points, a contiguous run of the sample set as the mask is
     in grid order.  A row slice of one ``sampling_operator`` per overlap
     samples the destination fields at each run, from a compact array of
-    only the points it reads (:func:`_sampled_fields`).  Each contraction's
+    only the points it reads (:func:`_sampled_fields`), where A and F are
+    taken from the same walk of the destination chart.  Each contraction's
     path is searched at the overlap's first run and reused by the others.
     """
     out = {(ov.src, ov.dst): _overlap_gluing(conn, ov)

@@ -300,14 +300,16 @@ def row_slabs(chart: ChartGrid, fields: dict, diff=()):
     block.  It agrees with :func:`derivatives` to rounding.
 
     A field may also be a function that returns the grid-first field on an
-    ascending array of first-axis rows.  It is called per block, on the rows
-    of the block and of its stencils' halo that the last block did not read,
-    so no whole-chart copy of it exists; a pointwise function gives the bits
-    of the whole-chart array.
+    ascending array of first-axis rows (an analytic potential's rows, say).
+    It is called once on each row of a block and of its stencils' halo that
+    the last block did not read, and the rows a block reads are held in
+    buffers that the walk reuses (:class:`_HeldRows`), so no whole-chart
+    copy of the field exists and no held row is restacked.  A pointwise
+    function gives the bits of the whole-chart array.
     """
     row = int(np.prod(chart.shape[1:]))
     step = max(1, SLAB_POINTS // row)
-    held = {key: {} for key, arr in fields.items() if callable(arr)}  # row -> its values
+    held = {key: _HeldRows(arr) for key, arr in fields.items() if callable(arr)}
     for start in range(0, chart.shape[0], step):
         rows = slice(start, min(start + step, chart.shape[0]))
         block = _row_block(chart, fields, diff, rows, held)
@@ -318,43 +320,68 @@ def row_slabs(chart: ChartGrid, fields: dict, diff=()):
         del block  # before the next block is formed
 
 
+class _HeldRows(dict):
+    """The rows of a function field that the current block of
+    :func:`row_slabs` reads, by row.  A row that no block reads any more
+    leaves its buffer to a later row, which is copied into it: a walk keeps
+    buffers for as many rows as one block reads, and once it has them, the
+    arrays that evaluating a row allocates are freed at once, so that the
+    walk does not fault fresh pages in for every row."""
+
+    def __init__(self, rows_of):
+        super().__init__()
+        self.rows_of, self.spare = rows_of, []
+
+    def read(self, need: set) -> None:
+        """Hold exactly the rows ``need``: evaluate, one call each and in
+        ascending order, those not held already."""
+        self.spare += [self.pop(r) for r in set(self) - need]
+        for r in sorted(need - self.keys()):
+            value = self.rows_of(np.array([r]))[0]
+            if self.spare:
+                self.spare[-1][...] = value
+                value = self.spare.pop()
+            self[r] = value
+
+
+def _take_rows(source, rows) -> np.ndarray:
+    """First-axis ``rows`` (a slice or an index array) of a field as one
+    grid-first array: an array field's view or gather, or a function
+    field's held rows, a view if there is one and stacked if more."""
+    if isinstance(source, np.ndarray):
+        return source[rows]
+    rows = range(rows.start, rows.stop) if isinstance(rows, slice) else rows
+    return source[rows[0]][None] if len(rows) == 1 else np.stack([source[r] for r in rows])
+
+
 def _row_block(chart: ChartGrid, fields: dict, diff, rows: slice, held: dict) -> dict:
     """The block of :func:`row_slabs` at ``rows``.  ``held[key]`` holds the
-    rows of a function field that the last block read, by row, and is
-    replaced by this block's; every other array is freed on return."""
+    rows of a function field that this block reads, and keeps them for the
+    next; every other array is freed on return.  The slab values are
+    copies, so that no slab shares memory with a held row's buffer."""
     first = {order: _stencil(chart.shape[0], chart.spacing[0], chart.periodic[0], order)[1][rows]
              for _, order in diff}
-    # per field: an array holding the block's rows, where they are in it,
-    # and the first-axis stencil of each order indexed into it
-    source = {}
-    for key, arr in fields.items():
-        if key not in held:
-            source[key] = arr, rows, first
-            continue
-        read = np.zeros(chart.shape[0], bool)
-        read[rows] = True
-        for k, order in diff:
-            if k == key:
-                read[first[order].cols] = True
-        need = np.flatnonzero(read)
-        fresh = [r for r in need if r not in held[key]]
-        if fresh:
-            held[key].update(zip(fresh, arr(np.array(fresh))))
-        held[key] = {r: held[key][r] for r in need}
-        lo = int(np.searchsorted(need, rows.start))
-        source[key] = (np.stack(list(held[key].values())), slice(lo, lo + rows.stop - rows.start),
-                       {order: SamplingOperator(np.searchsorted(need, op.cols), op.weights,
-                                                len(need)) for order, op in first.items()})
-    slab = {key: np.ascontiguousarray(_points_last(arr[at], chart.dim))
-            for key, (arr, at, _) in source.items()}
+    source = {**fields, **held}
+    for key, rows_of in held.items():
+        rows_of.read(set(range(rows.start, rows.stop)).union(
+            *(first[order].cols.flat for k, order in diff if k == key)))
+    block = {key: _take_rows(arr, rows) for key, arr in source.items()}
+    slab = {key: np.array(_points_last(arr, chart.dim), order="C") for key, arr in block.items()}
     for key, order in diff:
-        arr, at, stencil = source[key]
-        parts = [stencil[order] @ arr] + [
-            _apply_along_axis(_stencil(chart.shape[axis], chart.spacing[axis],
-                                       chart.periodic[axis], order)[0], arr[at], axis)
-            for axis in range(1, chart.dim)]
-        # a list, not an array, so the copy is C-contiguous
-        slab[key, order] = np.array([_points_last(part, chart.dim) for part in parts])
+        # along the first axis, the stencil's entries gathered, weighted and
+        # added in order onto zero, as `SamplingOperator` adds them
+        op, arr = first[order], block[key]
+        along = np.zeros(arr.shape, np.result_type(arr, float))
+        for cols, weights in zip(op.cols, op.weights):
+            along += _take_rows(source[key], cols) * weights.reshape((-1,) + (1,) * (arr.ndim - 1))
+        # each axis's derivative is written in place as soon as it is formed
+        out = slab[key, order] = np.empty((chart.dim,) + slab[key].shape, along.dtype)
+        out[0] = _points_last(along, chart.dim)
+        del along
+        for axis in range(1, chart.dim):
+            out[axis] = _points_last(_apply_along_axis(
+                _stencil(chart.shape[axis], chart.spacing[axis], chart.periodic[axis], order)[0],
+                arr, axis), chart.dim)
     return slab
 
 

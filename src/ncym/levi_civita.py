@@ -80,7 +80,7 @@ def _slabs(riem, ch, orders):
     strength at that order."""
     name, C = ch.name, riem.conn.basis.structure
     fields = {"c": riem.base.conf[name], "gI": riem.internal[name], "hI": riem.hint[name],
-              "A": riem.conn.A[name]}
+              "A": riem.conn.slab_field(name)}
     diff = [(key, order) for key in ("c", "gI", "A") for order in orders]
     delta = np.eye(ch.dim)[..., None]
     for _, slab in geometry.row_slabs(ch, fields, diff):

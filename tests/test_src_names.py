@@ -98,3 +98,32 @@ def test_every_private_name_is_read():
                for name, line in _definitions(tree).items()
                if name.startswith("_") and not name.startswith("__") and name not in read]
     assert not orphans, f"private names no module reads (module, name, line) {orphans}"
+
+
+# the slab readers of a connection's potential, by module; None is the
+# whole module
+SLAB_READERS = {
+    "chern_weil": None,
+    "levi_civita": None,
+    "connections": ("_sampled_fields", "_split_fields", "_gluing_at", "_overlap_gluing",
+                    "gluing_residuals"),
+}
+
+
+@pytest.mark.parametrize("module", sorted(SLAB_READERS))
+def test_slab_readers_take_the_potential_from_its_accessor(module):
+    """The slab readers take a chart's potential from
+    ``OrdinaryConnection.slab_field``, which hands an analytic potential
+    over by rows; none reads the whole-chart ``.A``, which would form it on
+    every chart."""
+    tree = _parse(next(p for p in MODULES if p.stem == module))
+    names = SLAB_READERS[module]
+    if names is None:
+        scopes = [tree]
+    else:
+        defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        assert set(names) <= set(defs), f"{module}: no function {set(names) - set(defs)}"
+        scopes = [defs[name] for name in names]
+    reads = [(module, node.lineno) for scope in scopes for node in ast.walk(scope)
+             if isinstance(node, ast.Attribute) and node.attr == "A"]
+    assert not reads, f"whole-chart potential read at (module, line) {reads}"
