@@ -11,7 +11,8 @@ omega; the two routes agreeing is the module's central self-check.
 
 Shipped bundles: the basic SU(2) instanton on the 4-sphere (self-dual,
 second Chern number one) and abelian monopoles on the 2-sphere, both with
-explicit transition functions so cross-chart gluing is testable.
+explicit transition functions so cross-chart gluing is testable; both
+potentials are the rational form of :func:`_rational_potential`, by rows.
 """
 
 from __future__ import annotations
@@ -311,11 +312,24 @@ def instanton_bundle(
     return man, lb, rep
 
 
-def _refuse_unbounded(bound, what: str) -> None:
-    """Refuse at build time an analytic potential whose ``bound`` on |A|
-    over the charts is not finite (NaN included)."""
+def _rational_potential(man: Manifold, basis, rep, table: dict, what: str) -> OrdinaryConnection:
+    """The analytic potential A^a_mu = x^nu M[nu, mu m + a] / (|x|^2 + s^2),
+    ``table[chart] = (s, M)`` with M a (d, d m) matrix, by rows (see
+    :class:`OrdinaryConnection`); refused, naming ``what``, unless its bound
+    max|M| max|x| / min(|x|^2 + s^2) over the charts is finite."""
+    with np.errstate(all="ignore"):
+        bound = sup(sup(M) * sup(man.chart(name).coords[0]) / (man.rho2[name].min() + s * s)
+                    for name, (s, M) in table.items())
     if not np.isfinite(bound):
         raise ShapeError(f"gauge potential components must be finite ({what})")
+
+    def on_rows(ch, rows):
+        s, M = table[ch.name]
+        den = man.rho2[ch.name][rows] + s * s
+        A = (grid_points(ch, rows).reshape(-1, ch.dim) @ M).reshape(den.shape + (ch.dim, -1))
+        return np.divide(A, den[..., None, None], out=A)
+
+    return OrdinaryConnection(man, basis, rep, on_rows)
 
 
 def bpst_connection(
@@ -325,39 +339,18 @@ def bpst_connection(
 
     North: A^a_mu = 2 eta_{a mu nu} x^nu / (|x|^2 + rho^2); the south chart
     carries the size r^2/rho potential built on the anti symbols, which is
-    the north form transported by the quaternionic transition.  The
-    potential is analytic (see :class:`OrdinaryConnection`), refused here
-    unless its bound 2 max|x| / min(|x|^2 + size^2) is finite.
+    the north form transported by the quaternionic transition.  Both are
+    :func:`_rational_potential` with M = 2 eta as a (4, 4 * 3) matrix, each
+    column a single +-2, so every product is exact in any order.
     """
     if man.kind != "sphere" or man.dim != 4:
         raise ShapeError("the instanton potential lives on the 4-sphere charts")
     if basis.n != 2:
         raise ShapeError("the instanton potential is su(2)-valued")
     r = man.params["radius"]
-    # per chart the size and eta_{a mu nu} as a (4, 4 * 3) matrix on x^nu;
-    # the charts share one grid, and the coordinates along its axes after
-    # the first, the same on every row, are stored once
-    table = {name: (size, eta.transpose(2, 1, 0).reshape(4, -1)) for name, size, eta in (
+    table = {name: (size, 2.0 * eta.transpose(2, 1, 0).reshape(4, -1)) for name, size, eta in (
         ("north", rho, thooft_symbols()), ("south", r * r / rho, thooft_symbols(anti=True)))}
-    rest = grid_points(man.chart("north"), np.arange(1))[0, ..., 1:]
-    with np.errstate(all="ignore"):
-        _refuse_unbounded(sup(2.0 * sup(man.chart(name).coords[0])
-                              / (man.rho2[name].min() + size * size)
-                              for name, (size, _) in table.items()), f"instanton of size {rho!r}")
-
-    def rows_of(ch, rows):
-        size, eta = table[ch.name]
-        x = np.empty(np.shape(rows) + rest.shape[:-1] + (4,))
-        x[..., 0] = ch.coords[0][rows].reshape((-1,) + (1,) * (ch.dim - 1))
-        x[..., 1:] = rest
-        den = man.rho2[ch.name][rows] + size * size
-        # eta_{a mu nu} x^nu as one (P, 4) @ (4, 4 * 3) product; each row of
-        # eta has a single +-1 entry, so every sum is exact in any order
-        ex = (x.reshape(-1, 4) @ eta).reshape(den.shape + (4, 3))
-        ex *= 2.0
-        return np.divide(ex, den[..., None, None], out=ex)
-
-    return OrdinaryConnection(man, basis, rep, rows_of)
+    return _rational_potential(man, basis, rep, table, f"instanton of size {rho!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -389,26 +382,16 @@ def monopole_connection(
 
     In matrix form A = i q (x1 dx2 - x2 dx1)/(r^2 + |x|^2) on the north
     chart and the charge-reversed expression on the south chart; the pair
-    glues exactly through the phase transition (z/|z|)^q.  The potential is
-    analytic (see :class:`OrdinaryConnection`), refused here unless its
-    bound sqrt(2) |q| max|x| / r^2 is finite.
+    glues exactly through the phase transition (z/|z|)^q.  Both are
+    :func:`_rational_potential` with s = r and M = sqrt(2) q [[0, 1],
+    [-1, 0]] (E_1 = i/sqrt(2), so matrix iq needs sqrt(2) q).
     """
     if man.kind != "sphere" or man.dim != 2:
         raise ShapeError("the monopole potential lives on the 2-sphere charts")
     r = man.params["radius"]
-    scale = float(np.sqrt(2.0))  # E_1 = i/sqrt(2), so matrix iq needs sqrt(2) q
-    signed = {"north": scale * charge, "south": scale * -charge}
-    with np.errstate(over="ignore"):
-        _refuse_unbounded(abs(signed["north"]) * sup(man.chart("north").coords[0]) / (r * r),
-                          f"monopole of charge {charge!r}")
-
-    def rows_of(ch, rows):
-        x = grid_points(ch, rows)
-        den = man.rho2[ch.name][rows] + r * r
-        A = signed[ch.name] * np.stack([-x[..., 1], x[..., 0]], axis=-1) / den[..., None]
-        return A[..., None]
-
-    return OrdinaryConnection(man, basis, rep, rows_of)
+    table = {name: (r, np.array([[0.0, q], [-q, 0.0]])) for name, q in (
+        ("north", float(np.sqrt(2.0)) * charge), ("south", float(np.sqrt(2.0)) * -charge))}
+    return _rational_potential(man, basis, rep, table, f"monopole of charge {charge!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ and order.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -158,8 +159,11 @@ class Manifold:
 def grid_points(chart: ChartGrid, rows=slice(None)) -> np.ndarray:
     """Coordinates of every grid point, shape ``chart.shape + (dim,)``, or of
     those on the first-axis ``rows`` only (a slice or an index array)."""
-    mesh = np.meshgrid(chart.coords[0][rows], *chart.coords[1:], indexing="ij")
-    return np.stack(mesh, axis=-1)
+    axes = (chart.coords[0][rows],) + chart.coords[1:]
+    out = np.empty(tuple(map(len, axes)) + (chart.dim,))
+    for axis, coords in enumerate(axes):
+        out[..., axis] = coords.reshape((-1,) + (1,) * (chart.dim - 1 - axis))
+    return out
 
 
 def sup(arrays) -> float:
@@ -295,21 +299,21 @@ def row_slabs(chart: ChartGrid, fields: dict, diff=()):
     Each slab is a view of a block of whole first-axis rows, as many as fit
     in SLAB_POINTS points and at least one; one block is held at a time.
     Along the first axis a derivative is the stencil's row operator on the
-    block's rows: it reads the field's halo rows only, and has the same bits
-    whatever the block bounds.  Along the other axes it is a product on the
-    block.  It agrees with :func:`derivatives` to rounding.
+    block's rows, ``op @ field``: it reads the field's halo rows only, and
+    has the same bits whatever the block bounds.  Along the other axes it is
+    a product on the block.  It agrees with :func:`derivatives` to rounding.
 
     A field may also be a function that returns the grid-first field on an
     ascending array of first-axis rows (an analytic potential's rows, say).
     It is called once on each row of a block and of its stencils' halo that
     the last block did not read, and the rows a block reads are held in
-    buffers that the walk reuses (:class:`_HeldRows`), so no whole-chart
-    copy of the field exists and no held row is restacked.  A pointwise
+    buffers that the walk reuses (:class:`_HeldRows`, which index like the
+    array), so no whole-chart copy of the field exists.  A pointwise
     function gives the bits of the whole-chart array.
     """
     row = int(np.prod(chart.shape[1:]))
     step = max(1, SLAB_POINTS // row)
-    held = {key: _HeldRows(arr) for key, arr in fields.items() if callable(arr)}
+    held = {key: _HeldRows(arr, chart.shape[0]) for key, arr in fields.items() if callable(arr)}
     for start in range(0, chart.shape[0], step):
         rows = slice(start, min(start + step, chart.shape[0]))
         block = _row_block(chart, fields, diff, rows, held)
@@ -320,38 +324,37 @@ def row_slabs(chart: ChartGrid, fields: dict, diff=()):
         del block  # before the next block is formed
 
 
-class _HeldRows(dict):
-    """The rows of a function field that the current block of
-    :func:`row_slabs` reads, by row.  A row that no block reads any more
-    leaves its buffer to a later row, which is copied into it: a walk keeps
-    buffers for as many rows as one block reads, and once it has them, the
-    arrays that evaluating a row allocates are freed at once, so that the
-    walk does not fault fresh pages in for every row."""
+class _HeldRows:
+    """The rows of a function field on ``length`` first-axis rows that the
+    current block of :func:`row_slabs` reads, by row in ``row``, indexed like
+    the array: ``held[rows]`` (a slice or an index array of held rows) is a
+    row's view or the rows stacked, and ``shape`` and ``dtype``, set by
+    :meth:`read`, are the whole field's.
+    A row that no block reads any more leaves its buffer to a later row,
+    which is copied into it: a walk keeps buffers for as many rows as one
+    block reads, and once it has them, the arrays that evaluating a row
+    allocates are freed at once, so that the walk does not fault fresh pages
+    in for every row."""
 
-    def __init__(self, rows_of):
-        super().__init__()
-        self.rows_of, self.spare = rows_of, []
+    def __init__(self, rows_of, length: int):
+        self.rows_of, self.length, self.row, self.spare = rows_of, length, {}, []
+
+    def __getitem__(self, rows) -> np.ndarray:
+        rows = range(self.length)[rows] if isinstance(rows, slice) else rows
+        return self.row[rows[0]][None] if len(rows) == 1 else np.stack([self.row[r] for r in rows])
 
     def read(self, need: set) -> None:
         """Hold exactly the rows ``need``: evaluate, one call each and in
         ascending order, those not held already."""
-        self.spare += [self.pop(r) for r in set(self) - need]
-        for r in sorted(need - self.keys()):
+        self.spare += [self.row.pop(r) for r in set(self.row) - need]
+        for r in sorted(need - self.row.keys()):
             value = self.rows_of(np.array([r]))[0]
             if self.spare:
                 self.spare[-1][...] = value
                 value = self.spare.pop()
-            self[r] = value
-
-
-def _take_rows(source, rows) -> np.ndarray:
-    """First-axis ``rows`` (a slice or an index array) of a field as one
-    grid-first array: an array field's view or gather, or a function
-    field's held rows, a view if there is one and stacked if more."""
-    if isinstance(source, np.ndarray):
-        return source[rows]
-    rows = range(rows.start, rows.stop) if isinstance(rows, slice) else rows
-    return source[rows[0]][None] if len(rows) == 1 else np.stack([source[r] for r in rows])
+            self.row[r] = value
+        first = next(iter(self.row.values()))
+        self.shape, self.dtype = (self.length,) + first.shape, first.dtype
 
 
 def _row_block(chart: ChartGrid, fields: dict, diff, rows: slice, held: dict) -> dict:
@@ -361,19 +364,14 @@ def _row_block(chart: ChartGrid, fields: dict, diff, rows: slice, held: dict) ->
     copies, so that no slab shares memory with a held row's buffer."""
     first = {order: _stencil(chart.shape[0], chart.spacing[0], chart.periodic[0], order)[1][rows]
              for _, order in diff}
-    source = {**fields, **held}
-    for key, rows_of in held.items():
-        rows_of.read(set(range(rows.start, rows.stop)).union(
+    for key, arr in held.items():
+        arr.read(set(range(rows.start, rows.stop)).union(
             *(first[order].cols.flat for k, order in diff if k == key)))
-    block = {key: _take_rows(arr, rows) for key, arr in source.items()}
+    source = {**fields, **held}
+    block = {key: arr[rows] for key, arr in source.items()}
     slab = {key: np.array(_points_last(arr, chart.dim), order="C") for key, arr in block.items()}
     for key, order in diff:
-        # along the first axis, the stencil's entries gathered, weighted and
-        # added in order onto zero, as `SamplingOperator` adds them
-        op, arr = first[order], block[key]
-        along = np.zeros(arr.shape, np.result_type(arr, float))
-        for cols, weights in zip(op.cols, op.weights):
-            along += _take_rows(source[key], cols) * weights.reshape((-1,) + (1,) * (arr.ndim - 1))
+        along = first[order] @ source[key]
         # each axis's derivative is written in place as soon as it is formed
         out = slab[key, order] = np.empty((chart.dim,) + slab[key].shape, along.dtype)
         out[0] = _points_last(along, chart.dim)
@@ -381,7 +379,7 @@ def _row_block(chart: ChartGrid, fields: dict, diff, rows: slice, held: dict) ->
         for axis in range(1, chart.dim):
             out[axis] = _points_last(_apply_along_axis(
                 _stencil(chart.shape[axis], chart.spacing[axis], chart.periodic[axis], order)[0],
-                arr, axis), chart.dim)
+                block[key], axis), chart.dim)
     return slab
 
 
@@ -683,8 +681,9 @@ class SamplingOperator:
     2^dim corners) and the first-axis stencil of :func:`row_slabs` (entries:
     a row's non-zero columns, ascending).
     ``S @ field`` applies it along the first axis of a grid-first field of
-    any shape, and ``S[rows]`` is the operator of a slice of the rows.  The
-    arrays are read-only and shared by row slices.
+    any shape, an array or the held rows of :func:`row_slabs`, and
+    ``S[rows]`` is the operator of a slice of the rows.  The arrays are
+    read-only and shared by row slices.
     """
 
     cols: np.ndarray
@@ -698,16 +697,16 @@ class SamplingOperator:
     def __getitem__(self, rows: slice) -> SamplingOperator:
         return SamplingOperator(self.cols[:, rows], self.weights[:, rows], self.grid_points)
 
-    def __matmul__(self, field: np.ndarray) -> np.ndarray:
+    def __matmul__(self, field) -> np.ndarray:
         """Each row's entries gathered along the first axis, weighted and
         added in order onto zero, as a CSR product adds a row's entries, so
         the sums carry its bits.  A gather reads only the rows it names, so
         a broadcast field is never copied whole."""
-        field = np.asarray(field)
         if field.shape[0] != self.grid_points:
             raise ShapeError(f"a field on {field.shape[0]} grid points, want {self.grid_points}")
         # 2-d buffers, so each product runs along a whole gathered row
-        out = np.zeros((self.shape[0], field[:1].size), np.result_type(field, float))
+        out = np.zeros((self.shape[0], math.prod(field.shape[1:])),
+                       np.result_type(field.dtype, float))
         term = np.empty_like(out)
         for cols, weights in zip(self.cols, self.weights):
             np.multiply(field[cols].reshape(term.shape), weights[:, None], out=term)
@@ -745,10 +744,13 @@ def sampling_operator(chart: ChartGrid, pts: np.ndarray) -> SamplingOperator:
 def interp_chart(chart: ChartGrid, arr: np.ndarray, pts: np.ndarray):
     """Sample ``arr`` (shape ``chart.shape + extra``) at ``pts`` (..., dim),
     multilinearly: the :func:`sampling_operator` of ``pts`` applied to ``arr``
-    with its grid axes flattened to one, so extra axes are independent."""
-    extra = arr.shape[chart.dim :]
-    return (sampling_operator(chart, pts) @ arr.reshape((-1,) + extra)).reshape(
-        np.shape(pts)[:-1] + extra)
+    with its grid axes flattened to one, so extra axes are independent; the
+    operator is formed one row slice of at most SLAB_POINTS points at a time."""
+    extra, flat = arr.shape[chart.dim :], np.reshape(pts, (-1, np.shape(pts)[-1]))
+    out = np.empty((len(flat),) + extra, np.result_type(arr, float))
+    for run in (slice(i, i + SLAB_POINTS) for i in range(0, len(flat), SLAB_POINTS)):
+        out[run] = sampling_operator(chart, flat[run]) @ arr.reshape((-1,) + extra)
+    return out.reshape(np.shape(pts)[:-1] + extra)
 
 
 def expm_antihermitian(x: np.ndarray) -> np.ndarray:

@@ -711,3 +711,60 @@ def test_function_field_slabs_are_bitwise_the_array_slabs(bundle, width, monkeyp
     assert again <= ({0, 1, n - 2, n - 1} if all(ch.periodic) else set())
     assert all(called.count(r) <= 2 for r in again)
     assert max(len(rows) for rows in calls) <= width + 4  # a block and its halo
+
+
+def test_sampling_operator_refuses_a_field_of_the_wrong_length():
+    """``S @ field`` refuses a field whose first axis is not the operator's
+    grid, for an array field and for the held rows of a function field."""
+    ch = build_torus(2, 8).charts[0]
+    sample = sampling_operator(ch, grid_points(ch)[1:3, 2:4])
+    with pytest.raises(ShapeError, match="a field on 63 grid points, want 64"):
+        sample @ np.zeros((63, 2))
+    first = geometry._stencil(8, ch.spacing[0], True, 2)[1]
+    held = geometry._HeldRows(lambda rows: np.ones((len(rows), 8, 2)), 9)
+    held.read({0, 1, 7})
+    assert held.shape == (9, 8, 2) and held.dtype == np.float64
+    with pytest.raises(ShapeError, match="a field on 9 grid points, want 8"):
+        first[0:1] @ held
+
+
+@pytest.mark.parametrize("bundle", ["instanton8", "monopole8"])
+def test_interp_chart_in_runs_is_bitwise_one_operator(bundle, monkeypatch):
+    """Sampling in runs of SLAB_POINTS points gives the bits of one
+    operator over all of them."""
+    from ncym.connections import (
+        bpst_connection, instanton_bundle, monopole_bundle, monopole_connection)
+
+    if bundle == "instanton8":
+        man, lb, rep = instanton_bundle(8)
+        conn = bpst_connection(man, lb, rep)
+    else:
+        man, lb, rep = monopole_bundle(8, charge=2)
+        conn = monopole_connection(man, lb, rep, charge=2)
+    monkeypatch.setattr(geometry, "SLAB_POINTS", 7)
+    for ov in man.overlaps:
+        dst = man.chart(ov.dst)
+        field = conn.A[ov.dst]
+        assert len(ov.y) > 7
+        want = sampling_operator(dst, ov.y) @ field.reshape((-1,) + field.shape[dst.dim:])
+        got = interp_chart(dst, field, ov.y)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("man", [build_torus(dim, 8) for dim in (1, 2, 3, 4)] + [
+    build_sphere_two_charts(dim, 9) for dim in (2, 4)],
+    ids=["torus1", "torus2", "torus3", "torus4", "sphere2", "sphere4"])
+def test_grid_points_are_bitwise_the_meshgrid(man):
+    """The coordinates, of the whole chart and of first-axis rows given as
+    a slice or as index arrays, are the bits of the stacked meshgrid."""
+    from test_analytic_potentials import _row_sets
+
+    for ch in man.charts:
+        whole = np.stack(np.meshgrid(*ch.coords, indexing="ij"), axis=-1)
+        assert grid_points(ch).tobytes() == whole.tobytes()
+        for rows in [slice(None), slice(2, 5), slice(3, 4)] + _row_sets(ch.shape[0]):
+            got = grid_points(ch, rows)
+            want = np.stack(np.meshgrid(ch.coords[0][rows], *ch.coords[1:], indexing="ij"),
+                            axis=-1)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), rows

@@ -20,23 +20,25 @@ formed either.
 Whole tasks (``build_problem`` and the task, with the caches that the
 fixture's build warmed):
 
-- ``geom-check`` peaks at 13.1 MiB, bound 15.1 MiB (16.4 MiB when the
+- ``geom-check`` peaks at 13.05 MiB, bound 15.1 MiB (16.4 MiB when the
   set-up formed A on both charts; 20.8 MiB with dense base-metric blocks as
   well, 36.8 MiB when the gluing also filled the field-strength cache);
-- ``lc-check`` peaks at 12.2 MiB, bound 14.1 MiB (15.0 MiB with A formed
+- ``lc-check`` peaks at 12.19 MiB, bound 14.1 MiB (15.0 MiB with A formed
   at set-up);
-- ``chern`` peaks at 5.3 MiB, bound 6.1 MiB (9.0 MiB with A formed at
+- ``chern`` peaks at 5.25 MiB, bound 6.1 MiB (9.0 MiB with A formed at
   set-up, so a whole-chart A fails the bound).
 
 Set-ups (``build_problem``), memory retained:
 
-- ``geom-check`` or ``lc-check``: 2.03 MiB, bound 2.35 MiB: the base metric
+- ``geom-check`` or ``lc-check``: 1.97 MiB, bound 2.35 MiB: the base metric
   is one conformal factor per point, and both charts share it, its
-  sqrt(det), |x|^2 and one volume density.  With A formed on both charts it
-  was 5.77 MiB; with dense (d, d) round-sphere blocks and their inverse as
-  well, shared by the charts, 10.52 MiB; with a copy of both per chart
-  16.06 MiB;
-- ``chern``: 1.55 MiB, bound 1.8 MiB (5.29 MiB with A formed).
+  sqrt(det), |x|^2 and one volume density (2.03 MiB when the instanton
+  potential kept its own copy of a row's coordinates).  With A formed on
+  both charts it was 5.77 MiB; with dense (d, d) round-sphere blocks and
+  their inverse as well, shared by the charts, 10.52 MiB; with a copy of
+  both per chart 16.06 MiB;
+- ``chern``: 1.50 MiB, bound 1.8 MiB (1.55 MiB with that copy, 5.29 MiB
+  with A formed).
 
 Single calls, which now form the rows of A that they read:
 
@@ -62,7 +64,12 @@ Single calls, which now form the rows of A that they read:
   formed (4.57 MiB when they were kept until the next slab replaced them;
   3.68 MiB when A was formed at set-up; 5.8 MiB per whole row; the order-4
   field strength of both charts, 15.2 MiB, sliced into slabs gave
-  20.1 MiB; each chart contracted whole gave 76.7 MiB).
+  20.1 MiB; each chart contracted whole gave 76.7 MiB);
+- ``closedness_residual`` of that Chern form: 0.52 MiB measured, bound
+  0.6 MiB, with ``interp_chart`` sampling the overlap in runs of at most
+  SLAB_POINTS points, each through its own ``sampling_operator`` (2.12 MiB
+  with one operator over all 5,712 sample points; at N=24 3.3 against
+  33.5 MiB, at N=32 10.4 against 106.2 MiB).
 """
 
 import tracemalloc
@@ -70,7 +77,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ncym.chern_weil import chern_form
+from ncym.chern_weil import chern_form, closedness_residual
 from ncym.cli import TASK_RUNNERS
 from ncym.config import build_problem, resolve
 from ncym.connections import gluing_residuals
@@ -81,6 +88,7 @@ MiB = 2**20
 RESIDUAL_TABLE_MIB = 10.8
 GLUING_MIB = 12
 CHERN_FORM_MIB = 4.5
+CLOSEDNESS_MIB = 0.6
 GEOM_CHECK_MIB = 15.1
 LC_CHECK_MIB = 14.1
 CHERN_MIB = 6.1
@@ -157,6 +165,12 @@ def test_chern_peak_is_bounded(instanton12):
 def test_chern_form_peak_is_bounded(instanton12):
     _, peak = _peak_mib(lambda: chern_form(instanton12.conn, 2))
     assert peak <= CHERN_FORM_MIB
+
+
+def test_closedness_residual_peak_is_bounded(instanton12):
+    cf = chern_form(instanton12.conn, 2)
+    _, peak = _peak_mib(lambda: closedness_residual(cf))
+    assert peak <= CLOSEDNESS_MIB
 
 
 def _setup_retained_mib(task):

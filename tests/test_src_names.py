@@ -127,3 +127,34 @@ def test_slab_readers_take_the_potential_from_its_accessor(module):
     reads = [(module, node.lineno) for scope in scopes for node in ast.walk(scope)
              if isinstance(node, ast.Attribute) and node.attr == "A"]
     assert not reads, f"whole-chart potential read at (module, line) {reads}"
+
+
+def _scan_forbidden(tree: ast.Module) -> list:
+    """The lines of ``tree`` that call ``np.meshgrid``, or that loop over the
+    rows of a ``cols`` or ``weights`` array (``for c, w in zip(op.cols,
+    op.weights)``) outside ``SamplingOperator.__matmul__``."""
+    allowed = {id(node) for cls in tree.body
+               if isinstance(cls, ast.ClassDef) and cls.name == "SamplingOperator"
+               for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "__matmul__"
+               for node in ast.walk(fn)}
+    hits = [("np.meshgrid", node.lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "meshgrid"]
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.For, ast.comprehension)) or id(node) in allowed:
+            continue
+        it = node.iter
+        parts = (it.args if isinstance(it, ast.Call) and isinstance(it.func, ast.Name)
+                 and it.func.id in ("zip", "enumerate") else [it])
+        if any(isinstance(p, ast.Attribute) and p.attr in ("cols", "weights") for p in parts):
+            hits.append(("loop over stencil entries", it.lineno))
+    return hits
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_rows_are_gathered_and_gridded_one_way(path):
+    """Grid coordinates come from ``geometry.grid_points``, which calls no
+    ``np.meshgrid``, and a weighted gather of first-axis rows is
+    ``SamplingOperator @``: no other code walks an operator's entries."""
+    hits = _scan_forbidden(_parse(path))
+    assert not hits, f"{path.name}: (what, line) {hits}"
