@@ -71,8 +71,6 @@ def _non_finite(obj) -> bool:
     """Whether a result tree holds a NaN or an infinity."""
     import numpy as np
 
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
     if isinstance(obj, dict):
         return any(_non_finite(v) for v in obj.values())
     if isinstance(obj, (list, tuple)):

@@ -216,7 +216,7 @@ def constant_connection(
     """Constant potential A^a_mu = coeffs[mu, a] on every chart."""
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (man.dim, basis.dim):
-        raise ShapeError("constant coefficients must have shape (d, m)")
+        raise ShapeError(f"connection.coeffs of shape {coeffs.shape}, want {(man.dim, basis.dim)}")
     A = {
         ch.name: np.broadcast_to(coeffs, ch.shape + coeffs.shape).copy()
         for ch in man.charts
@@ -231,10 +231,10 @@ def random_connection(
     seed: int,
     amplitude: float = 0.3,
 ) -> OrdinaryConnection:
-    """Smooth random potential: low-frequency cosines on periodic charts, a
-    decaying polynomial profile on bounded ones.  Per-chart data only — no
-    gluing is arranged, so use it on single-chart manifolds or for local
-    experiments."""
+    """Smooth random potential: each component the sum of two cosines with
+    random integer wave vectors in [-2, 2]^d, phases and normal amplitudes,
+    on every chart.  Periodic on the torus, the one bundle whose config
+    admits it; no gluing is arranged, so it is per-chart data elsewhere."""
     rng = np.random.default_rng(seed)
     A = {}
     for ch in man.charts:
@@ -242,20 +242,12 @@ def random_connection(
         arr = np.zeros(ch.shape + (ch.dim, basis.dim))
         for mu in range(ch.dim):
             for a in range(basis.dim):
-                if all(ch.periodic):
-                    acc = np.zeros(ch.shape)
-                    for _ in range(2):
-                        kvec = rng.integers(-2, 3, size=ch.dim)
-                        phase = rng.uniform(0, 2 * np.pi)
-                        acc += rng.normal() * np.cos(
-                            np.tensordot(x, kvec, axes=([-1], [0])) + phase
-                        )
-                    arr[..., mu, a] = amplitude * acc
-                else:
-                    scale = 0.5 * ch.spacing[0] * ch.shape[0]
-                    rho2 = np.sum(x * x, axis=-1) / scale**2
-                    lin = np.tensordot(x / scale, rng.normal(size=ch.dim), axes=([-1], [0]))
-                    arr[..., mu, a] = amplitude * (rng.normal() + lin) * np.exp(-rho2)
+                acc = np.zeros(ch.shape)
+                for _ in range(2):
+                    kvec = rng.integers(-2, 3, size=ch.dim)
+                    phase = rng.uniform(0, 2 * np.pi)
+                    acc += rng.normal() * np.cos(np.tensordot(x, kvec, axes=([-1], [0])) + phase)
+                arr[..., mu, a] = amplitude * acc
         A[ch.name] = arr
     return OrdinaryConnection(man, basis, rep, A)
 
@@ -466,7 +458,11 @@ def _overlap_gluing(conn: OrdinaryConnection, ov) -> dict:
     src, dst = conn.man.chart(ov.src), conn.man.chart(ov.dst)
 
     def tinv_on(rows):
-        return np.conj(np.swapaxes(ov.transition(grid_points(src, rows)), -1, -2))
+        # t is singular at the origin, a grid point at odd npts; no sample
+        # point's stencil reads it, so a finite stand-in changes no residual
+        x = grid_points(src, rows)
+        x[~np.any(x, axis=-1)] = 1.0
+        return np.conj(np.swapaxes(ov.transition(x), -1, -2))
 
     sample, dst_fields = _sampled_fields(conn, dst, sampling_operator(dst, ov.y))
     start, paths, mask = 0, {}, ov.mask.reshape(-1)

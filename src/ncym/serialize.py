@@ -57,15 +57,13 @@ def json_float(v):
 
 
 def plain(obj):
-    """Plain-Python mirror of a result tree: dict keys as strings, tuples and
-    arrays as lists, numpy scalars as Python numbers, floats strict (see
-    :func:`json_float`)."""
+    """Plain-Python mirror of a result tree of dicts, lists, tuples and
+    numbers (an array goes through :func:`array_to_json`): tuples as lists,
+    dict keys as strings, numpy scalars as Python numbers, floats strict."""
     if isinstance(obj, dict):
         return {str(k): plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return plain(obj.tolist())
     if isinstance(obj, (np.floating, float)):
         return json_float(obj)
     if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):

@@ -84,6 +84,12 @@ def test_eval_task(tmp_path):
     assert result["vacuum_residuals"] == [0.0, 0.0, 0.0]
     assert result["grad_norm"] == 0.0
     assert result["action"]["total"] == 0.0
+    # the zero field pair over the zero torus connection: exactly flat too
+    doc = {"task": "eval", "bundle": {"kind": "torus", "npts": 8},
+           "initial": {"kind": "zero"}, "output_dir": str(tmp_path / "zero")}
+    assert main(["run", _write(tmp_path, doc)]) == 0
+    result = json.loads((tmp_path / "zero" / "report.json").read_text())["result"]
+    assert result["action"] == dict.fromkeys(("horizontal", "mixed", "total", "vertical"), 0.0)
 
 
 def test_chern_task(tmp_path):
@@ -111,6 +117,12 @@ def test_classify_task(tmp_path):
     result = json.loads((tmp_path / "out" / "report.json").read_text())["result"]
     assert result["refused"] is None
     assert result["commutant_dim"] == 1
+    # random fields are no representation: the run still exits 0, and says why
+    doc = {**doc, "initial": {"kind": "random", "seed": 3, "amplitude": 0.5},
+           "output_dir": str(tmp_path / "random")}
+    assert main(["run", _write(tmp_path, doc)]) == 0
+    result = json.loads((tmp_path / "random" / "report.json").read_text())["result"]
+    assert result["refused"].startswith("closure residual ")
 
 
 def test_lc_check_task(tmp_path):
@@ -145,6 +157,7 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         (_write(tmp_path, {"task": "eval"}), "ncym:"),
         (str(tmp_path / "missing.json"), "cannot read config"),
         (str(bad), "not valid JSON"),
+        (_write(tmp_path, [{"task": "eval"}], "array.json"), "does not hold a JSON object"),
     ):
         assert main(["run", path]) == 2
         assert message in capsys.readouterr().err
@@ -255,6 +268,51 @@ def test_ragged_matrix_exits_2(doc, key, tmp_path, capsys):
     assert main(["run", _write(tmp_path, doc)]) == 2
     assert capsys.readouterr().err == f"ncym: config rejected: {key}: rows of lengths [2, 3]\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("block, named", [
+    ({"connection": {"kind": "constant", "coeffs": [[0.1, 0.2], [0.3, 0.4]]}},
+     "connection.coeffs of shape (2, 2), want (2, 3)"),
+    ({"representation": {"kind": "spin", "j": 0.3}}, "got 0.3"),
+    ({"metric": {"internal": [[1.0, 0.0], [0.0, 1.0]]}}, "shape (2, 2), want (3, 3)"),
+], ids=["connection.coeffs", "representation.j", "metric.internal"])
+def test_value_of_the_wrong_size_exits_2(block, named, tmp_path, capsys):
+    """A value that the schema admits but the su(2) torus cannot use is
+    refused in one line that names it, before any output directory."""
+    doc = {**_TORUS_EVAL, **block, "output_dir": str(tmp_path / "out")}
+    assert main(["run", _write(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ncym: ") and err.count("\n") == 1 and named in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("bundle", [
+    {"kind": "instanton", "npts": 9},
+    {"kind": "monopole", "npts": 9, "charge": 1},
+    {"kind": "monopole", "npts": 9, "charge": -3},
+], ids=["instanton9", "monopole9", "monopole9-charge-3"])
+def test_geom_check_on_an_odd_grid(bundle, tmp_path):
+    """At odd npts the chart origin is a grid point, where the transition is
+    singular.  No sample point's order-2 stencil, along any axis, reaches it,
+    and geom-check exits 0 with every residual finite."""
+    from ncym.config import build_problem, resolve
+    from ncym.geometry import diff_matrix, grid_points
+
+    doc = {"task": "geom-check", "bundle": bundle, "output_dir": str(tmp_path / "out")}
+    man = build_problem(resolve(doc)).man
+    for ov in man.overlaps:
+        ch = man.chart(ov.src)
+        origin = (ch.shape[0] - 1) // 2
+        assert not np.any(grid_points(ch)[(origin,) * ch.dim])
+        stencil = diff_matrix(ch.shape[0], ch.spacing[0], False) != 0.0
+        at = np.argwhere(ov.mask)
+        for axis in range(ch.dim):
+            others = np.all(np.delete(at, axis, axis=1) == origin, axis=1)
+            assert not np.any(others & stencil[at[:, axis], origin])
+    assert main(["run", _write(tmp_path, doc)]) == 0
+    res = json.loads((tmp_path / "out" / "report.json").read_text())["result"]
+    values = [v for pair in res["potential_gluing"].values() for v in pair.values()]
+    assert len(values) == 4 and all(np.isfinite(v) and v > 0.0 for v in values)
 
 
 @pytest.mark.parametrize("task, code", [(task, 2) for task in
@@ -481,11 +539,15 @@ def test_negative_seed_flag_exits_2_naming_seed(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_selfcheck_subcommand(capsys):
+def test_selfcheck_subcommand(capsys, tmp_path):
     assert main(["selfcheck", "--filter", "lie_core"]) == 0
     out = capsys.readouterr().out
     assert "structure-constants" in out
     assert "0 failed" in out
+    assert main(["selfcheck", "--filter", "lie_core", "--output-dir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["task"] == "selfcheck" and report["result"]["failed"] == 0
+    assert report["result"]["checks"]
 
 
 def test_selfcheck_filter_naming_no_module_exits_2(tmp_path, capsys):

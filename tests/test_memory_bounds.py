@@ -9,8 +9,8 @@ a module).
 The instanton potential is analytic: the connection holds a function of
 first-axis rows, not arrays.  The topology checks read it through
 `geometry.row_slabs`, which evaluates the rows a block and its stencil halo
-read and holds them in one reused window (at most 5 rows, 0.8 MiB, at
-N=12), so the whole-chart potential A is never formed: neither in the
+read and holds only those (at most 5 rows, 0.8 MiB, at N=12), so the
+whole-chart potential A is never formed: neither in the
 set-up nor in a task, and the connection's caches of A and of the field
 strength stay empty throughout.  The slabs hold at most SLAB_POINTS points
 each (views of one block of whole first-axis rows at a time), so no
