@@ -41,7 +41,7 @@ from .connections import (
     zero_connection,
     zero_ncc,
 )
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .geometry import build_torus, flat_metric, round_sphere_metric
 from .lie_core import build_representation, build_su, build_u1
 from .metric import assemble
@@ -314,7 +314,10 @@ def build_problem(doc: dict) -> Problem:
     if cspec["kind"] == "zero":
         conn = zero_connection(man, lb, rep)
     elif cspec["kind"] == "constant":
-        conn = constant_connection(man, lb, rep, np.asarray(cspec["coeffs"], dtype=float))
+        try:
+            conn = constant_connection(man, lb, rep, np.asarray(cspec["coeffs"], dtype=float))
+        except ShapeError as exc:
+            raise ConfigError(f"connection.{exc}") from exc
     elif cspec["kind"] == "random":
         conn = random_connection(man, lb, rep, cspec["seed"], cspec["amplitude"])
     elif cspec["kind"] == "bpst":

@@ -216,7 +216,7 @@ def constant_connection(
     """Constant potential A^a_mu = coeffs[mu, a] on every chart."""
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (man.dim, basis.dim):
-        raise ShapeError(f"connection.coeffs of shape {coeffs.shape}, want {(man.dim, basis.dim)}")
+        raise ShapeError(f"coeffs of shape {coeffs.shape}, want {(man.dim, basis.dim)}")
     A = {
         ch.name: np.broadcast_to(coeffs, ch.shape + coeffs.shape).copy()
         for ch in man.charts
@@ -458,8 +458,8 @@ def _overlap_gluing(conn: OrdinaryConnection, ov) -> dict:
     src, dst = conn.man.chart(ov.src), conn.man.chart(ov.dst)
 
     def tinv_on(rows):
-        # t is singular at the origin, a grid point at odd npts; no sample
-        # point's stencil reads it, so a finite stand-in changes no residual
+        # t is singular at the origin, a grid point at odd npts that no sample
+        # point's stencil reads (the sphere builder checks): 1.0 keeps 0 * NaN out
         x = grid_points(src, rows)
         x[~np.any(x, axis=-1)] = 1.0
         return np.conj(np.swapaxes(ov.transition(x), -1, -2))

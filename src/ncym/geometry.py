@@ -569,7 +569,8 @@ def build_sphere_two_charts(
     ``x -> x r^2 / |x|^2`` (orientation-reversing, so the north chart carries
     orientation -1).  Partition-of-unity weights are smooth radial bumps
     normalized to sum to one at every physical point.  A margin that leaves
-    no grid point in the overlap raises GluingError.
+    no grid point in the overlap raises GluingError, and with a transition
+    so does one that puts the origin in a sample point's stencil.
     """
     if dim not in (2, 4):
         raise ShapeError("shipped sphere builders cover dim 2 and 4")
@@ -620,6 +621,10 @@ def build_sphere_two_charts(
     if not mask.any():
         raise GluingError(f"sphere charts share no grid point: chart margin {margin!r} at "
                           f"npts {npts} leaves their overlap without sample points")
+    # the origin, a grid point at odd npts, is read by its axis neighbours (rho = h)
+    if transition is not None and npts % 2 and np.any(mask & (rho < 1.2 * h)):
+        raise GluingError(f"chart margin {margin!r} at npts {npts} puts the chart origin, where "
+                          "the transition is singular, in a sample point's stencil")
     x, y = x[mask], y[inside]
     xhat = x / rho[mask][..., None]
     proj = np.eye(dim) - 2.0 * xhat[..., :, None] * xhat[..., None, :]

@@ -293,8 +293,8 @@ def test_value_of_the_wrong_size_exits_2(block, named, tmp_path, capsys):
 ], ids=["instanton9", "monopole9", "monopole9-charge-3"])
 def test_geom_check_on_an_odd_grid(bundle, tmp_path):
     """At odd npts the chart origin is a grid point, where the transition is
-    singular.  No sample point's order-2 stencil, along any axis, reaches it,
-    and geom-check exits 0 with every residual finite."""
+    singular.  At the default margin no sample point's order-2 stencil, along
+    any axis, reaches it, and geom-check exits 0 with every residual finite."""
     from ncym.config import build_problem, resolve
     from ncym.geometry import diff_matrix, grid_points
 
@@ -313,6 +313,22 @@ def test_geom_check_on_an_odd_grid(bundle, tmp_path):
     res = json.loads((tmp_path / "out" / "report.json").read_text())["result"]
     values = [v for pair in res["potential_gluing"].values() for v in pair.values()]
     assert len(values) == 4 and all(np.isfinite(v) and v > 0.0 for v in values)
+
+
+@pytest.mark.parametrize("task", ["geom-check", "chern"])
+@pytest.mark.parametrize("kind", ["instanton", "monopole"])
+def test_stencil_across_the_origin_exits_2(kind, task, tmp_path, capsys):
+    """At margin 2.25 on 9 points the origin's axis neighbours are sample
+    points, whose order-2 stencils would read the singular transition there:
+    the sphere builder refuses, naming the margin and the grid, so every task
+    on that sphere exits 2 and writes no report."""
+    doc = {"task": task, "bundle": {"kind": kind, "npts": 9, "margin": 2.25},
+           "output_dir": str(tmp_path / "out")}
+    assert main(["run", _write(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == (
+        "ncym: chart margin 2.25 at npts 9 puts the chart origin, where the transition is "
+        "singular, in a sample point's stencil\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("task, code", [(task, 2) for task in

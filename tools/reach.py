@@ -12,7 +12,9 @@ counts as reached when a line of its header or any statement inside it ran.
 Code that runs only in a subprocess (the ``__main__`` guard's body, say) is
 not seen.  Extra arguments go to pytest after the two test paths.  Nothing
 under ``perfbench/`` is written; the self-test's own scratch directory is
-``.bench_tmp/`` at the repository root.
+``.bench_tmp/`` at the repository root.  The exit status is pytest's: a
+test that fails or a module that is not collected leaves lines untraced,
+so the list is exact only when it is 0.
 """
 
 import ast
@@ -101,7 +103,7 @@ def main(argv: list) -> int:
             print(f"{path.relative_to(ROOT)}:{line}: {text}")
             total += 1
     print(f"{total} statements reached by no test (pytest exit {int(code)})")
-    return 0
+    return int(code)
 
 
 if __name__ == "__main__":
